@@ -7,13 +7,9 @@ use aiacc_baselines::{
     KvStoreEngine,
 };
 use aiacc_cluster::{ClusterNet, ClusterSpec, ComputeModel};
-use aiacc_collectives::CollectiveEngine;
-use aiacc_core::ddl::{DdlCtx, DdlEngine, ENGINE_TIMER_KIND};
-use aiacc_dnn::{zoo, DType, GradId, ModelProfile};
-use aiacc_simnet::{Event, Simulator, Token};
-
-const GRAD_KIND: u32 = 1;
-const BWD_KIND: u32 = 2;
+use aiacc_core::ddl::{DdlEngine, DdlRouter, BWD_KIND, GRAD_KIND};
+use aiacc_dnn::{zoo, DType, ModelProfile};
+use aiacc_simnet::{Simulator, Token};
 
 /// Runs one iteration of `engine` on `gpus` V100s; returns the completion
 /// time in seconds.
@@ -21,77 +17,24 @@ fn drive(engine: &mut dyn DdlEngine, model: &ModelProfile, gpus: usize) -> f64 {
     let spec = ClusterSpec::tcp_v100(gpus);
     let mut sim = Simulator::new();
     let cluster = ClusterNet::build(&spec, sim.net_mut());
-    let mut coll = CollectiveEngine::new();
     let cm = ComputeModel::v100();
     let timing = cm.iteration_timing(model, model.default_batch_per_gpu(), DType::F32);
+    let streams = (cm.max_comm_streams_during_compute(model), cm.max_comm_streams_idle());
+    let mut router = DdlRouter::new(cluster, streams);
 
-    {
-        let mut cx = DdlCtx {
-            sim: &mut sim,
-            coll: &mut coll,
-            cluster: &cluster,
-            max_streams_now: cm.max_comm_streams_during_compute(model),
-        };
-        engine.begin_iteration(&mut cx, 0);
-    }
-    for w in 0..spec.world_size() {
-        for &(g, off) in &timing.grad_ready {
-            sim.schedule(timing.forward + off, Token::new(GRAD_KIND, w as u32, g.0 as u64));
+    router.begin_iteration(&mut sim, engine, 0, spec.world_size(), |sim| {
+        for w in 0..spec.world_size() {
+            for &(g, off) in &timing.grad_ready {
+                sim.schedule(timing.forward + off, Token::new(GRAD_KIND, w as u32, g.0 as u64));
+            }
+            sim.schedule(timing.forward + timing.backward, Token::new(BWD_KIND, w as u32, 0));
         }
-        sim.schedule(timing.forward + timing.backward, Token::new(BWD_KIND, w as u32, 0));
-    }
-    let mut busy = spec.world_size();
+        sim.now() + timing.forward + timing.backward
+    });
+    // No fault plan is installed in these tests.
     while let Some((t, ev)) = sim.next_event() {
-        let streams = if busy > 0 {
-            cm.max_comm_streams_during_compute(model)
-        } else {
-            cm.max_comm_streams_idle()
-        };
-        match ev {
-            Event::Timer(tok) if tok.kind == GRAD_KIND => {
-                let mut cx = DdlCtx {
-                    sim: &mut sim,
-                    coll: &mut coll,
-                    cluster: &cluster,
-                    max_streams_now: streams,
-                };
-                engine.on_grad_ready(&mut cx, tok.a as usize, GradId(tok.b as u32));
-            }
-            Event::Timer(tok) if tok.kind == BWD_KIND => {
-                busy -= 1;
-                let mut cx = DdlCtx {
-                    sim: &mut sim,
-                    coll: &mut coll,
-                    cluster: &cluster,
-                    max_streams_now: streams,
-                };
-                engine.on_backward_done(&mut cx, tok.a as usize);
-            }
-            Event::Timer(tok) if tok.kind == ENGINE_TIMER_KIND => {
-                let mut cx = DdlCtx {
-                    sim: &mut sim,
-                    coll: &mut coll,
-                    cluster: &cluster,
-                    max_streams_now: streams,
-                };
-                engine.on_timer(&mut cx, tok.a, tok.b);
-            }
-            Event::Timer(_) => {}
-            Event::FlowCompleted(f) => {
-                if let Some(op) = coll.on_flow_completed(&mut sim, f) {
-                    let mut cx = DdlCtx {
-                        sim: &mut sim,
-                        coll: &mut coll,
-                        cluster: &cluster,
-                        max_streams_now: streams,
-                    };
-                    engine.on_collective_done(&mut cx, op);
-                }
-            }
-            // No fault plan is installed in these tests.
-            Event::Fault(_) => {}
-        }
-        if busy == 0 && engine.comm_done() {
+        router.deliver(&mut sim, engine, ev);
+        if router.busy_workers() == 0 && engine.comm_done() {
             return t.as_secs_f64();
         }
     }

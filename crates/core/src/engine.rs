@@ -115,14 +115,6 @@ impl AiaccConfig {
         self
     }
 
-    /// Enables (or disables) fp16 wire compression — the legacy boolean
-    /// knob, kept as a shorthand for [`AiaccConfig::with_compress`] with
-    /// [`Scheme::Fp16`].
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compress = if on { Scheme::Fp16 } else { Scheme::None };
-        self
-    }
-
     /// Selects the gradient compression scheme.
     pub fn with_compress(mut self, scheme: Scheme) -> Self {
         self.compress = scheme;
@@ -543,11 +535,10 @@ impl DdlEngine for AiaccEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ddl::ENGINE_TIMER_KIND;
+    use crate::ddl::{DdlRouter, BWD_KIND, GRAD_KIND};
     use aiacc_cluster::{ClusterNet, ClusterSpec, ComputeModel};
-    use aiacc_collectives::CollectiveEngine;
     use aiacc_dnn::zoo;
-    use aiacc_simnet::{Event, Simulator};
+    use aiacc_simnet::Simulator;
 
     /// Minimal driver: all workers produce gradients on the model's backward
     /// schedule (no jitter) and the engine runs to completion. Returns the
@@ -556,74 +547,27 @@ mod tests {
         let spec = ClusterSpec::tcp_v100(gpus);
         let mut sim = Simulator::new();
         let cluster = ClusterNet::build(&spec, sim.net_mut());
-        let mut coll = CollectiveEngine::new();
         let cm = ComputeModel::v100();
         let timing = cm.iteration_timing(model, model.default_batch_per_gpu(), cfg.wire_dtype());
         let mut eng = AiaccEngine::new(model, spec.world_size(), cfg);
-
-        const GRAD_KIND: u32 = 1;
-        const BWD_KIND: u32 = 2;
-        {
-            let mut cx = DdlCtx {
-                sim: &mut sim,
-                coll: &mut coll,
-                cluster: &cluster,
-                max_streams_now: cm.max_comm_streams_during_compute(model),
-            };
-            eng.begin_iteration(&mut cx, 0);
-        }
-        for w in 0..spec.world_size() {
-            for &(g, off) in &timing.grad_ready {
-                sim.schedule(timing.forward + off, Token::new(GRAD_KIND, w as u32, g.0 as u64));
+        let streams = (cm.max_comm_streams_during_compute(model), cm.max_comm_streams_idle());
+        let mut router = DdlRouter::new(cluster, streams);
+        router.begin_iteration(&mut sim, &mut eng, 0, spec.world_size(), |sim| {
+            for w in 0..spec.world_size() {
+                for &(g, off) in &timing.grad_ready {
+                    sim.schedule(timing.forward + off, Token::new(GRAD_KIND, w as u32, g.0 as u64));
+                }
+                sim.schedule(timing.forward + timing.backward, Token::new(BWD_KIND, w as u32, 0));
             }
-            sim.schedule(timing.forward + timing.backward, Token::new(BWD_KIND, w as u32, 0));
-        }
-        let mut busy = spec.world_size();
-        let mut t_done = 0.0;
+            sim.now() + timing.forward + timing.backward
+        });
         while let Some((t, ev)) = sim.next_event() {
-            let streams = if busy > 0 {
-                cm.max_comm_streams_during_compute(model)
-            } else {
-                cm.max_comm_streams_idle()
-            };
-            let mut cx = DdlCtx {
-                sim: &mut sim,
-                coll: &mut coll,
-                cluster: &cluster,
-                max_streams_now: streams,
-            };
-            match ev {
-                Event::Timer(tok) if tok.kind == GRAD_KIND => {
-                    eng.on_grad_ready(&mut cx, tok.a as usize, GradId(tok.b as u32));
-                }
-                Event::Timer(tok) if tok.kind == BWD_KIND => {
-                    busy -= 1;
-                    eng.on_backward_done(&mut cx, tok.a as usize);
-                }
-                Event::Timer(tok) if tok.kind == ENGINE_TIMER_KIND => {
-                    eng.on_timer(&mut cx, tok.a, tok.b);
-                }
-                Event::Timer(_) => {}
-                Event::FlowCompleted(f) => {
-                    if let Some(op) = coll.on_flow_completed(&mut sim, f) {
-                        let mut cx2 = DdlCtx {
-                            sim: &mut sim,
-                            coll: &mut coll,
-                            cluster: &cluster,
-                            max_streams_now: streams,
-                        };
-                        eng.on_collective_done(&mut cx2, op);
-                    }
-                }
-                Event::Fault(rec) => eng.on_fault(&mut cx, &rec),
-            }
+            router.deliver(&mut sim, &mut eng, ev);
             if eng.comm_done() {
-                t_done = t.as_secs_f64();
-                break;
+                return (t.as_secs_f64(), eng.stats());
             }
         }
-        assert!(eng.comm_done(), "engine never finished");
-        (t_done, eng.stats())
+        panic!("engine never finished");
     }
 
     #[test]
@@ -662,7 +606,7 @@ mod tests {
         // wire bytes must show through end-to-end.
         let base = AiaccConfig::default().with_streams(1);
         let (t_full, _) = drive(&zoo::vgg16(), 16, base);
-        let (t_half, _) = drive(&zoo::vgg16(), 16, base.with_compression(true));
+        let (t_half, _) = drive(&zoo::vgg16(), 16, base.with_compress(Scheme::Fp16));
         assert!(t_half < t_full * 0.75, "fp16 {t_half} vs fp32 {t_full}");
     }
 

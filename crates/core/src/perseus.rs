@@ -77,13 +77,6 @@ impl PerseusConfig {
         self
     }
 
-    /// Enables fp16 wire emulation — legacy shorthand for
-    /// [`PerseusConfig::with_compress`] with [`Scheme::Fp16`].
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compress = if on { Scheme::Fp16 } else { Scheme::None };
-        self
-    }
-
     /// Selects the gradient compression scheme.
     pub fn with_compress(mut self, scheme: Scheme) -> Self {
         self.compress = scheme;
@@ -320,7 +313,7 @@ mod tests {
     #[test]
     fn compression_introduces_bounded_error() {
         let p = Perseus::new(&layout(&[100]), PerseusConfig::new(2));
-        let pc = Perseus::new(&layout(&[100]), PerseusConfig::new(2).with_compression(true));
+        let pc = Perseus::new(&layout(&[100]), PerseusConfig::new(2).with_compress(Scheme::Fp16));
         let grads: Vec<Vec<Vec<f32>>> = (0..2)
             .map(|w| vec![(0..100).map(|i| (i as f32 - 50.0) * 1e-3 * (w + 1) as f32).collect()])
             .collect();

@@ -4,15 +4,11 @@
 //! `ReduceTracker`, so mere completion is a strong property).
 
 use aiacc_cluster::{ClusterNet, ClusterSpec, ComputeModel};
-use aiacc_collectives::CollectiveEngine;
-use aiacc_core::ddl::{DdlCtx, DdlEngine, ENGINE_TIMER_KIND};
+use aiacc_core::ddl::{DdlEngine, DdlRouter, BWD_KIND, GRAD_KIND};
 use aiacc_core::{AiaccConfig, AiaccEngine};
-use aiacc_dnn::{zoo, GradId};
-use aiacc_simnet::{Event, SimDuration, Simulator, Token};
+use aiacc_dnn::zoo;
+use aiacc_simnet::{SimDuration, SimTime, Simulator, Token};
 use proptest::prelude::*;
-
-const GRAD_KIND: u32 = 1;
-const BWD_KIND: u32 = 2;
 
 /// Drives one iteration with per-(worker, gradient) ready times supplied by
 /// the property strategy. Returns (finish_secs, sync_rounds, units).
@@ -25,29 +21,27 @@ fn drive_random(
     let spec = ClusterSpec::tcp_v100(gpus);
     let mut sim = Simulator::new();
     let cluster = ClusterNet::build(&spec, sim.net_mut());
-    let mut coll = CollectiveEngine::new();
     let cm = ComputeModel::v100();
     let mut eng = AiaccEngine::new(&model, spec.world_size(), cfg);
+    let streams = (cm.max_comm_streams_during_compute(&model), cm.max_comm_streams_idle());
+    let mut router = DdlRouter::new(cluster, streams);
 
-    {
-        let mut cx = DdlCtx {
-            sim: &mut sim,
-            coll: &mut coll,
-            cluster: &cluster,
-            max_streams_now: cm.max_comm_streams_during_compute(&model),
-        };
-        eng.begin_iteration(&mut cx, 0);
-    }
-    for (w, offsets) in ready_ns.iter().enumerate() {
-        let mut last = 0;
-        for (g, &off) in offsets.iter().enumerate() {
-            sim.schedule(SimDuration::from_nanos(off), Token::new(GRAD_KIND, w as u32, g as u64));
-            last = last.max(off);
+    router.begin_iteration(&mut sim, &mut eng, 0, spec.world_size(), |sim| {
+        let mut last_bwd = 0;
+        for (w, offsets) in ready_ns.iter().enumerate() {
+            let mut last = 0;
+            for (g, &off) in offsets.iter().enumerate() {
+                let tok = Token::new(GRAD_KIND, w as u32, g as u64);
+                sim.schedule(SimDuration::from_nanos(off), tok);
+                last = last.max(off);
+            }
+            sim.schedule(SimDuration::from_nanos(last + 1), Token::new(BWD_KIND, w as u32, 0));
+            last_bwd = last_bwd.max(last + 1);
         }
-        sim.schedule(SimDuration::from_nanos(last + 1), Token::new(BWD_KIND, w as u32, 0));
-    }
+        SimTime::from_nanos(last_bwd)
+    });
 
-    let mut busy = spec.world_size();
+    // No fault plan is installed in these tests.
     let mut guard = 0u64;
     loop {
         guard += 1;
@@ -55,56 +49,8 @@ fn drive_random(
         let Some((t, ev)) = sim.next_event() else {
             panic!("drained before comm_done");
         };
-        let streams = if busy > 0 {
-            cm.max_comm_streams_during_compute(&model)
-        } else {
-            cm.max_comm_streams_idle()
-        };
-        match ev {
-            Event::Timer(tok) if tok.kind == GRAD_KIND => {
-                let mut cx = DdlCtx {
-                    sim: &mut sim,
-                    coll: &mut coll,
-                    cluster: &cluster,
-                    max_streams_now: streams,
-                };
-                eng.on_grad_ready(&mut cx, tok.a as usize, GradId(tok.b as u32));
-            }
-            Event::Timer(tok) if tok.kind == BWD_KIND => {
-                busy -= 1;
-                let mut cx = DdlCtx {
-                    sim: &mut sim,
-                    coll: &mut coll,
-                    cluster: &cluster,
-                    max_streams_now: streams,
-                };
-                eng.on_backward_done(&mut cx, tok.a as usize);
-            }
-            Event::Timer(tok) if tok.kind == ENGINE_TIMER_KIND => {
-                let mut cx = DdlCtx {
-                    sim: &mut sim,
-                    coll: &mut coll,
-                    cluster: &cluster,
-                    max_streams_now: streams,
-                };
-                eng.on_timer(&mut cx, tok.a, tok.b);
-            }
-            Event::Timer(_) => {}
-            Event::FlowCompleted(f) => {
-                if let Some(op) = coll.on_flow_completed(&mut sim, f) {
-                    let mut cx = DdlCtx {
-                        sim: &mut sim,
-                        coll: &mut coll,
-                        cluster: &cluster,
-                        max_streams_now: streams,
-                    };
-                    eng.on_collective_done(&mut cx, op);
-                }
-            }
-            // No fault plan is installed in these tests.
-            Event::Fault(_) => {}
-        }
-        if busy == 0 && eng.comm_done() {
+        router.deliver(&mut sim, &mut eng, ev);
+        if router.busy_workers() == 0 && eng.comm_done() {
             let stats = eng.stats();
             return (t.as_secs_f64(), stats.sync_rounds, stats.units_launched);
         }

@@ -10,7 +10,6 @@
 //! * [`AdamSgd`] — the Adam→SGD hybrid, realized as AdaBound-style dynamic
 //!   bounds on the per-parameter step size that converge to the SGD rate.
 //! * [`schedule`] — linear decay, step decay, warmup.
-//! * [`compress`] — fp16 gradient compression for the wire (§X).
 //! * [`debug`] — NaN/Inf gradient inspection (§IV "debugging support").
 //!
 //! # Example
@@ -26,7 +25,6 @@
 #![warn(missing_docs)]
 
 mod adam;
-pub mod compress;
 pub mod debug;
 mod hybrid;
 pub mod schedule;

@@ -1,14 +1,18 @@
 //! The multi-job driver: every job's engine multiplexed over one shared
 //! `Simulator`/`FlowNet`.
 //!
-//! Each running job is a faithful copy of the single-job
-//! [`aiacc_trainer::TrainingSim`] iteration state machine — same compute
-//! schedule (via [`aiacc_trainer::schedule_worker_compute`]), same stream
-//! limits, same iteration-boundary drain semantics — but its collectives run
-//! on a [`aiacc_cluster::ClusterNet::subnet`] view of the shared physical
+//! Each running job owns one [`aiacc_core::ddl::DdlRouter`] — the same
+//! event router [`aiacc_trainer::TrainingSim`] drives — so stream limits,
+//! event delivery and the iteration-boundary drain rule exist once. The
+//! scheduler adds what is per-tenant: the compute schedule (via
+//! [`aiacc_trainer::schedule_worker_compute`]), scoped boundary timers, and
+//! crash recovery. A job's collectives run on a
+//! [`aiacc_cluster::ClusterNet::subnet`] view of the shared physical
 //! fabric, so concurrent jobs' flows contend inside one max-min allocation.
 //! With a single job the event sequence degenerates to exactly the
 //! single-job path, which is what makes the N=1 bit-identity guarantee hold.
+//! Batch and streaming scenarios share one event loop; streaming adds
+//! arrival staging, slot recycling and snapshots (see [`crate::stream`]).
 //!
 //! # Failure model
 //!
@@ -39,18 +43,15 @@ use crate::placement::{try_place, PlacePolicy, Placement};
 use crate::stream::StreamState;
 use crate::workload::{JobSpec, Workload};
 use aiacc_cluster::{ClusterNet, ClusterSpec, ComputeModel, GpuFreeList, IterationTiming};
-use aiacc_collectives::CollectiveEngine;
-use aiacc_core::ddl::{DdlCtx, DdlEngine, ENGINE_TIMER_KIND};
-use aiacc_dnn::{zoo, DType, GradId, ModelProfile};
+use aiacc_core::ddl::{DdlEngine, DdlRouter};
+use aiacc_dnn::{zoo, DType, ModelProfile};
 use aiacc_simnet::trace::track;
 use aiacc_simnet::{
     Event, FaultPhase, FaultPlan, FaultRecord, FaultTarget, FlowId, SimDuration, SimTime,
     Simulator, SolverStats, Token,
 };
 use aiacc_trainer::recovery::{replay_elastic_join, replay_failure_recovery, RecoveryConfig};
-use aiacc_trainer::{
-    comm_stream_limits, schedule_worker_compute, ComputeAttempt, Framework, BWD_KIND, GRAD_KIND,
-};
+use aiacc_trainer::{comm_stream_limits, schedule_worker_compute, ComputeAttempt, Framework};
 
 /// Unscoped timer kind announcing a job arrival (`a` = job id).
 pub(crate) const ARRIVAL_KIND: u32 = 10;
@@ -304,20 +305,14 @@ pub struct MultiJobReport {
     pub solver: SolverStats,
 }
 
-/// One running job's iteration state (the fields `TrainingSim` keeps between
-/// events, per job).
+/// One running job's iteration state: its event router and engine, plus
+/// the scheduler's per-job bookkeeping.
 pub(crate) struct RunningJob {
     placement: Placement,
-    cluster: ClusterNet,
-    coll: CollectiveEngine,
+    router: DdlRouter,
     engine: Box<dyn DdlEngine>,
     timing: IterationTiming,
-    streams_busy: usize,
-    streams_idle: usize,
     iter: u64,
-    busy_workers: usize,
-    last_bwd: SimTime,
-    draining: bool,
     iter_start: SimTime,
     started_at: SimTime,
     iter_secs: Vec<f64>,
@@ -545,7 +540,7 @@ impl MultiJobSim {
     /// generation are dropped on delivery by the same epoch comparison, and
     /// per-tag byte accounting is re-zeroed on reuse (see
     /// [`MultiJobSim::record_scope`]).
-    pub(crate) fn scope(&self, id: usize) -> u32 {
+    fn scope(&self, id: usize) -> u32 {
         let njobs = self.jobs.len();
         let epoch = self.jobs[id].epoch as usize;
         if let Some(st) = &self.stream {
@@ -563,14 +558,14 @@ impl MultiJobSim {
     /// Inverts [`MultiJobSim::scope`]: `(job id, epoch mod gen_mod)` — in
     /// batch mode `gen_mod` is effectively infinite and the second component
     /// is the epoch itself.
-    pub(crate) fn decode_scope(&self, scope: u32) -> (usize, u32) {
+    fn decode_scope(&self, scope: u32) -> (usize, u32) {
         let v = scope as usize - 1;
         (v % self.jobs.len(), (v / self.jobs.len()) as u32)
     }
 
     /// Whether an event stamped with `scope_epoch` (the epoch component of a
     /// decoded scope) belongs to job `id`'s *current* epoch.
-    pub(crate) fn epoch_live(&self, id: usize, scope_epoch: u32) -> bool {
+    fn epoch_live(&self, id: usize, scope_epoch: u32) -> bool {
         match &self.stream {
             Some(st) => scope_epoch == self.jobs[id].epoch % st.gen_mod,
             None => scope_epoch == self.jobs[id].epoch,
@@ -592,8 +587,13 @@ impl MultiJobSim {
         }
     }
 
-    fn all_done(&self) -> bool {
-        self.jobs.iter().all(|j| matches!(j.state, JobState::Done))
+    /// Whether the scenario is over: every batch job done, or the stream
+    /// drained (or stopped at a snapshot).
+    fn finished(&self) -> bool {
+        match &self.stream {
+            None => self.jobs.iter().all(|j| matches!(j.state, JobState::Done)),
+            Some(_) => crate::stream::finished(self),
+        }
     }
 
     /// Total GPUs on nodes that are currently up (free or occupied).
@@ -617,7 +617,7 @@ impl MultiJobSim {
         let compute = ComputeModel::new(placement.spec.node.gpu.clone());
         let batch = model.default_batch_per_gpu();
         let timing = compute.iteration_timing(&model, batch, DType::F32);
-        let (streams_busy, streams_idle) = comm_stream_limits(&compute, &placement.spec, &model);
+        let streams = comm_stream_limits(&compute, &placement.spec, &model);
         let cluster = self.physical.subnet(placement.spec.clone(), &placement.ranks);
         let now = self.sim.now();
         let saved = match std::mem::replace(&mut self.jobs[id].state, JobState::Pending) {
@@ -638,16 +638,10 @@ impl MultiJobSim {
         self.jobs[id].mitigated = false;
         self.jobs[id].state = JobState::Running(Box::new(RunningJob {
             placement,
-            cluster,
-            coll: CollectiveEngine::new(),
+            router: DdlRouter::new(cluster, streams),
             engine,
             timing,
-            streams_busy,
-            streams_idle,
             iter,
-            busy_workers: 0,
-            last_bwd: now,
-            draining: false,
             iter_start,
             started_at,
             iter_secs,
@@ -657,65 +651,55 @@ impl MultiJobSim {
         true
     }
 
-    /// Mirrors the top of `TrainingSim::run_iteration_detailed`: engine
-    /// reset, then the per-worker compute schedule — all under the job's
-    /// token scope so every timer and flow is stamped with its owner.
+    /// Starts job `id`'s current iteration through its router — engine
+    /// reset, then the per-worker compute schedule — under the job's token
+    /// scope so every timer and flow is stamped with its owner.
     fn begin_iteration(&mut self, id: usize) {
         let scope = self.scope(id);
         let seed = self.jobs[id].spec.seed;
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { unreachable!("job not running") };
+        let JobState::Running(r) = &mut self.jobs[id].state else {
+            unreachable!("job not running")
+        };
         let now = self.sim.now();
-        let world = r.placement.spec.world_size();
-        self.sim.set_token_scope(scope);
-        {
-            let mut cx = DdlCtx {
-                sim: &mut self.sim,
-                coll: &mut r.coll,
-                cluster: &r.cluster,
-                max_streams_now: r.streams_busy,
-            };
-            r.engine.begin_iteration(&mut cx, r.iter);
-        }
         let attempt = ComputeAttempt {
-            world,
+            world: r.placement.spec.world_size(),
             seed,
             jitter_frac: self.cfg.jitter_frac,
             framework: self.cfg.framework,
             timing: &r.timing,
             iter: r.iter,
         };
-        let phys_spec = &self.cfg.cluster;
-        let faults = &self.faults;
-        let ranks = &r.placement.ranks;
-        let last_bwd = schedule_worker_compute(&mut self.sim, &attempt, |w| {
-            faults.compute_factor(phys_spec.node_of(ranks[w]) as u32, now)
+        let (phys_spec, faults, ranks) = (&self.cfg.cluster, &self.faults, &r.placement.ranks);
+        self.sim.set_token_scope(scope);
+        r.router.begin_iteration(&mut self.sim, r.engine.as_mut(), r.iter, attempt.world, |sim| {
+            schedule_worker_compute(sim, &attempt, |w| {
+                faults.compute_factor(phys_spec.node_of(ranks[w]) as u32, now)
+            })
         });
         self.sim.set_token_scope(0);
-        r.busy_workers = world;
-        r.last_bwd = last_bwd;
-        r.draining = false;
         if self.sim.tracing_enabled() {
             let name = format!("job{id} iter {}", r.iter);
             self.sim.trace_span_begin(track::TRAINER, id as u64, &name, "iteration");
         }
     }
 
-    /// Mirrors `TrainingSim`'s post-event check: once every worker finished
-    /// backward and the engine reports communication done, the iteration
-    /// ends at `max(comm_done, last_bwd) + update` and the job drains until
-    /// that boundary.
+    /// Once job `id`'s router reports its communication done at `t`,
+    /// schedules the iteration boundary timer; the job drains until then.
     fn check_comm_done(&mut self, id: usize, t: SimTime) {
         let scope = self.scope(id);
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { return };
-        if r.draining || r.busy_workers > 0 || !r.engine.comm_done() {
-            return;
-        }
-        let end = t.max(r.last_bwd) + r.timing.update;
-        r.draining = true;
+        let JobState::Running(r) = &mut self.jobs[id].state else { return };
+        let Some(end) = r.router.boundary(r.engine.as_ref(), t, r.timing.update) else { return };
         self.sim.set_token_scope(scope);
         self.sim.schedule_at(end, Token::new(BOUNDARY_KIND, id as u32, r.iter));
+        self.sim.set_token_scope(0);
+    }
+
+    /// Hands `ev` to running job `id`'s router under the job's token scope.
+    fn deliver(&mut self, id: usize, ev: Event) {
+        let scope = self.scope(id);
+        let JobState::Running(r) = &mut self.jobs[id].state else { return };
+        self.sim.set_token_scope(scope);
+        r.router.deliver(&mut self.sim, r.engine.as_mut(), ev);
         self.sim.set_token_scope(0);
     }
 
@@ -744,7 +728,7 @@ impl MultiJobSim {
         }
         // Job complete: tear down lingering flows so the fabric is clean for
         // the tenants that remain, free the gang, record the outcome.
-        r.coll.cancel_all(&mut self.sim);
+        r.router.coll.cancel_all(&mut self.sim);
         r.placement.release(&mut self.free);
         let start = r.started_at.as_secs_f64();
         let nodes_used = r.placement.node_count();
@@ -772,7 +756,7 @@ impl MultiJobSim {
 
     /// Assembles a job's outcome, summing fabric bytes over every scope
     /// (epoch) the job ran under.
-    pub(crate) fn make_outcome(
+    fn make_outcome(
         &self,
         id: usize,
         start_secs: f64,
@@ -853,7 +837,10 @@ impl MultiJobSim {
 
     /// Handles a node crash: quarantine the node's GPUs, then tear down and
     /// recover (or fail) every gang with a member on it, in job-id order.
-    pub(crate) fn on_crash(&mut self, node: usize, t: SimTime) {
+    fn on_crash(&mut self, node: usize, t: SimTime) {
+        if let Some(st) = self.stream.as_mut() {
+            st.pending_crashes = st.pending_crashes.saturating_sub(1);
+        }
         self.free.set_node_down(node);
         if self.sim.tracing_enabled() {
             let name = format!("crash n{node}");
@@ -875,7 +862,7 @@ impl MultiJobSim {
             else {
                 unreachable!()
             };
-            r.coll.cancel_all(&mut self.sim);
+            r.router.abort(&mut self.sim);
             if self.sim.tracing_enabled() {
                 // Close the open iteration span so traces stay balanced; the
                 // retry re-opens it under the same name.
@@ -933,17 +920,10 @@ impl MultiJobSim {
             started_at: r.started_at,
             iter_start: r.iter_start,
         });
-        // Streaming stamps the slot's (bumped) generation into the token so
-        // a re-queue meant for this tenant cannot resume a later tenant that
-        // happens to be suspended in the same slot when it fires. Batch job
-        // ids are never reused, so the guard stays trivially 0 there.
-        let gen = match &self.stream {
-            Some(st) => self.jobs[id].epoch % st.gen_mod,
-            None => 0,
-        };
+        let gen = self.requeue_gen(id);
         self.sim.schedule_at(
             t + SimDuration::from_secs_f64(pause),
-            Token::new(REQUEUE_KIND, id as u32, gen as u64),
+            Token::new(REQUEUE_KIND, id as u32, gen),
         );
         if self.sim.tracing_enabled() {
             let name = format!("job{id} checkpoint restore");
@@ -994,20 +974,15 @@ impl MultiJobSim {
         let engine = self.jobs[id].spec.engine.build(&model, survivor_spec.world_size());
         let compute = ComputeModel::new(survivor_spec.node.gpu.clone());
         let timing = compute.iteration_timing(&model, model.default_batch_per_gpu(), DType::F32);
-        let (streams_busy, streams_idle) = comm_stream_limits(&compute, &survivor_spec, &model);
+        let streams = comm_stream_limits(&compute, &survivor_spec, &model);
         let cluster = self.physical.subnet(survivor_spec.clone(), &alive);
+        // The new router drains until the resume timer begins the retry.
         self.jobs[id].state = JobState::Running(Box::new(RunningJob {
             placement: Placement { spec: survivor_spec, ranks: alive },
-            cluster,
-            coll: CollectiveEngine::new(),
+            router: DdlRouter::new(cluster, streams),
             engine,
             timing,
-            streams_busy,
-            streams_idle,
             iter: r.iter,
-            busy_workers: 0,
-            last_bwd: t,
-            draining: true,
             iter_start: r.iter_start,
             started_at: r.started_at,
             iter_secs: std::mem::take(&mut r.iter_secs),
@@ -1028,7 +1003,7 @@ impl MultiJobSim {
 
     /// Handles a node repair: the node's parked GPUs return to the pool and
     /// the queue gets another chance.
-    pub(crate) fn on_repair(&mut self, node: usize, t: SimTime) {
+    fn on_repair(&mut self, node: usize, t: SimTime) {
         let _ = t;
         self.free.set_node_up(node);
         self.pending_repairs -= 1;
@@ -1078,14 +1053,12 @@ impl MultiJobSim {
     /// physical fabric is untouched — which is exactly the NIC-health signal
     /// AIACC's stream-pool scaling consumes.
     fn apply_mitigation(&mut self, id: usize, rel_slowdown: f64) {
-        let scope = self.scope(id);
         let base = self.cfg.cluster.node.nic.bytes_per_sec();
         let scaled = base * (1.0 / rel_slowdown).clamp(MITIGATION_FLOOR, 1.0);
         self.jobs[id].mitigated = true;
         self.jobs[id].mitigations += 1;
         self.jobs[id].mitigation_cap = scaled;
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { return };
+        let JobState::Running(r) = &self.jobs[id].state else { return };
         let node = self.cfg.cluster.node_of(r.placement.ranks[0]);
         let rec = FaultRecord {
             resource: self.physical.node_tx_resource(node),
@@ -1097,26 +1070,16 @@ impl MultiJobSim {
             let name = format!("job{id} straggler mitigation");
             self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", Some(scaled / base));
         }
-        self.sim.set_token_scope(scope);
-        let mut cx = DdlCtx {
-            sim: &mut self.sim,
-            coll: &mut r.coll,
-            cluster: &r.cluster,
-            max_streams_now: if r.busy_workers > 0 { r.streams_busy } else { r.streams_idle },
-        };
-        r.engine.on_fault(&mut cx, &rec);
-        self.sim.set_token_scope(0);
+        self.deliver(id, Event::Fault(rec));
     }
 
     /// Restores the synthetic NIC health once the job's slowdown is back
     /// under the threshold.
     fn lift_mitigation(&mut self, id: usize) {
-        let scope = self.scope(id);
         let base = self.cfg.cluster.node.nic.bytes_per_sec();
         let scaled = self.jobs[id].mitigation_cap;
         self.jobs[id].mitigated = false;
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { return };
+        let JobState::Running(r) = &self.jobs[id].state else { return };
         let node = self.cfg.cluster.node_of(r.placement.ranks[0]);
         let rec = FaultRecord {
             resource: self.physical.node_tx_resource(node),
@@ -1128,25 +1091,15 @@ impl MultiJobSim {
             let name = format!("job{id} mitigation lifted");
             self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", None);
         }
-        self.sim.set_token_scope(scope);
-        let mut cx = DdlCtx {
-            sim: &mut self.sim,
-            coll: &mut r.coll,
-            cluster: &r.cluster,
-            max_streams_now: if r.busy_workers > 0 { r.streams_busy } else { r.streams_idle },
-        };
-        r.engine.on_fault(&mut cx, &rec);
-        self.sim.set_token_scope(0);
+        self.deliver(id, Event::Fault(rec));
     }
 
-    /// Routes a scoped timer to its job, honoring the drain window exactly
-    /// like `TrainingSim::drain_to` (stale events are dropped).
-    pub(crate) fn on_job_timer(&mut self, id: usize, tok: Token, t: SimTime) {
+    /// Routes a scoped timer to its job: boundary and resume timers are the
+    /// scheduler's, the rest go through the job's router (which drops them
+    /// while the job drains).
+    fn on_job_timer(&mut self, id: usize, tok: Token, t: SimTime) {
         match tok.base_kind() {
-            BOUNDARY_KIND => {
-                self.on_boundary(id, t);
-                return;
-            }
+            BOUNDARY_KIND => self.on_boundary(id, t),
             RESUME_KIND => {
                 // The elastic-join pause is over: restart the interrupted
                 // iteration on the shrunken gang.
@@ -1155,131 +1108,75 @@ impl MultiJobSim {
                     self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", None);
                 }
                 self.begin_iteration(id);
-                return;
             }
-            _ => {}
+            _ => {
+                self.deliver(id, Event::Timer(tok));
+                self.check_comm_done(id, t);
+            }
         }
-        let scope = self.scope(id);
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { return };
-        if r.draining {
-            return;
-        }
-        self.sim.set_token_scope(scope);
-        match tok.base_kind() {
-            GRAD_KIND => {
-                let mut cx = DdlCtx {
-                    sim: &mut self.sim,
-                    coll: &mut r.coll,
-                    cluster: &r.cluster,
-                    max_streams_now: if r.busy_workers > 0 {
-                        r.streams_busy
-                    } else {
-                        r.streams_idle
-                    },
-                };
-                r.engine.on_grad_ready(&mut cx, tok.a as usize, GradId(tok.b as u32));
-            }
-            BWD_KIND => {
-                r.busy_workers -= 1;
-                let mut cx = DdlCtx {
-                    sim: &mut self.sim,
-                    coll: &mut r.coll,
-                    cluster: &r.cluster,
-                    max_streams_now: if r.busy_workers > 0 {
-                        r.streams_busy
-                    } else {
-                        r.streams_idle
-                    },
-                };
-                r.engine.on_backward_done(&mut cx, tok.a as usize);
-            }
-            ENGINE_TIMER_KIND => {
-                let mut cx = DdlCtx {
-                    sim: &mut self.sim,
-                    coll: &mut r.coll,
-                    cluster: &r.cluster,
-                    max_streams_now: if r.busy_workers > 0 {
-                        r.streams_busy
-                    } else {
-                        r.streams_idle
-                    },
-                };
-                r.engine.on_timer(&mut cx, tok.a, tok.b);
-            }
-            _ => {}
-        }
-        self.sim.set_token_scope(0);
-        self.check_comm_done(id, t);
     }
 
     /// Routes a flow completion to the (unique) job whose collective engine
-    /// owns it. Completions inside a drain window are dropped, as in the
-    /// single-job path.
-    pub(crate) fn on_flow(&mut self, f: FlowId, t: SimTime) {
+    /// owns it.
+    fn on_flow(&mut self, f: FlowId, t: SimTime) {
         let mut owner = None;
         for (id, job) in self.jobs.iter().enumerate() {
             if let JobState::Running(r) = &job.state {
-                if r.coll.owns_flow(f) {
+                if r.router.coll.owns_flow(f) {
                     assert!(owner.is_none(), "flow {f} owned by jobs {owner:?} and {id}");
                     owner = Some(id);
                 }
             }
         }
         let Some(id) = owner else { return };
-        let scope = self.scope(id);
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { unreachable!() };
-        if r.draining {
-            return;
-        }
-        self.sim.set_token_scope(scope);
-        if let Some(op) = r.coll.on_flow_completed(&mut self.sim, f) {
-            let mut cx = DdlCtx {
-                sim: &mut self.sim,
-                coll: &mut r.coll,
-                cluster: &r.cluster,
-                max_streams_now: if r.busy_workers > 0 { r.streams_busy } else { r.streams_idle },
-            };
-            r.engine.on_collective_done(&mut cx, op);
-        }
-        self.sim.set_token_scope(0);
+        self.deliver(id, Event::FlowCompleted(f));
         self.check_comm_done(id, t);
     }
 
     /// Broadcasts a fault record to every running job (link capacities have
     /// already changed inside the shared net).
-    pub(crate) fn on_fault(&mut self, rec: &FaultRecord, t: SimTime) {
+    fn on_fault(&mut self, rec: &FaultRecord, t: SimTime) {
         for id in 0..self.jobs.len() {
-            let scope = self.scope(id);
-            let job = &mut self.jobs[id];
-            let JobState::Running(r) = &mut job.state else { continue };
-            self.sim.set_token_scope(scope);
-            let mut cx = DdlCtx {
-                sim: &mut self.sim,
-                coll: &mut r.coll,
-                cluster: &r.cluster,
-                max_streams_now: if r.busy_workers > 0 { r.streams_busy } else { r.streams_idle },
-            };
-            r.engine.on_fault(&mut cx, rec);
-            self.sim.set_token_scope(0);
+            self.deliver(id, Event::Fault(*rec));
             self.check_comm_done(id, t);
         }
     }
 
-    /// Drives the shared event loop until every job is done.
+    /// The stamp a re-queue timer carries for job `id`. Streaming stamps the
+    /// slot's (bumped) generation, so a re-queue meant for one tenant cannot
+    /// resume a later tenant suspended in the same slot when it fires. Batch
+    /// job ids are never reused, so the stamp stays 0 there.
+    fn requeue_gen(&self, id: usize) -> u64 {
+        match &self.stream {
+            Some(st) => (self.jobs[id].epoch % st.gen_mod) as u64,
+            None => 0,
+        }
+    }
+
+    /// Drives the shared event loop, batch or streaming, until the scenario
+    /// is finished.
+    ///
+    /// # Errors
+    /// Streaming only: an invalid arrival, an unwritable snapshot, or an
+    /// event queue drained with work left.
     ///
     /// # Panics
-    /// Panics if the event queue drains while jobs are still pending — a
-    /// scheduler bug, since a finished job always re-dispatches the queue
-    /// and an impossible placement fails the job deterministically.
-    fn run_loop(&mut self) {
-        while !self.all_done() {
+    /// Panics if a batch scenario's event queue drains while jobs are still
+    /// pending — a scheduler bug, since a finished job always re-dispatches
+    /// the queue and an impossible placement fails the job deterministically.
+    pub(crate) fn run_loop(&mut self) -> Result<(), SchedError> {
+        while !self.finished() {
             let Some((t, ev)) = self.sim.next_event() else {
-                panic!("event queue drained with jobs unfinished (queue: {:?})", self.queue);
+                assert!(
+                    self.stream.is_some(),
+                    "event queue drained with jobs unfinished (queue: {:?})",
+                    self.queue
+                );
+                return Err(crate::stream::drained(self));
             };
             match ev {
                 Event::Timer(tok) if tok.scope() == 0 => match tok.kind {
+                    ARRIVAL_KIND if self.stream.is_some() => crate::stream::on_arrival(self)?,
                     ARRIVAL_KIND => {
                         let id = tok.a as usize;
                         if !self.try_start(id) {
@@ -1291,9 +1188,16 @@ impl MultiJobSim {
                     REPAIR_KIND => self.on_repair(tok.a as usize, t),
                     REQUEUE_KIND => {
                         let id = tok.a as usize;
-                        if matches!(self.jobs[id].state, JobState::Suspended(_)) {
-                            self.queue.push(id);
-                            self.dispatch_queue();
+                        if tok.b == self.requeue_gen(id)
+                            && matches!(self.jobs[id].state, JobState::Suspended(_))
+                        {
+                            match self.stream {
+                                Some(_) => crate::stream::requeue(self, id),
+                                None => {
+                                    self.queue.push(id);
+                                    self.dispatch_queue();
+                                }
+                            }
                         }
                     }
                     _ => {}
@@ -1308,20 +1212,24 @@ impl MultiJobSim {
                 Event::FlowCompleted(f) => self.on_flow(f, t),
                 Event::Fault(rec) => self.on_fault(&rec, t),
             }
+            if self.stream.is_some() {
+                crate::stream::maybe_snapshot(self)?;
+            }
         }
+        Ok(())
     }
 
     /// Runs the scenario to completion and reports per-job and cluster
     /// metrics.
     pub fn run(mut self) -> MultiJobReport {
-        self.run_loop();
+        self.run_loop().expect("only streaming runs return errors");
         self.into_report()
     }
 
     /// Runs the scenario, returning the report together with the Chrome
     /// trace JSON (empty unless the config enabled tracing).
     pub fn run_with_trace(mut self) -> (MultiJobReport, String) {
-        self.run_loop();
+        self.run_loop().expect("only streaming runs return errors");
         let json = self.sim.trace().to_chrome_json();
         (self.into_report(), json)
     }

@@ -47,14 +47,13 @@ use std::io::{BufRead, BufReader, Seek, SeekFrom};
 
 use aiacc_cluster::{ClusterNet, GpuFreeList};
 use aiacc_dnn::zoo;
-use aiacc_simnet::{Event, FaultTarget, SimTime, Simulator, Token};
+use aiacc_simnet::{FaultTarget, SimTime, Simulator, Token};
 use aiacc_trainer::{EngineKind, QuantileSketch};
 
 use crate::error::SchedError;
 use crate::metrics::ClusterMetrics;
 use crate::multijob::{
     JobOutcome, JobRun, JobState, MultiJobCfg, MultiJobSim, ARRIVAL_KIND, CRASH_KIND, REPAIR_KIND,
-    REQUEUE_KIND,
 };
 use crate::workload::{engine_by_label, JobMix, JobSpec, SplitMix64};
 
@@ -561,7 +560,7 @@ pub(crate) struct StreamState {
     stop_requested: bool,
     snapshots_written: u32,
     /// Crash timers still in the event queue (quiescence gate).
-    pending_crashes: usize,
+    pub(crate) pending_crashes: usize,
     /// Conservative lower bound on the smallest gang size in `queue`
     /// (only lowered on push, reset when the queue empties): the backfill
     /// walk is skipped whenever fewer GPUs than this are free.
@@ -861,7 +860,7 @@ fn validate_spec(spec: &JobSpec, capacity: usize) -> Result<(), SchedError> {
 /// first (so its timer's sequence number precedes everything the current
 /// admission schedules, matching the batch driver which schedules every
 /// arrival up front), then admit or enqueue the current spec.
-fn on_arrival(sim: &mut MultiJobSim) -> Result<(), SchedError> {
+pub(crate) fn on_arrival(sim: &mut MultiJobSim) -> Result<(), SchedError> {
     let spec = sim
         .stream
         .as_mut()
@@ -907,14 +906,15 @@ fn on_arrival(sim: &mut MultiJobSim) -> Result<(), SchedError> {
     Ok(())
 }
 
-/// The run is over: source dry, nothing staged, backlog empty, every slot
-/// vacant.
-fn finished(sim: &MultiJobSim) -> bool {
+/// The run is over: stopped at a snapshot, or source dry, nothing staged,
+/// backlog empty and every slot vacant.
+pub(crate) fn finished(sim: &MultiJobSim) -> bool {
     let st = sim.stream.as_ref().expect("stream mode");
-    st.source_done
-        && st.staged.is_none()
-        && st.queue.is_empty()
-        && st.free_slots.len() == sim.jobs.len()
+    st.stop_requested
+        || st.source_done
+            && st.staged.is_none()
+            && st.queue.is_empty()
+            && st.free_slots.len() == sim.jobs.len()
 }
 
 /// A regeneration point: the only live state is the accumulator and the
@@ -1070,71 +1070,35 @@ fn write_snapshot(sim: &mut MultiJobSim) -> Result<(), SchedError> {
     Ok(())
 }
 
-fn maybe_snapshot(sim: &mut MultiJobSim) -> Result<(), SchedError> {
+pub(crate) fn maybe_snapshot(sim: &mut MultiJobSim) -> Result<(), SchedError> {
     if !sim.stream.as_ref().expect("stream mode").snapshot_due || !quiescent(sim) {
         return Ok(());
     }
     write_snapshot(sim)
 }
 
-/// The streaming event loop: the batch loop's routing plus arrival staging,
-/// generation-guarded re-queues and armed-snapshot checks.
-fn run_stream_loop(sim: &mut MultiJobSim) -> Result<(), SchedError> {
-    loop {
-        if sim.stream.as_ref().expect("stream mode").stop_requested || finished(sim) {
-            return Ok(());
-        }
-        let Some((t, ev)) = sim.sim.next_event() else {
-            let st = sim.stream.as_ref().expect("stream mode");
-            return Err(serr(format!(
-                "event queue drained with work left (staged={}, backlog={}, active={})",
-                st.staged.is_some(),
-                st.queue.len(),
-                sim.jobs.len() - st.free_slots.len(),
-            )));
-        };
-        match ev {
-            Event::Timer(tok) if tok.scope() == 0 => match tok.kind {
-                ARRIVAL_KIND => on_arrival(sim)?,
-                CRASH_KIND => {
-                    let st = sim.stream.as_mut().expect("stream mode");
-                    st.pending_crashes = st.pending_crashes.saturating_sub(1);
-                    sim.on_crash(tok.a as usize, t);
-                }
-                REPAIR_KIND => sim.on_repair(tok.a as usize, t),
-                REQUEUE_KIND => {
-                    let slot = tok.a as usize;
-                    // The token carries the generation it was scheduled for:
-                    // a re-queue must not resume a *later* tenant that is
-                    // suspended in the same recycled slot.
-                    let gen_live = {
-                        let st = sim.stream.as_ref().expect("stream mode");
-                        tok.b == (sim.jobs[slot].epoch % st.gen_mod) as u64
-                    };
-                    if gen_live && matches!(sim.jobs[slot].state, JobState::Suspended(_)) {
-                        let gpus = sim.jobs[slot].spec.gpus;
-                        let st = sim.stream.as_mut().expect("stream mode");
-                        st.min_queued_gpus = st.min_queued_gpus.min(gpus);
-                        st.max_queued_gpus = st.max_queued_gpus.max(gpus);
-                        st.queue.push_back(QueueEntry::Slot(slot));
-                        let backlog = st.queue.len();
-                        st.acc.peak_backlog = st.acc.peak_backlog.max(backlog);
-                        dispatch(sim);
-                    }
-                }
-                _ => {}
-            },
-            Event::Timer(tok) => {
-                let (slot, epoch) = sim.decode_scope(tok.scope());
-                if sim.epoch_live(slot, epoch) {
-                    sim.on_job_timer(slot, tok, t);
-                }
-            }
-            Event::FlowCompleted(f) => sim.on_flow(f, t),
-            Event::Fault(rec) => sim.on_fault(&rec, t),
-        }
-        maybe_snapshot(sim)?;
-    }
+/// The error for an event queue that drained with streaming work left.
+pub(crate) fn drained(sim: &MultiJobSim) -> SchedError {
+    let st = sim.stream.as_ref().expect("stream mode");
+    serr(format!(
+        "event queue drained with work left (staged={}, backlog={}, active={})",
+        st.staged.is_some(),
+        st.queue.len(),
+        sim.jobs.len() - st.free_slots.len(),
+    ))
+}
+
+/// Queues a suspended slot for re-placement once its checkpoint restore
+/// completes.
+pub(crate) fn requeue(sim: &mut MultiJobSim, slot: usize) {
+    let gpus = sim.jobs[slot].spec.gpus;
+    let st = sim.stream.as_mut().expect("stream mode");
+    st.min_queued_gpus = st.min_queued_gpus.min(gpus);
+    st.max_queued_gpus = st.max_queued_gpus.max(gpus);
+    st.queue.push_back(QueueEntry::Slot(slot));
+    let backlog = st.queue.len();
+    st.acc.peak_backlog = st.acc.peak_backlog.max(backlog);
+    dispatch(sim);
 }
 
 /// End-of-run cluster summary from the O(1) accumulator (percentiles come
@@ -1438,7 +1402,7 @@ impl StreamSim {
     /// Runs until the source drains (or the first snapshot, with
     /// [`StreamCfg::stop_after_snapshot`]).
     pub fn run(mut self) -> Result<StreamReport, SchedError> {
-        run_stream_loop(&mut self.sim)?;
+        self.sim.run_loop()?;
         let stopped = self.sim.stream.as_ref().expect("stream mode").stop_requested;
         if !stopped {
             let st = self.sim.stream.as_mut().expect("stream mode");

@@ -168,12 +168,25 @@ fn ensure_threads(n: usize) {
 /// every other index has finished (results are never silently dropped
 /// mid-fan-out).
 pub fn run(workers: usize, f: &(dyn Fn(usize) + Sync)) {
-    if workers <= 1 || BUSY.swap(true, Ordering::Acquire) {
-        // Width 1, a nested call from inside a worker, or a concurrent
-        // fan-out elsewhere: run inline. Exactly the same calls happen,
-        // just on this one thread.
+    if workers <= 1 {
         for w in 0..workers {
             f(w);
+        }
+        return;
+    }
+    if BUSY.swap(true, Ordering::Acquire) {
+        // A nested call from inside a worker, or a concurrent fan-out
+        // elsewhere: run inline. Exactly the same calls happen, just on this
+        // one thread, and a panic waits for every other index as it does on
+        // the pool.
+        let mut first_panic = None;
+        for w in 0..workers {
+            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| f(w))) {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
         return;
     }

@@ -10,6 +10,7 @@
 use crate::engines::EngineKind;
 use crate::sim::{run_training_sim, TrainingSimConfig};
 use aiacc_cluster::{ClusterSpec, GpuSpec, NodeSpec};
+use aiacc_compress::Scheme;
 use aiacc_core::AiaccConfig;
 use aiacc_dnn::zoo;
 use serde::{Deserialize, Serialize};
@@ -60,7 +61,7 @@ pub fn estimate(gpus: usize) -> DawnbenchEstimate {
     let cfg = TrainingSimConfig::new(
         cluster.clone(),
         zoo::resnet50(),
-        EngineKind::Aiacc(AiaccConfig::default().with_streams(12).with_compression(true)),
+        EngineKind::Aiacc(AiaccConfig::default().with_streams(12).with_compress(Scheme::Fp16)),
     )
     .with_batch(192)
     .with_iterations(1, 3);

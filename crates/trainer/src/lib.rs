@@ -34,6 +34,7 @@ mod sim;
 pub mod timeline;
 pub mod tune;
 
+pub use aiacc_core::ddl::{BWD_KIND, GRAD_KIND};
 pub use dataparallel::{Checkpoint, DataParallelConfig, DataParallelTrainer, TrainStats};
 pub use engines::{EngineKind, Framework};
 pub use metrics::{
@@ -41,5 +42,5 @@ pub use metrics::{
 };
 pub use sim::{
     comm_stream_limits, run_training_sim, schedule_worker_compute, ComputeAttempt,
-    IterationBreakdown, TrainingSim, TrainingSimConfig, BWD_KIND, GRAD_KIND,
+    IterationBreakdown, TrainingSim, TrainingSimConfig,
 };

@@ -4,21 +4,17 @@ use crate::engines::{EngineKind, Framework};
 use crate::metrics::ThroughputReport;
 use crate::recovery::{replay_failure_recovery, RecoveryConfig};
 use aiacc_cluster::{jitter_factor, ClusterNet, ClusterSpec, ComputeModel, IterationTiming};
-use aiacc_collectives::CollectiveEngine;
-use aiacc_core::ddl::{DdlCtx, DdlEngine, ENGINE_TIMER_KIND};
-use aiacc_dnn::{DType, GradId, ModelProfile};
+use aiacc_core::ddl::{DdlEngine, DdlRouter, BWD_KIND, GRAD_KIND};
+use aiacc_dnn::{DType, ModelProfile};
 use aiacc_simnet::trace::track;
 use aiacc_simnet::{Event, FaultPlan, SimDuration, SimTime, Simulator, Token, TraceSink};
 use serde::{Deserialize, Serialize};
 
-/// Timer kind announcing one worker's gradient became ready (`a` = worker,
-/// `b` = gradient id). Public so the multi-job scheduler can route the same
-/// tokens through its shared event loop.
-pub const GRAD_KIND: u32 = 1;
-/// Timer kind announcing one worker finished backward (`a` = worker).
-pub const BWD_KIND: u32 = 2;
 /// Timer kind for a scheduled node crash from the fault plan.
 const FAULT_CRASH_KIND: u32 = 3;
+/// Timer kind marking the end of an iteration or of a crash's recovery
+/// pause.
+const BOUNDARY_KIND: u32 = 4;
 
 /// Compute-side inputs of one iteration attempt, shared between
 /// [`TrainingSim`] and the multi-job scheduler (`aiacc-sched`) so that an
@@ -232,8 +228,7 @@ impl IterationBreakdown {
 pub struct TrainingSim {
     cfg: TrainingSimConfig,
     sim: Simulator,
-    cluster: ClusterNet,
-    coll: CollectiveEngine,
+    router: DdlRouter,
     engine: Box<dyn DdlEngine>,
     compute: ComputeModel,
     iter: u64,
@@ -279,11 +274,11 @@ impl TrainingSim {
             assert!((node as usize) < nodes, "crash targets node {node}, cluster has {nodes}");
             sim.schedule_at(at, Token::new(FAULT_CRASH_KIND, node, 0));
         }
+        let streams = comm_stream_limits(&compute, &cfg.cluster, &cfg.model);
         TrainingSim {
             cfg,
             sim,
-            cluster,
-            coll: CollectiveEngine::new(),
+            router: DdlRouter::new(cluster, streams),
             engine,
             compute,
             iter: 0,
@@ -307,54 +302,6 @@ impl TrainingSim {
             );
         }
         self.recovery_cost.expect("just set")
-    }
-
-    /// Advances the simulator to `end`, dropping stale work: fault records
-    /// are still routed to the engine, and a crash timer landing inside the
-    /// window extends it by a checkpoint restart. Returns the boundary
-    /// actually reached.
-    fn drain_to(
-        &mut self,
-        mut end: SimTime,
-        fault_events: &mut u32,
-        crashes: &mut u32,
-        recovery_secs: &mut f64,
-    ) -> SimTime {
-        while self.sim.now() < end {
-            self.sim.schedule_at(end, Token::new(u32::MAX, 0, 0));
-            while let Some((t, ev)) = self.sim.next_event() {
-                match ev {
-                    Event::Timer(tok) if tok.kind == u32::MAX && t >= end => break,
-                    // A sentinel for a boundary that has since been extended
-                    // fires early (t < end) and is dropped.
-                    Event::Timer(tok) if tok.kind == u32::MAX => {}
-                    Event::Timer(tok) if tok.kind == FAULT_CRASH_KIND => {
-                        *crashes += 1;
-                        let pause = self.recovery_pause_secs();
-                        *recovery_secs += pause;
-                        if self.sim.tracing_enabled() {
-                            let name = format!("crash n{}", tok.a);
-                            self.sim.trace_instant(track::TRAINER, 0, &name, "fault", Some(pause));
-                        }
-                        self.coll.cancel_all(&mut self.sim);
-                        end = t + SimDuration::from_secs_f64(pause);
-                    }
-                    Event::Fault(rec) => {
-                        *fault_events += 1;
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: self.compute.max_comm_streams_idle(),
-                        };
-                        self.engine.on_fault(&mut cx, &rec);
-                    }
-                    // Stale timers / lingering flows from engines are dropped.
-                    _ => {}
-                }
-            }
-        }
-        end
     }
 
     /// The effective per-GPU batch size.
@@ -394,22 +341,52 @@ impl TrainingSim {
         SimDuration::from_secs_f64(self.run_iteration_detailed().iter_secs)
     }
 
+    /// Starts an attempt of the current iteration: engine reset, then each
+    /// worker's compute (forward, per-gradient readiness, backward
+    /// completion) scaled by the framework factor, the worker/iteration
+    /// jitter, and any straggler fault window active at the attempt's start.
+    fn begin_attempt(&mut self, timing: &IterationTiming) {
+        let t_start = self.sim.now();
+        let attempt = ComputeAttempt {
+            world: self.cfg.cluster.world_size(),
+            seed: self.cfg.seed,
+            jitter_frac: self.cfg.jitter_frac,
+            framework: self.cfg.framework,
+            timing,
+            iter: self.iter,
+        };
+        let (cfg, faults) = (&self.cfg, &self.faults);
+        self.router.begin_iteration(
+            &mut self.sim,
+            self.engine.as_mut(),
+            self.iter,
+            attempt.world,
+            |sim| {
+                schedule_worker_compute(sim, &attempt, |w| {
+                    cfg.stragglers
+                        .iter()
+                        .filter(|&&(sw, _)| sw == w)
+                        .map(|&(_, f)| f)
+                        .product::<f64>()
+                        * faults.compute_factor(cfg.cluster.node_of(w) as u32, t_start)
+                })
+            },
+        );
+    }
+
     /// Runs one iteration and reports its phase breakdown.
     ///
     /// A node crash from the fault plan aborts the running attempt: all
     /// in-flight collectives are torn down, the job pays a replayed
     /// checkpoint restart, and the iteration re-runs from scratch — so a
     /// crashed iteration's `iter_secs` includes the lost attempt, the
-    /// recovery pause and the successful re-run.
+    /// recovery pause and the successful re-run. A crash after the
+    /// communication finished, before the iteration boundary, moves the
+    /// boundary to the end of the restart.
     pub fn run_iteration_detailed(&mut self) -> IterationBreakdown {
-        let world = self.cfg.cluster.world_size();
         let batch = self.batch_per_gpu();
         let t0 = self.sim.now();
-        let fw = self.cfg.framework;
         let timing = self.compute.iteration_timing(&self.cfg.model, batch, DType::F32);
-
-        let (streams_busy, streams_idle) =
-            comm_stream_limits(&self.compute, &self.cfg.cluster, &self.cfg.model);
 
         let mut fault_events = 0u32;
         let mut crashes = 0u32;
@@ -419,149 +396,75 @@ impl TrainingSim {
             let name = format!("iter {}", self.iter);
             self.sim.trace_span_begin(track::TRAINER, 0, &name, "iteration");
         }
+        self.begin_attempt(&timing);
 
-        let (last_bwd, comm_done_at) = 'attempt: loop {
-            let t_start = self.sim.now();
-            {
-                let mut cx = DdlCtx {
-                    sim: &mut self.sim,
-                    coll: &mut self.coll,
-                    cluster: &self.cluster,
-                    max_streams_now: streams_busy,
-                };
-                self.engine.begin_iteration(&mut cx, self.iter);
-            }
-
-            // Schedule each worker's compute: forward, per-gradient
-            // readiness, backward completion — all scaled by the framework
-            // factor, the worker/iteration jitter, and any straggler fault
-            // window active at the attempt's start.
-            let attempt = ComputeAttempt {
-                world,
-                seed: self.cfg.seed,
-                jitter_frac: self.cfg.jitter_frac,
-                framework: fw,
-                timing: &timing,
-                iter: self.iter,
+        // `(last backward, comm done)` of the attempt that completed.
+        let mut done: Option<(SimTime, SimTime)> = None;
+        // The pending boundary; a boundary timer at any other instant was
+        // superseded by a crash and is stale.
+        let mut boundary: Option<SimTime> = None;
+        let end = loop {
+            let Some((t, ev)) = self.sim.next_event() else {
+                panic!(
+                    "simulation drained without finishing iteration {} of {}",
+                    self.iter,
+                    self.engine.name()
+                );
             };
-            let last_bwd = schedule_worker_compute(&mut self.sim, &attempt, |w| {
-                self.cfg
-                    .stragglers
-                    .iter()
-                    .filter(|&&(sw, _)| sw == w)
-                    .map(|&(_, f)| f)
-                    .product::<f64>()
-                    * self.faults.compute_factor(self.cfg.cluster.node_of(w) as u32, t_start)
-            });
-
-            // Event loop until this iteration's communication completes.
-            let mut busy_workers = world;
-            loop {
-                let Some((t, ev)) = self.sim.next_event() else {
-                    panic!(
-                        "simulation drained without finishing iteration {} of {}",
-                        self.iter,
-                        self.engine.name()
-                    );
-                };
-                let max_streams = if busy_workers > 0 { streams_busy } else { streams_idle };
-                match ev {
-                    Event::Timer(tok) if tok.kind == GRAD_KIND => {
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: max_streams,
-                        };
-                        self.engine.on_grad_ready(&mut cx, tok.a as usize, GradId(tok.b as u32));
+            match ev {
+                Event::Timer(tok) if tok.kind == BOUNDARY_KIND => {
+                    if boundary != Some(t) {
+                        continue;
                     }
-                    Event::Timer(tok) if tok.kind == BWD_KIND => {
-                        busy_workers -= 1;
-                        if busy_workers == 0 && self.sim.tracing_enabled() {
-                            self.sim.trace_instant(
-                                track::TRAINER,
-                                0,
-                                "backward done",
-                                "phase",
-                                None,
-                            );
-                        }
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: if busy_workers > 0 {
-                                streams_busy
-                            } else {
-                                streams_idle
-                            },
-                        };
-                        self.engine.on_backward_done(&mut cx, tok.a as usize);
+                    if done.is_some() {
+                        break t;
                     }
-                    Event::Timer(tok) if tok.kind == ENGINE_TIMER_KIND => {
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: max_streams,
-                        };
-                        self.engine.on_timer(&mut cx, tok.a, tok.b);
-                    }
-                    Event::Timer(tok) if tok.kind == FAULT_CRASH_KIND => {
-                        // Synchronous SGD: one crashed node kills the whole
-                        // attempt. Tear down in-flight work, pay the
-                        // restart, retry the iteration.
-                        crashes += 1;
-                        let pause = self.recovery_pause_secs();
-                        recovery_secs += pause;
-                        if self.sim.tracing_enabled() {
-                            let name = format!("crash n{}", tok.a);
-                            self.sim.trace_instant(track::TRAINER, 0, &name, "fault", Some(pause));
-                        }
-                        self.coll.cancel_all(&mut self.sim);
-                        let resume = t + SimDuration::from_secs_f64(pause);
-                        self.drain_to(resume, &mut fault_events, &mut crashes, &mut recovery_secs);
-                        continue 'attempt;
-                    }
-                    Event::Timer(_) => {}
-                    Event::FlowCompleted(f) => {
-                        if let Some(op) = self.coll.on_flow_completed(&mut self.sim, f) {
-                            let mut cx = DdlCtx {
-                                sim: &mut self.sim,
-                                coll: &mut self.coll,
-                                cluster: &self.cluster,
-                                max_streams_now: max_streams,
-                            };
-                            self.engine.on_collective_done(&mut cx, op);
-                        }
-                    }
-                    Event::Fault(rec) => {
-                        fault_events += 1;
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: max_streams,
-                        };
-                        self.engine.on_fault(&mut cx, &rec);
-                    }
+                    // The recovery pause is over: retry the iteration.
+                    boundary = None;
+                    self.begin_attempt(&timing);
                 }
-                if busy_workers == 0 && self.engine.comm_done() {
-                    break 'attempt (last_bwd, t);
+                Event::Timer(tok) if tok.kind == FAULT_CRASH_KIND => {
+                    // Synchronous SGD: one crashed node kills the whole
+                    // attempt. Tear down in-flight work and pay the restart;
+                    // the attempt is retried unless its communication had
+                    // already finished.
+                    crashes += 1;
+                    let pause = self.recovery_pause_secs();
+                    recovery_secs += pause;
+                    if self.sim.tracing_enabled() {
+                        let name = format!("crash n{}", tok.a);
+                        self.sim.trace_instant(track::TRAINER, 0, &name, "fault", Some(pause));
+                    }
+                    self.router.abort(&mut self.sim);
+                    let resume = t + SimDuration::from_secs_f64(pause);
+                    boundary = Some(resume);
+                    self.sim.schedule_at(resume, Token::new(BOUNDARY_KIND, 0, 0));
+                }
+                ev => {
+                    fault_events += u32::from(matches!(ev, Event::Fault(_)));
+                    let last_bwd = matches!(ev, Event::Timer(tok) if tok.kind == BWD_KIND)
+                        && self.router.busy_workers() == 1;
+                    if last_bwd && self.sim.tracing_enabled() {
+                        self.sim.trace_instant(track::TRAINER, 0, "backward done", "phase", None);
+                    }
+                    self.router.deliver(&mut self.sim, self.engine.as_mut(), ev);
+                    // Synchronous SGD: the iteration ends after the slowest
+                    // of compute and communication, plus the optimizer
+                    // update; stale work until then is dropped.
+                    if let Some(end) = self.router.boundary(self.engine.as_ref(), t, timing.update)
+                    {
+                        done = Some((self.router.last_backward(), t));
+                        if self.sim.tracing_enabled() {
+                            self.sim.trace_instant(track::TRAINER, 0, "comm done", "phase", None);
+                        }
+                        boundary = Some(end);
+                        self.sim.schedule_at(end, Token::new(BOUNDARY_KIND, 0, 0));
+                    }
                 }
             }
         };
+        let (last_bwd, comm_done_at) = done.expect("boundary reached after comm done");
 
-        // Synchronous SGD: the iteration ends after the slowest of compute
-        // and communication, plus the optimizer update. Advance the
-        // simulator to the boundary so the next iteration starts cleanly
-        // (stale engine timers beyond the boundary are ignored by iter id;
-        // a crash landing in the gap extends it by a restart).
-        if self.sim.tracing_enabled() {
-            self.sim.trace_instant(track::TRAINER, 0, "comm done", "phase", None);
-        }
-        let end = comm_done_at.max(last_bwd) + timing.update;
-        let end = self.drain_to(end, &mut fault_events, &mut crashes, &mut recovery_secs);
         if self.sim.tracing_enabled() {
             let name = format!("iter {}", self.iter);
             self.sim.trace_span_end(track::TRAINER, 0, &name, "iteration");
@@ -625,6 +528,7 @@ pub fn run_training_sim(cfg: TrainingSimConfig) -> ThroughputReport {
 mod tests {
     use super::*;
     use aiacc_baselines::{BytePsConfig, DdpConfig, HorovodConfig, KvStoreConfig};
+    use aiacc_compress::Scheme;
     use aiacc_core::AiaccConfig;
     use aiacc_dnn::zoo;
 
@@ -788,8 +692,48 @@ mod tests {
         let fp16 = quick(
             zoo::vgg16(),
             16,
-            EngineKind::Aiacc(AiaccConfig::default().with_streams(1).with_compression(true)),
+            EngineKind::Aiacc(AiaccConfig::default().with_streams(1).with_compress(Scheme::Fp16)),
         );
         assert!(fp16.samples_per_sec > plain.samples_per_sec * 1.2);
+    }
+
+    #[test]
+    fn a_crash_in_the_drain_window_moves_only_the_boundary() {
+        // The drain window runs from communication done to the iteration
+        // boundary (the optimizer update). A crash there charges one
+        // checkpoint restart from the crash instant; the finished attempt is
+        // not re-run.
+        let cfg = TrainingSimConfig::new(
+            ClusterSpec::tcp_v100(16),
+            zoo::resnet50(),
+            EngineKind::aiacc_default(),
+        );
+        let mut clean = TrainingSim::new(cfg.clone());
+        let clean0 = clean.run_iteration_detailed();
+        let clean1 = clean.run_iteration_detailed();
+
+        let t0 = SimTime::ZERO;
+        let window_start = clean0.comm_done_secs.max(clean0.backward_end_secs);
+        let t_crash = SimTime::from_secs_f64((window_start + clean0.iter_secs) / 2.0);
+        let crash_secs = (t_crash - t0).as_secs_f64();
+        assert!(window_start < crash_secs && crash_secs < clean0.iter_secs, "{clean0:?}");
+
+        let faults = FaultPlan::new().crash_node(1, t_crash);
+        let mut crashed = TrainingSim::new(cfg.clone().with_faults(faults));
+        let b0 = crashed.run_iteration_detailed();
+        let pause =
+            replay_failure_recovery(&cfg.cluster, &cfg.model, RecoveryConfig::default()).total_secs;
+        let expected = (t_crash + SimDuration::from_secs_f64(pause) - t0).as_secs_f64();
+        assert_eq!(b0.iter_secs, expected);
+        assert_eq!(b0.crashes, 1);
+        assert_eq!(b0.recovery_secs, pause);
+        assert_eq!(
+            (b0.backward_end_secs, b0.comm_done_secs),
+            (clean0.backward_end_secs, clean0.comm_done_secs),
+            "the finished attempt was re-run"
+        );
+
+        let b1 = crashed.run_iteration_detailed();
+        assert_eq!(b1, clean1, "the iteration after the crash was affected");
     }
 }
