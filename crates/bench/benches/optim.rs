@@ -1,9 +1,10 @@
 //! Benchmarks of the optimizer/compression substrate.
 
+use aiacc_compress::{Compressor, ErrorFeedback, Scheme};
 use aiacc_dnn::f16;
 use aiacc_dnn::{Mlp, MlpConfig};
 use aiacc_optim::{Adam, AdamSgd, Optimizer, Sgd};
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 const N: usize = 100_000;
@@ -30,6 +31,25 @@ fn bench_f16(c: &mut Criterion) {
     c.bench_function("f16/compress_100k", |b| b.iter(|| black_box(f16::compress(&vals).len())));
     let wire = f16::compress(&vals);
     c.bench_function("f16/decompress_100k", |b| b.iter(|| black_box(f16::decompress(&wire).len())));
+
+    // The codecs on a 1M-element gradient: the fused error-feedback step the
+    // data plane runs, and the payload-building `Compressor` round trip.
+    let grad: Vec<f32> = (0..1 << 20).map(|i| ((i * 7919 % 2003) as f32 - 1001.0) * 1e-6).collect();
+    for scheme in [Scheme::Fp16, Scheme::Int8, Scheme::TopK { ratio: 64 }] {
+        let mut ef = ErrorFeedback::new();
+        c.bench_function(&format!("ef/{scheme}_step_1m"), |b| {
+            b.iter_batched(
+                || grad.clone(),
+                |mut buf| ef.compress_step(scheme, &mut buf),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    for scheme in [Scheme::Int8, Scheme::TopK { ratio: 64 }] {
+        c.bench_function(&format!("codec/{scheme}_roundtrip_1m"), |b| {
+            b.iter(|| black_box(scheme.decompress(&scheme.compress(&grad)).len()))
+        });
+    }
 }
 
 fn bench_mlp(c: &mut Criterion) {

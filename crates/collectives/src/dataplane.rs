@@ -1,8 +1,9 @@
 //! Exact, chunk-level execution of the collective algorithms on real data.
 //!
-//! Buffers are indexed by worker rank; "sending" is modelled as reading from
-//! a pre-step snapshot so that all transfers within a step are simultaneous,
-//! exactly as in the lock-step ring of Fig. 1.
+//! Buffers are indexed by worker rank. Within one step of the lock-step ring
+//! of Fig. 1 every worker sends one chunk and receives another, so no chunk
+//! is both read and written in the same step: applying the transfers in
+//! place, one after another, equals sending them all simultaneously.
 
 /// The reduction operator applied by an all-reduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,7 +56,6 @@ pub fn chunk_range(len: usize, w: usize, i: usize) -> std::ops::Range<usize> {
 ///
 /// # Panics
 /// Panics if buffers are empty or have differing lengths.
-#[allow(clippy::needless_range_loop)] // ring indices ARE the algorithm
 pub fn ring_allreduce(bufs: &mut [Vec<f32>], op: ReduceOp) {
     let w = bufs.len();
     assert!(w > 0, "no workers");
@@ -64,40 +64,43 @@ pub fn ring_allreduce(bufs: &mut [Vec<f32>], op: ReduceOp) {
     if w == 1 || len == 0 {
         return;
     }
-
-    // Reduce-scatter: at step s, worker i sends chunk (i − s) mod w to
-    // worker (i + 1) mod w, which folds it into its own copy.
-    for s in 0..w - 1 {
-        let snapshot: Vec<Vec<f32>> = (0..w)
-            .map(|i| {
-                let c = (i + w - s % w) % w;
-                bufs[i][chunk_range(len, w, c)].to_vec()
-            })
-            .collect();
-        for i in 0..w {
-            let c = (i + w - s % w) % w;
-            let dst = (i + 1) % w;
-            let r = chunk_range(len, w, c);
-            op.fold(&mut bufs[dst][r], &snapshot[i]);
-        }
-    }
+    ring_reduce_scatter(bufs, op);
 
     // After reduce-scatter, worker i owns the complete reduction of chunk
     // (i + 1) mod w. All-gather: at step s, worker i sends chunk
     // (i + 1 − s) mod w onward; the receiver overwrites.
     for s in 0..w - 1 {
-        let snapshot: Vec<Vec<f32>> = (0..w)
-            .map(|i| {
-                let c = (i + 1 + w - s % w) % w;
-                bufs[i][chunk_range(len, w, c)].to_vec()
-            })
-            .collect();
         for i in 0..w {
-            let c = (i + 1 + w - s % w) % w;
-            let dst = (i + 1) % w;
-            let r = chunk_range(len, w, c);
-            bufs[dst][r].copy_from_slice(&snapshot[i]);
+            let r = chunk_range(len, w, (i + 1 + w - s % w) % w);
+            let (src, dst) = src_dst(bufs, i, (i + 1) % w);
+            dst[r.clone()].copy_from_slice(&src[r]);
         }
+    }
+}
+
+/// The reduce-scatter phase of the ring, in place: at step s, worker i sends
+/// chunk (i − s) mod w to worker (i + 1) mod w, which folds it into its own
+/// copy. Afterwards worker i holds the full reduction of chunk (i + 1) mod w.
+fn ring_reduce_scatter(bufs: &mut [Vec<f32>], op: ReduceOp) {
+    let w = bufs.len();
+    let len = bufs[0].len();
+    for s in 0..w.saturating_sub(1) {
+        for i in 0..w {
+            let r = chunk_range(len, w, (i + w - s % w) % w);
+            let (src, dst) = src_dst(bufs, i, (i + 1) % w);
+            op.fold(&mut dst[r.clone()], &src[r]);
+        }
+    }
+}
+
+/// Worker `src`'s buffer to read and worker `dst`'s to write, `src != dst`.
+fn src_dst(bufs: &mut [Vec<f32>], src: usize, dst: usize) -> (&[f32], &mut [f32]) {
+    if src < dst {
+        let (lo, hi) = bufs.split_at_mut(dst);
+        (&lo[src], &mut hi[0])
+    } else {
+        let (lo, hi) = bufs.split_at_mut(src);
+        (&hi[0], &mut lo[dst])
     }
 }
 
@@ -111,27 +114,23 @@ pub fn tree_allreduce(bufs: &mut [Vec<f32>], gpus_per_node: usize, op: ReduceOp)
     let w = bufs.len();
     assert!(gpus_per_node > 0, "gpus_per_node must be positive");
     assert_eq!(w % gpus_per_node, 0, "world not a multiple of node size");
-    let nodes = w / gpus_per_node;
 
     // Phase 1: intra-node ring all-reduce (leaders end with the node sum).
-    for n in 0..nodes {
-        let mut local: Vec<Vec<f32>> =
-            (0..gpus_per_node).map(|g| bufs[n * gpus_per_node + g].clone()).collect();
-        ring_allreduce(&mut local, op);
-        for (g, l) in local.into_iter().enumerate() {
-            bufs[n * gpus_per_node + g] = l;
-        }
+    for node in bufs.chunks_mut(gpus_per_node) {
+        ring_allreduce(node, op);
     }
 
     // Phase 2: inter-node ring among leaders (local rank 0).
-    let mut leaders: Vec<Vec<f32>> = (0..nodes).map(|n| bufs[n * gpus_per_node].clone()).collect();
+    let mut leaders: Vec<Vec<f32>> =
+        bufs.iter_mut().step_by(gpus_per_node).map(std::mem::take).collect();
     ring_allreduce(&mut leaders, op);
 
     // Phase 3: broadcast the global result within each node.
-    for (n, l) in leaders.into_iter().enumerate() {
-        for g in 0..gpus_per_node {
-            bufs[n * gpus_per_node + g] = l.clone();
+    for (node, leader) in bufs.chunks_mut(gpus_per_node).zip(leaders) {
+        for b in &mut node[1..] {
+            b.clone_from(&leader);
         }
+        node[0] = leader;
     }
 }
 
@@ -151,28 +150,12 @@ pub fn broadcast(bufs: &mut [Vec<f32>], root: usize) {
 
 /// Ring reduce-scatter only: returns each worker's fully reduced chunk
 /// (worker `i` owns chunk `(i + 1) mod w`).
-#[allow(clippy::needless_range_loop)] // ring indices ARE the algorithm
 pub fn reduce_scatter(bufs: &mut [Vec<f32>], op: ReduceOp) -> Vec<Vec<f32>> {
     let w = bufs.len();
     assert!(w > 0, "no workers");
     let len = bufs[0].len();
     let mut work = bufs.to_vec();
-    // Reuse the all-reduce's reduce-scatter phase by running it fully and
-    // cutting chunks, except we must NOT gather; replicate the phase here.
-    for s in 0..w.saturating_sub(1) {
-        let snapshot: Vec<Vec<f32>> = (0..w)
-            .map(|i| {
-                let c = (i + w - s % w) % w;
-                work[i][chunk_range(len, w, c)].to_vec()
-            })
-            .collect();
-        for i in 0..w {
-            let c = (i + w - s % w) % w;
-            let dst = (i + 1) % w;
-            let r = chunk_range(len, w, c);
-            op.fold(&mut work[dst][r], &snapshot[i]);
-        }
-    }
+    ring_reduce_scatter(&mut work, op);
     (0..w)
         .map(|i| {
             let c = (i + 1) % w;

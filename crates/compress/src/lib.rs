@@ -45,6 +45,10 @@ pub enum Scheme {
     Int8,
     /// Top-k sparsification: keep the largest-magnitude `1/ratio` of
     /// elements (at least one). `topk:64` keeps 1 in 64.
+    ///
+    /// Elements rank by `|v|` descending, ties by index ascending. NaN
+    /// magnitudes rank above ∞ (the order of `|v|`'s bit patterns), so a
+    /// NaN is kept before any number and the selection stays deterministic.
     TopK {
         /// Sparsification ratio denominator (keep `ceil(n / ratio)`).
         ratio: u32,
@@ -245,44 +249,158 @@ fn topk_keep(elems: usize, ratio: u32) -> usize {
     }
 }
 
+// The per-scheme kernels below are the only encoders: `Compressor` and the
+// fused `ErrorFeedback::compress_step` both call them.
+
+/// `f32::round` (ties away from zero) without the `roundf` libcall that
+/// baseline x86_64 makes of it, and without float-to-int conversions, so
+/// loops over it vectorize. Bit-identical to `f32::round` for |x| < 2^23:
+/// adding and subtracting 2^23 rounds |x| to nearest-even, and a tie that
+/// went down to even is bumped up. Larger magnitudes come back at least
+/// 2^23 − 1 (or ±∞), which int8's clamp treats as `f32::round` would.
+#[inline]
+fn round_half_away(x: f32) -> f32 {
+    const TWO_23: f32 = 8_388_608.0;
+    let a = x.abs();
+    let nearest = (a + TWO_23) - TWO_23;
+    let bump = if a - nearest >= 0.5 { 1.0 } else { 0.0 };
+    (nearest + bump).copysign(x)
+}
+
+/// Dequantization scale of an int8 chunk whose largest magnitude is
+/// `max_abs`, or `None` when the chunk encodes as zeros (all zero, or
+/// holding ±∞).
+#[inline]
+fn int8_scale(max_abs: f32) -> Option<f32> {
+    (max_abs != 0.0 && max_abs.is_finite()).then(|| max_abs / 127.0)
+}
+
+/// The int8 encoder: `v`'s code under `scale`, held as an `f32`. It equals
+/// `q as f32` for `q = (v / scale).round().clamp(-127.0, 127.0) as i8`: an
+/// integer in [−127, 127], never −0.0, and 0 for NaN. Keeping the code in
+/// `f32` spares the fused step a float-to-int round trip.
+#[inline]
+fn int8_code(v: f32, scale: f32) -> f32 {
+    let q = round_half_away(v / scale).clamp(-127.0, 127.0);
+    if q.is_nan() {
+        0.0
+    } else {
+        q + 0.0 // −0.0 + 0.0 = +0.0
+    }
+}
+
+/// An int8 code from [`int8_code`] as its `i8`. Adding 1.5 · 2^23 leaves
+/// the integer, two's complement included, in the low mantissa byte; unlike
+/// `as i8` this needs no saturating conversion, so the loop vectorizes.
+#[inline]
+fn int8_from_code(code: f32) -> i8 {
+    (code + 12_582_912.0).to_bits() as u8 as i8
+}
+
+/// Largest `|v|` in `vals`, ignoring NaN as `f32::max` does. Eight
+/// independent lanes let the loop vectorize; max is exact, so the split
+/// cannot change the result.
+fn max_abs(vals: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    let mut blocks = vals.chunks_exact(8);
+    for block in &mut blocks {
+        for (l, &v) in lanes.iter_mut().zip(block) {
+            *l = l.max(v.abs());
+        }
+    }
+    blocks.remainder().iter().chain(&lanes).fold(0.0, |m, &v| m.max(v.abs()))
+}
+
+/// [`max_abs`] fused with error-feedback compensation: adds `res` into
+/// `buf` and returns the largest `|buf[i]|` afterwards, in one pass.
+fn compensate_max_abs(buf: &mut [f32], res: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    let mut blocks = buf.chunks_exact_mut(8);
+    let mut res_blocks = res.chunks_exact(8);
+    for (block, r) in (&mut blocks).zip(&mut res_blocks) {
+        for ((l, b), &r) in lanes.iter_mut().zip(block).zip(r) {
+            *b += r;
+            *l = l.max(b.abs());
+        }
+    }
+    let tail = blocks.into_remainder();
+    for (b, &r) in tail.iter_mut().zip(res_blocks.remainder()) {
+        *b += r;
+    }
+    tail.iter().chain(&lanes).fold(0.0, |m, &v| m.max(v.abs()))
+}
+
 fn compress_int8(values: &[f32]) -> Compressed {
     let mut scales = Vec::with_capacity(values.len().div_ceil(INT8_CHUNK));
     let mut data = Vec::with_capacity(values.len());
     for chunk in values.chunks(INT8_CHUNK) {
-        let max_abs = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        if max_abs == 0.0 || !max_abs.is_finite() {
-            // All-zero (or non-finite) chunk: scale 0 decodes to zeros.
-            scales.push(0.0);
-            data.extend(std::iter::repeat_n(0i8, chunk.len()));
-            continue;
+        match int8_scale(max_abs(chunk)) {
+            Some(scale) => {
+                scales.push(scale);
+                data.extend(chunk.iter().map(|&v| int8_from_code(int8_code(v, scale))));
+            }
+            None => {
+                // Scale 0 decodes to zeros.
+                scales.push(0.0);
+                data.extend(std::iter::repeat_n(0i8, chunk.len()));
+            }
         }
-        let scale = max_abs / 127.0;
-        scales.push(scale);
-        data.extend(chunk.iter().map(|&v| {
-            let q = (v / scale).round();
-            q.clamp(-127.0, 127.0) as i8
-        }));
     }
     Compressed::Int8 { len: values.len(), scales, data }
+}
+
+/// Magnitude key of `v` for top-k: the bit pattern of `|v|`. For non-NaN
+/// values the key order is the `|v|` order; NaN magnitudes rank above ∞.
+#[inline]
+fn topk_key(v: f32) -> u32 {
+    v.to_bits() & 0x7FFF_FFFF
+}
+
+/// Which elements top-k keeps: every key above `threshold`, plus the first
+/// `ties` keys equal to it in ascending index order. That is the order
+/// (|v| descending, index ascending) without sorting any indices.
+struct TopKRule {
+    threshold: u32,
+    ties: usize,
+}
+
+impl TopKRule {
+    /// The rule keeping the `k` largest keys of `scratch`, a copy of the
+    /// values that is reordered in the process.
+    ///
+    /// # Panics
+    /// Panics unless `0 < k <= scratch.len()`.
+    fn select(scratch: &mut [f32], k: usize) -> Self {
+        let pos = scratch.len() - k;
+        let (_, kth, above) = scratch.select_nth_unstable_by_key(pos, |&v| topk_key(v));
+        let threshold = topk_key(*kth);
+        let ties = k - above.iter().filter(|&&v| topk_key(v) > threshold).count();
+        TopKRule { threshold, ties }
+    }
+
+    /// Whether the next element, in ascending index order, is kept.
+    #[inline]
+    fn keep(&mut self, v: f32) -> bool {
+        let key = topk_key(v);
+        let tie = key == self.threshold && self.ties > 0;
+        self.ties -= tie as usize;
+        key > self.threshold || tie
+    }
 }
 
 fn compress_topk(values: &[f32], ratio: u32) -> Compressed {
     let n = values.len();
     let k = topk_keep(n, ratio);
-    if k >= n {
-        let idx = (0..n as u32).collect();
-        return Compressed::Sparse { len: n, idx, vals: values.to_vec() };
+    let (mut idx, mut vals) = (Vec::with_capacity(k), Vec::with_capacity(k));
+    if k > 0 {
+        let mut rule = TopKRule::select(&mut values.to_vec(), k);
+        for (i, &v) in values.iter().enumerate() {
+            if rule.keep(v) {
+                idx.push(i as u32);
+                vals.push(v);
+            }
+        }
     }
-    // Deterministic selection: order by (|v| descending, index ascending),
-    // so ties always resolve the same way regardless of scan order.
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.select_nth_unstable_by(k - 1, |&a, &b| {
-        let (ma, mb) = (values[a as usize].abs(), values[b as usize].abs());
-        mb.partial_cmp(&ma).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
-    let mut idx: Vec<u32> = order[..k].to_vec();
-    idx.sort_unstable();
-    let vals = idx.iter().map(|&i| values[i as usize]).collect();
     Compressed::Sparse { len: n, idx, vals }
 }
 
@@ -301,33 +419,75 @@ impl ErrorFeedback {
         ErrorFeedback::default()
     }
 
-    /// Compensated compression of one gradient vector: compresses
-    /// `grad + residual`, stores the new residual (what the codec lost),
-    /// and returns the decompressed payload — exactly the values the wire
-    /// delivers to the reduction.
+    /// Compensated compression of one gradient vector, in place: adds the
+    /// residual to `buf`, encodes, decodes, stores what the codec lost as
+    /// the new residual, and leaves in `buf` exactly the values the wire
+    /// delivers to the reduction. Returns the wire bytes. fp16 and int8
+    /// take one pass over `buf`, top-k two and a select; nothing is
+    /// allocated after the first call.
     ///
-    /// The residual buffer sizes itself to the first call; all calls must
-    /// use the same length.
+    /// The result equals `compress` then `decompress` of `buf + residual`,
+    /// with the new residual `compensated − delivered`, bit for bit.
+    ///
+    /// The residual buffer sizes itself to the first lossy call; all calls
+    /// must use the same length.
     ///
     /// # Panics
-    /// Panics if `grad.len()` changes between calls.
-    pub fn compress_step(&mut self, scheme: Scheme, grad: &[f32]) -> (Vec<f32>, u64) {
+    /// Panics if `buf.len()` changes between lossy calls.
+    pub fn compress_step(&mut self, scheme: Scheme, buf: &mut [f32]) -> u64 {
+        let wire = scheme.wire_bytes(buf.len());
         if !scheme.is_lossy() {
-            return (grad.to_vec(), scheme.wire_bytes(grad.len()));
+            return wire;
         }
         if self.residual.is_empty() {
-            self.residual = vec![0.0; grad.len()];
+            self.residual = vec![0.0; buf.len()];
         }
-        assert_eq!(self.residual.len(), grad.len(), "gradient length changed mid-session");
-        let compensated: Vec<f32> = grad.iter().zip(&self.residual).map(|(&g, &r)| g + r).collect();
-        let payload = scheme.compress(&compensated);
-        let wire = payload.wire_bytes();
-        debug_assert_eq!(wire, scheme.wire_bytes(grad.len()), "wire-size accounting diverged");
-        let delivered = scheme.decompress(&payload);
-        for ((r, &c), &d) in self.residual.iter_mut().zip(&compensated).zip(&delivered) {
-            *r = c - d;
+        assert_eq!(self.residual.len(), buf.len(), "gradient length changed mid-session");
+        let res = &mut self.residual[..];
+        match scheme {
+            Scheme::None => unreachable!("lossless schemes return early"),
+            Scheme::Fp16 => {
+                for (b, r) in buf.iter_mut().zip(res) {
+                    let c = *b + *r;
+                    let d = f16::f16_to_f32(f16::f32_to_f16(c));
+                    *r = c - d;
+                    *b = d;
+                }
+            }
+            Scheme::Int8 => {
+                for (b, r) in buf.chunks_mut(INT8_CHUNK).zip(res.chunks_mut(INT8_CHUNK)) {
+                    let scale = int8_scale(compensate_max_abs(b, r));
+                    for (b, r) in b.iter_mut().zip(r) {
+                        let c = *b;
+                        // A zero chunk decodes to code 0 times scale 0.
+                        let d = scale.map_or(0.0, |s| int8_code(c, s) * s);
+                        *r = c - d;
+                        *b = d;
+                    }
+                }
+            }
+            Scheme::TopK { ratio } => {
+                // The residual doubles as the selection scratch: it takes a
+                // copy of the compensated values, the select reorders it,
+                // and the final pass rewrites all of it.
+                for (b, r) in buf.iter_mut().zip(res.iter_mut()) {
+                    *b += *r;
+                    *r = *b;
+                }
+                let k = topk_keep(buf.len(), ratio);
+                if k == 0 {
+                    return wire;
+                }
+                let mut rule = TopKRule::select(res, k);
+                for (b, r) in buf.iter_mut().zip(res) {
+                    let c = *b;
+                    let d = if rule.keep(c) { c } else { 0.0 };
+                    *r = c - d;
+                    *b = d;
+                }
+            }
         }
-        (delivered, wire)
+        wire
     }
 
     /// L2 norm of the accumulated residual (for convergence diagnostics).
@@ -430,6 +590,84 @@ mod tests {
     }
 
     #[test]
+    fn topk_ranks_nan_above_infinity_and_is_deterministic() {
+        // 1366 NaNs outrank everything else, so top-k:4 keeps the 1024
+        // lowest-index ones, in both the codec and the fused step.
+        let v: Vec<f32> = (0..4096).map(|i| if i % 3 == 0 { f32::NAN } else { i as f32 }).collect();
+        let s = Scheme::TopK { ratio: 4 };
+        let kept = |c: Compressed| match c {
+            Compressed::Sparse { idx, vals, .. } => {
+                assert!(vals.iter().all(|v| v.is_nan()));
+                idx
+            }
+            other => panic!("expected sparse payload, got {other:?}"),
+        };
+        let first = kept(s.compress(&v));
+        assert_eq!(first.len(), 1024);
+        assert!(first.windows(2).all(|p| p[0] < p[1]), "indices not ascending");
+        assert_eq!(first, (0..1024).map(|j| 3 * j).collect::<Vec<u32>>());
+        assert_eq!(kept(s.compress(&v)), first);
+
+        let mut buf = v.clone();
+        ErrorFeedback::new().compress_step(s, &mut buf);
+        let fused: Vec<u32> = (0..4096).filter(|&i| buf[i as usize].is_nan()).collect();
+        assert_eq!(fused, first);
+    }
+
+    #[test]
+    fn round_half_away_matches_f32_round_below_2_pow_23() {
+        let check = |x: f32| {
+            for v in [x, -x] {
+                assert_eq!(round_half_away(v).to_bits(), v.round().to_bits(), "{v:e}");
+            }
+        };
+        // A stride through every magnitude below 2^23, ±0.0 included.
+        for bits in (0..0x4B00_0000u32).step_by(997) {
+            check(f32::from_bits(bits));
+        }
+        // Every halfway point k + 0.5 below 2^16 (sparser above, up to
+        // 2^22) and the floats either side of it.
+        for k in (0..1u32 << 16).chain(((1 << 16)..(1 << 22)).step_by(61)) {
+            let h = (k as f32 + 0.5).to_bits();
+            for b in [h - 1, h, h + 1] {
+                check(f32::from_bits(b));
+            }
+        }
+        check(0.499_999_97);
+    }
+
+    #[test]
+    fn int8_codes_survive_any_magnitude() {
+        // Beyond 2^23, at ±∞ and at NaN the rounding may differ from
+        // `f32::round`, but the clamped code may not.
+        for v in [8_388_608.0f32, 8_388_609.0, 3e9, -3e9, 1e38, f32::INFINITY, f32::NAN] {
+            for v in [v, -v] {
+                let want = v.round().clamp(-127.0, 127.0) as i8;
+                assert_eq!(int8_code(v, 1.0) as i8, want, "{v:e}");
+                assert_eq!(int8_code(v, 1.0), want as f32, "{v:e}");
+            }
+        }
+        for q in -127i8..=127 {
+            assert_eq!(int8_from_code(q as f32), q);
+        }
+    }
+
+    #[test]
+    fn int8_underflowing_scale_matches_the_codec() {
+        // A chunk of the tiniest subnormals: max_abs / 127 underflows to 0,
+        // every nonzero code saturates, and negative ones decode to -0.0.
+        let v = [f32::from_bits(3), -f32::from_bits(1), 0.0, -f32::from_bits(2)];
+        let want = Scheme::Int8.decompress(&Scheme::Int8.compress(&v));
+        assert_eq!(want[1].to_bits(), (-0.0f32).to_bits());
+        let mut buf = v;
+        let mut ef = ErrorFeedback::new();
+        ef.compress_step(Scheme::Int8, &mut buf);
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&buf), bits(&want));
+        assert_eq!(bits(ef.residual()), bits(&v));
+    }
+
+    #[test]
     fn topk_keep_at_least_one() {
         let s = Scheme::TopK { ratio: 64 };
         let c = s.compress(&[3.0, 1.0]);
@@ -462,7 +700,8 @@ mod tests {
         let mut ef = ErrorFeedback::new();
         let mut delivered_sum = vec![0.0f32; 64];
         for _ in 0..32 {
-            let (d, _) = ef.compress_step(scheme, &grad);
+            let mut d = grad.clone();
+            ef.compress_step(scheme, &mut d);
             for (s, v) in delivered_sum.iter_mut().zip(&d) {
                 *s += v;
             }
@@ -479,7 +718,8 @@ mod tests {
     #[test]
     fn error_feedback_none_is_passthrough() {
         let mut ef = ErrorFeedback::new();
-        let (d, wire) = ef.compress_step(Scheme::None, &[1.0, 2.0]);
+        let mut d = vec![1.0, 2.0];
+        let wire = ef.compress_step(Scheme::None, &mut d);
         assert_eq!(d, vec![1.0, 2.0]);
         assert_eq!(wire, 8);
         assert!(ef.residual().is_empty());

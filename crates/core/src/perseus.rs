@@ -12,7 +12,7 @@
 //! all workers, mirroring how the simulation's workers are modelled in a
 //! single process.
 
-use crate::packing::pack_units;
+use crate::packing::{pack_units, AllReduceUnit};
 use crate::registry::GradientRegistry;
 use aiacc_collectives::dataplane::{ring_allreduce, tree_allreduce, ReduceOp};
 use aiacc_compress::{ErrorFeedback, Scheme};
@@ -107,10 +107,16 @@ impl PerseusConfig {
 pub struct Perseus {
     cfg: PerseusConfig,
     registry: GradientRegistry,
+    /// Every registered gradient packed into units (§V-B): a pure function
+    /// of the registry and granularity, so all workers agree.
+    units: Vec<AllReduceUnit>,
     /// Error-feedback state, `[worker][unit]`, lazily grown on first use.
     /// Interior mutability keeps the lock-step `&self` API: the session is
     /// single-threaded by construction (one call aggregates everyone).
     ef: RefCell<Vec<Vec<ErrorFeedback>>>,
+    /// One gather buffer per worker, reused for every unit of every step;
+    /// allocated on the first step with the largest unit's capacity.
+    gather: RefCell<Vec<Vec<f32>>>,
     /// Exact compressed bytes each worker put on the wire last step.
     last_wire_bytes: Cell<u64>,
 }
@@ -120,8 +126,18 @@ impl Perseus {
     /// (`(name, element_count)` in registration order).
     pub fn new(layout: &[(String, usize)], cfg: PerseusConfig) -> Self {
         let registry = GradientRegistry::from_layout(layout, DType::F32);
+        let (mut units, partial) =
+            pack_units(&registry, registry.iter().map(|g| g.id), cfg.granularity);
+        units.extend(partial);
         let ef = RefCell::new(vec![Vec::new(); cfg.world]);
-        Perseus { cfg, registry, ef, last_wire_bytes: Cell::new(0) }
+        Perseus {
+            cfg,
+            registry,
+            units,
+            ef,
+            gather: RefCell::new(Vec::new()),
+            last_wire_bytes: Cell::new(0),
+        }
     }
 
     /// Exact bytes one worker's compressed payloads occupied on the wire in
@@ -165,53 +181,45 @@ impl Perseus {
             }
         }
 
-        // Pack every registered gradient into units (§V-B): the packing is a
-        // pure function of the registry and granularity, so all workers agree.
-        let all_ids = self.registry.iter().map(|g| g.id);
-        let (mut units, partial) = pack_units(&self.registry, all_ids, self.cfg.granularity);
-        units.extend(partial);
-
         let mut out: Vec<Vec<f32>> = self.registry.iter().map(|g| vec![0.0; g.elems]).collect();
         let mut ef = self.ef.borrow_mut();
+        let mut gather = self.gather.borrow_mut();
+        if gather.is_empty() {
+            let cap = self.units.iter().map(AllReduceUnit::elems).max().unwrap_or(0);
+            *gather = (0..w).map(|_| Vec::with_capacity(cap)).collect();
+        }
+        let scheme = self.cfg.compress;
         let mut step_wire: u64 = 0;
 
-        for (ui, unit) in units.iter().enumerate() {
-            // Gather each worker's unit payload.
-            let mut bufs: Vec<Vec<f32>> = (0..w)
-                .map(|wi| {
-                    let mut buf = Vec::with_capacity(unit.elems());
-                    for seg in &unit.segments {
-                        let t = &grads_per_worker[wi][seg.grad.as_usize()];
-                        buf.extend_from_slice(&t[seg.offset..seg.offset + seg.elems]);
-                    }
-                    if self.cfg.compress.is_lossy() {
-                        // Compensated compression: the reduction consumes
-                        // exactly what the wire would deliver; what the
-                        // codec drops lands in this worker's residual and
-                        // rides along next iteration.
-                        while ef[wi].len() <= ui {
-                            ef[wi].push(ErrorFeedback::new());
-                        }
-                        let (delivered, wire) = ef[wi][ui].compress_step(self.cfg.compress, &buf);
-                        if wi == 0 {
-                            step_wire += wire;
-                        }
-                        buf = delivered;
-                    } else if wi == 0 {
-                        step_wire += 4 * unit.elems() as u64;
-                    }
-                    buf
-                })
-                .collect();
+        for (ui, unit) in self.units.iter().enumerate() {
+            for (wi, buf) in gather.iter_mut().enumerate() {
+                // Gather this worker's unit payload.
+                buf.clear();
+                for seg in &unit.segments {
+                    let t = &grads_per_worker[wi][seg.grad.as_usize()];
+                    buf.extend_from_slice(&t[seg.offset..seg.offset + seg.elems]);
+                }
+                // Compensated compression: the reduction consumes exactly
+                // what the wire would deliver; what the codec drops lands in
+                // this worker's residual and rides along next iteration.
+                // `Scheme::None` passes through and keeps no residual.
+                if ef[wi].len() <= ui {
+                    ef[wi].resize_with(ui + 1, ErrorFeedback::new);
+                }
+                let wire = ef[wi][ui].compress_step(scheme, buf);
+                if wi == 0 {
+                    step_wire += wire;
+                }
+            }
 
             match self.cfg.gpus_per_node {
-                Some(g) => tree_allreduce(&mut bufs, g, ReduceOp::Sum),
-                None => ring_allreduce(&mut bufs, ReduceOp::Sum),
+                Some(g) => tree_allreduce(&mut gather, g, ReduceOp::Sum),
+                None => ring_allreduce(&mut gather, ReduceOp::Sum),
             }
-            debug_assert!(bufs.windows(2).all(|p| p[0] == p[1]), "workers diverged");
+            debug_assert!(gather.windows(2).all(|p| p[0] == p[1]), "workers diverged");
 
             // Unpack (Algorithm 1, l. 13) from worker 0's — identical — copy.
-            let reduced = &bufs[0];
+            let reduced = &gather[0];
             let mut off = 0;
             for seg in &unit.segments {
                 let dst = &mut out[seg.grad.as_usize()][seg.offset..seg.offset + seg.elems];

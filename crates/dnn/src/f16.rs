@@ -17,83 +17,55 @@
 ///
 /// Values above the half range become ±infinity; tiny magnitudes become
 /// subnormal halves or ±0; NaN payloads collapse to a quiet NaN.
+///
+/// Branch-light: all three candidate encodings are computed and one is
+/// selected, so slice loops over it vectorize. Normal halves rebias the
+/// exponent with one integer add that also carries the round-to-nearest-even
+/// increment into the exponent. Half subnormals (and zero) come from a
+/// float add of 0.5, whose ulp is exactly the half-subnormal step 2^-24, so
+/// the FPU performs the round-to-nearest-even.
+#[inline]
 pub fn f32_to_f16(value: f32) -> u16 {
     let bits = value.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let mant = bits & 0x007F_FFFF;
-
-    if exp == 0xFF {
-        // Inf or NaN.
-        return if mant == 0 { sign | 0x7C00 } else { sign | 0x7E00 };
-    }
-    if exp == 0 {
-        // f32 subnormals are far below the half subnormal range.
-        return sign;
-    }
-
-    // Rebias from 127 to 15.
-    let half_exp = exp - 127 + 15;
-
-    if half_exp >= 0x1F {
-        return sign | 0x7C00; // overflow to infinity
-    }
-
-    if half_exp <= 0 {
-        // Result is a half subnormal (or rounds to zero).
-        if half_exp < -10 {
-            return sign; // far below the subnormal range
-        }
-        let m = mant | 0x0080_0000; // restore the implicit leading 1
-        let total_shift = (13 + (1 - half_exp)) as u32;
-        let half_mant = m >> total_shift;
-        let rem = m & ((1u32 << total_shift) - 1);
-        let halfway = 1u32 << (total_shift - 1);
-        let mut h = half_mant as u16;
-        if rem > halfway || (rem == halfway && (h & 1) == 1) {
-            h += 1; // may carry into the smallest normal — that is correct
-        }
-        return sign | h;
-    }
-
-    // Normal result: keep the top 10 mantissa bits, round-to-nearest-even on
-    // the 13 dropped bits. A mantissa carry correctly bumps the exponent and
-    // can legitimately overflow to infinity.
-    let mut half = sign | ((half_exp as u16) << 10) | ((mant >> 13) as u16);
-    let round_bits = mant & 0x1FFF;
-    if round_bits > 0x1000 || (round_bits == 0x1000 && (half & 1) == 1) {
-        half += 1;
-    }
-    half
+    let sign = (bits >> 16) & 0x8000;
+    let abs = bits & 0x7FFF_FFFF;
+    // Rebias 127 → 15 (adding −112 << 23 wraps), plus 0xFFF and the kept
+    // mantissa's low bit: ties round to even, and a mantissa carry bumps
+    // the exponent, up to infinity from 65520 on.
+    let normal = abs.wrapping_add(0xC800_0FFF + ((abs >> 13) & 1)) >> 13;
+    let subnormal = (f32::from_bits(abs) + 0.5).to_bits().wrapping_sub(0x3F00_0000);
+    let special = if abs > 0x7F80_0000 { 0x7E00 } else { 0x7C00 };
+    let half = if abs >= 0x4780_0000 {
+        special // |value| ≥ 65536, ∞ or NaN
+    } else if abs < 0x3880_0000 {
+        subnormal // |value| < 2^-14, the smallest normal half
+    } else {
+        normal
+    };
+    (sign | half) as u16
 }
 
 /// Widens half-precision bits to an `f32` (exact).
+///
+/// Branch-light like [`f32_to_f16`]: the exponent/mantissa field shifted
+/// into place is rebiased for normal halves and ∞/NaN, and a subnormal is
+/// rebuilt as the normal `2^-14 · 1.m` minus `2^-14`, which is exact.
+#[inline]
 pub fn f16_to_f32(bits: u16) -> f32 {
     let sign = ((bits & 0x8000) as u32) << 16;
-    let exp = ((bits >> 10) & 0x1F) as u32;
-    let mant = (bits & 0x03FF) as u32;
-
-    let out = if exp == 0 {
-        if mant == 0 {
-            sign // signed zero
-        } else {
-            // Subnormal half: normalize into an f32 normal.
-            let mut m = mant;
-            let mut e: i32 = 0;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            m &= 0x03FF;
-            let f32_exp = (127 - 15 + 1 + e) as u32;
-            sign | (f32_exp << 23) | (m << 13)
-        }
-    } else if exp == 0x1F {
-        sign | 0x7F80_0000 | (mant << 13) // Inf / NaN
+    let shifted = ((bits & 0x7FFF) as u32) << 13;
+    let exp = shifted & 0x0F80_0000;
+    let normal = shifted + 0x3800_0000; // rebias 15 → 127
+    let special = shifted + 0x7000_0000; // exponent 31 → 255
+    let subnormal = (f32::from_bits(shifted + 0x3880_0000) - f32::from_bits(0x3880_0000)).to_bits();
+    let out = if exp == 0x0F80_0000 {
+        special
+    } else if exp == 0 {
+        subnormal
     } else {
-        sign | ((exp + 127 - 15) << 23) | (mant << 13)
+        normal
     };
-    f32::from_bits(out)
+    f32::from_bits(sign | out)
 }
 
 /// Compresses a slice to half-precision bits.
@@ -109,6 +81,128 @@ pub fn decompress(bits: &[u16]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original scalar conversions, kept as the oracle the branch-light
+    /// ones are checked against bit for bit.
+    mod reference {
+        pub fn f32_to_f16(value: f32) -> u16 {
+            let bits = value.to_bits();
+            let sign = ((bits >> 16) & 0x8000) as u16;
+            let exp = ((bits >> 23) & 0xFF) as i32;
+            let mant = bits & 0x007F_FFFF;
+
+            if exp == 0xFF {
+                // Inf or NaN.
+                return if mant == 0 { sign | 0x7C00 } else { sign | 0x7E00 };
+            }
+            if exp == 0 {
+                // f32 subnormals are far below the half subnormal range.
+                return sign;
+            }
+
+            // Rebias from 127 to 15.
+            let half_exp = exp - 127 + 15;
+
+            if half_exp >= 0x1F {
+                return sign | 0x7C00; // overflow to infinity
+            }
+
+            if half_exp <= 0 {
+                // Result is a half subnormal (or rounds to zero).
+                if half_exp < -10 {
+                    return sign; // far below the subnormal range
+                }
+                let m = mant | 0x0080_0000; // restore the implicit leading 1
+                let total_shift = (13 + (1 - half_exp)) as u32;
+                let half_mant = m >> total_shift;
+                let rem = m & ((1u32 << total_shift) - 1);
+                let halfway = 1u32 << (total_shift - 1);
+                let mut h = half_mant as u16;
+                if rem > halfway || (rem == halfway && (h & 1) == 1) {
+                    h += 1; // may carry into the smallest normal — that is correct
+                }
+                return sign | h;
+            }
+
+            // Normal result: keep the top 10 mantissa bits,
+            // round-to-nearest-even on the 13 dropped bits. A mantissa carry
+            // bumps the exponent and can overflow to infinity.
+            let mut half = sign | ((half_exp as u16) << 10) | ((mant >> 13) as u16);
+            let round_bits = mant & 0x1FFF;
+            if round_bits > 0x1000 || (round_bits == 0x1000 && (half & 1) == 1) {
+                half += 1;
+            }
+            half
+        }
+
+        pub fn f16_to_f32(bits: u16) -> f32 {
+            let sign = ((bits & 0x8000) as u32) << 16;
+            let exp = ((bits >> 10) & 0x1F) as u32;
+            let mant = (bits & 0x03FF) as u32;
+
+            let out = if exp == 0 {
+                if mant == 0 {
+                    sign // signed zero
+                } else {
+                    // Subnormal half: normalize into an f32 normal.
+                    let mut m = mant;
+                    let mut e: i32 = 0;
+                    while m & 0x0400 == 0 {
+                        m <<= 1;
+                        e -= 1;
+                    }
+                    m &= 0x03FF;
+                    let f32_exp = (127 - 15 + 1 + e) as u32;
+                    sign | (f32_exp << 23) | (m << 13)
+                }
+            } else if exp == 0x1F {
+                sign | 0x7F80_0000 | (mant << 13) // Inf / NaN
+            } else {
+                sign | ((exp + 127 - 15) << 23) | (mant << 13)
+            };
+            f32::from_bits(out)
+        }
+    }
+
+    #[test]
+    fn widening_matches_reference_on_every_half() {
+        for bits in 0u16..=0xFFFF {
+            let (got, want) = (f16_to_f32(bits), reference::f16_to_f32(bits));
+            assert_eq!(got.to_bits(), want.to_bits(), "half {bits:#06x}");
+        }
+    }
+
+    #[test]
+    fn narrowing_matches_reference_on_every_half_and_its_neighbours() {
+        // Every half value, the f32 just either side of it, and the exact
+        // midpoint to the next half: the rounding boundaries of the
+        // narrowing conversion.
+        for bits in 0u16..=0xFFFF {
+            let f = reference::f16_to_f32(bits).to_bits();
+            let next = reference::f16_to_f32(bits.wrapping_add(1)).to_bits();
+            let mid = if f & 0x7FFF_FFFF < 0x7F80_0000 && next & 0x8000_0000 == f & 0x8000_0000 {
+                f / 2 + next / 2 + (f & next & 1)
+            } else {
+                f
+            };
+            for x in [f.wrapping_sub(1), f, f.wrapping_add(1), mid, mid + 1, mid.wrapping_sub(1)] {
+                let v = f32::from_bits(x);
+                assert_eq!(f32_to_f16(v), reference::f32_to_f16(v), "f32 {x:#010x}");
+            }
+        }
+    }
+
+    /// All 2^32 `f32` bit patterns. About 20 s in release mode; run with
+    /// `cargo test --release -p aiacc-dnn -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release mode"]
+    fn narrowing_matches_reference_on_every_f32() {
+        let mismatch = (0..=u32::MAX).find(|&x| {
+            let v = f32::from_bits(x);
+            f32_to_f16(v) != reference::f32_to_f16(v)
+        });
+        assert_eq!(mismatch, None, "first mismatching f32 bit pattern");
+    }
 
     #[test]
     fn known_constants() {
