@@ -488,7 +488,7 @@ fn main() {
         json,
         "      \"crates/cluster prop_hier (bitwise rate/byte equivalence proptests)\","
     );
-    let _ = writeln!(json, "      \"ci scale-smoke (hierarchical vs flat byte diff)\"");
+    let _ = writeln!(json, "      \"ci smoke (hierarchical vs flat byte diff)\"");
     let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"multicore\": {{");

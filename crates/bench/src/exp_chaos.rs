@@ -13,7 +13,7 @@
 //! its multi-stream engine restores fabric throughput on the shrunken
 //! surviving ring faster than a single-stream engine can.
 
-use crate::report::{fnum, Table};
+use crate::report::Table;
 use aiacc_cluster::ClusterSpec;
 use aiacc_core::AiaccConfig;
 use aiacc_sched::{
@@ -119,8 +119,22 @@ pub fn mean_delta_p99(points: &[ChaosPoint], engine: &str) -> f64 {
     deltas.iter().sum::<f64>() / deltas.len() as f64
 }
 
+/// The availability gate: AIACC's mean absolute p99 degradation stays
+/// strictly below Horovod's, and the chaos plan crashed at least one gang.
+pub fn check_chaos(points: &[ChaosPoint]) {
+    let aiacc = mean_delta_p99(points, "aiacc");
+    let horovod = mean_delta_p99(points, "horovod");
+    assert!(
+        aiacc < horovod,
+        "aiacc mean delta-p99 {aiacc:.3}s must stay below horovod's {horovod:.3}s"
+    );
+    // Chaos actually bites: some seed crashed a running gang.
+    assert!(points.iter().any(|p| p.chaos.crashes_total > 0), "no crash ever hit a gang");
+}
+
 /// The chaos figure: per-seed clean/chaos p99 JCT, the degradation delta,
-/// and the recovery accounting, one row per `(seed, engine)`.
+/// and the recovery accounting, one row per `(seed, engine)`. Panics if the
+/// sweep fails [`check_chaos`].
 pub fn fig_chaos(seeds: &[u64], iterations: usize) -> Table {
     let mut t = Table::new(
         "Chaos: tail-JCT degradation under seeded crashes + stragglers (shrink recovery, 4x8 V100, TCP)",
@@ -137,17 +151,19 @@ pub fn fig_chaos(seeds: &[u64], iterations: usize) -> Table {
             "failed",
         ],
     );
-    for p in chaos_points(seeds, iterations) {
+    let points = chaos_points(seeds, iterations);
+    check_chaos(&points);
+    for p in points {
         t.push(vec![
             p.seed.to_string(),
             p.engine.to_string(),
-            fnum(p.clean.jct_p99_secs),
-            fnum(p.chaos.jct_p99_secs),
-            fnum(p.delta_p99_secs()),
+            format!("{:.3}", p.clean.jct_p99_secs),
+            format!("{:.3}", p.chaos.jct_p99_secs),
+            format!("{:.3}", p.delta_p99_secs()),
             p.chaos.crashes_total.to_string(),
             p.chaos.shrinks_total.to_string(),
             p.chaos.mitigations_total.to_string(),
-            fnum(p.chaos.recovery_total_secs),
+            format!("{:.3}", p.chaos.recovery_total_secs),
             p.chaos.njobs_failed.to_string(),
         ]);
     }
@@ -160,15 +176,7 @@ mod tests {
 
     #[test]
     fn aiacc_degrades_less_than_horovod_under_chaos() {
-        let points = chaos_points(CHAOS_SEEDS, 6);
-        let aiacc = mean_delta_p99(&points, "aiacc");
-        let horovod = mean_delta_p99(&points, "horovod");
-        assert!(
-            aiacc < horovod,
-            "aiacc mean delta-p99 {aiacc:.3}s must stay below horovod's {horovod:.3}s"
-        );
-        // Chaos actually bites: some seed crashed a running gang.
-        assert!(points.iter().any(|p| p.chaos.crashes_total > 0), "no crash ever hit a gang");
+        check_chaos(&chaos_points(CHAOS_SEEDS, 6));
     }
 
     #[test]

@@ -1,20 +1,25 @@
 //! Gradient-compression experiments: the convergence-vs-wall-clock frontier.
 //!
-//! Three measurements back `BENCH_compress.json`:
+//! Three tables (`repro compress`), each checking its gate on every run:
 //!
-//! 1. **Data plane** — a real MLP trained through the exact Perseus data
-//!    plane once per scheme: final loss, accuracy, and the measured
-//!    per-step wire bytes (with error feedback for the lossy schemes).
-//! 2. **Frontier** — the many-gradient `ctr_production` model on a
-//!    *low-bandwidth* (5 Gbps) cluster, swept over scheme × stream count in
-//!    the timing plane. On such a link the gate is that some compressed
-//!    configuration beats the best uncompressed one at *any* stream count:
-//!    multi-streaming alone cannot buy back a 4–32× payload reduction.
-//! 3. **Autotune** — the §VI bandit run twice on that cluster: over the
-//!    classic 3-axis space, then over the 4-axis space with compression,
-//!    warm-started from the 3-axis winner (via the warm-start cache), so
-//!    the 4-axis best is deterministically no worse.
+//! 1. **Data plane** (`compress_data_plane`) — a real MLP trained through
+//!    the exact Perseus data plane once per scheme: final loss, accuracy,
+//!    and the measured per-step wire bytes (with error feedback for the
+//!    lossy schemes). Gate: every lossy scheme stays within 0.10 accuracy
+//!    of the exact run and shrinks the wire.
+//! 2. **Frontier** (`compress_frontier`) — the many-gradient
+//!    `ctr_production` model on a *low-bandwidth* (5 Gbps) cluster, swept
+//!    over scheme × stream count in the timing plane. On such a link the
+//!    gate is that some compressed configuration beats the best
+//!    uncompressed one at *any* stream count: multi-streaming alone cannot
+//!    buy back a 4–32× payload reduction.
+//! 3. **Autotune** (`compress_tuning`) — the §VI bandit run twice on that
+//!    cluster: over the classic 3-axis space, then over the 4-axis space
+//!    with compression, warm-started from the 3-axis winner (via the
+//!    warm-start cache), so the 4-axis best is deterministically no worse.
+//!    Gate: it is strictly better.
 
+use crate::report::Table;
 use aiacc_autotune::cache::TuningCache;
 use aiacc_cluster::{ClusterSpec, GpuSpec, NetKind, NicSpec, NodeSpec};
 use aiacc_compress::Scheme;
@@ -35,10 +40,13 @@ pub const COMPRESS_SCHEMES: &[Scheme] = &[
     Scheme::TopK { ratio: 64 },
 ];
 
+/// Seed of both auto-tuner runs in [`compress_tuning`].
+const TUNE_SEED: u64 = 7;
+
 /// Stream counts for the frontier sweep.
 pub const FRONTIER_STREAMS: &[usize] = &[1, 2, 4, 8, 16];
 
-/// A reduced stream sweep for `--quick`.
+/// A reduced stream sweep for `repro --quick`.
 pub const FRONTIER_QUICK_STREAMS: &[usize] = &[1, 4, 16];
 
 /// The frontier's low-bandwidth cluster: 2 × 8 V100 behind 5 Gbps TCP —
@@ -121,18 +129,6 @@ pub fn frontier_points(streams: &[usize]) -> Vec<FrontierPoint> {
     })
 }
 
-/// The best (lowest `iter_s`) point among those matching `pred`.
-pub fn best_point(
-    points: &[FrontierPoint],
-    mut pred: impl FnMut(&FrontierPoint) -> bool,
-) -> &FrontierPoint {
-    points
-        .iter()
-        .filter(|p| pred(p))
-        .min_by(|a, b| a.iter_s.total_cmp(&b.iter_s))
-        .expect("non-empty frontier slice")
-}
-
 /// The two auto-tuner runs of the compression experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneComparison {
@@ -172,5 +168,143 @@ pub fn tune_comparison(budget: usize, seed: u64) -> TuneComparison {
         uncompressed_s: plain.best_value,
         compressed: wide.best,
         compressed_s: wide.best_value,
+    }
+}
+
+/// The data-plane gate: every lossy scheme stays within 0.10 accuracy of
+/// the uncompressed run and puts strictly fewer bytes on the wire.
+pub fn check_data_plane(points: &[DataPlanePoint]) {
+    let exact = points.iter().find(|p| p.scheme == Scheme::None).expect("uncompressed run");
+    for p in points.iter().filter(|p| p.scheme != Scheme::None) {
+        assert!(
+            p.accuracy >= exact.accuracy - 0.10,
+            "{} lost too much accuracy: {:.3} vs {:.3}",
+            p.scheme,
+            p.accuracy,
+            exact.accuracy
+        );
+        assert!(
+            p.wire_bytes_per_step < exact.wire_bytes_per_step,
+            "{} did not shrink the wire ({} vs {} B/step)",
+            p.scheme,
+            p.wire_bytes_per_step,
+            exact.wire_bytes_per_step
+        );
+    }
+}
+
+/// The frontier gate: the best compressed point is strictly faster than
+/// the best uncompressed point at any stream count.
+pub fn check_frontier(points: &[FrontierPoint]) {
+    let best = |lossy: bool| {
+        let side = points.iter().filter(|p| (p.scheme != Scheme::None) == lossy);
+        side.min_by(|a, b| a.iter_s.total_cmp(&b.iter_s)).expect("non-empty frontier slice")
+    };
+    let (best_plain, best_lossy) = (best(false), best(true));
+    assert!(
+        best_lossy.iter_s < best_plain.iter_s,
+        "no compressed config beat the best uncompressed ({} streams, {:.4}s) on the \
+         low-bandwidth cluster",
+        best_plain.streams,
+        best_plain.iter_s
+    );
+}
+
+/// The tuner gate: the warm-started 4-axis search finds a compressed
+/// configuration strictly better than the 3-axis uncompressed optimum.
+pub fn check_tuning(tc: &TuneComparison) {
+    assert!(
+        tc.compressed_s < tc.uncompressed_s,
+        "the tuner found no compressed config better than its uncompressed optimum \
+         ({} at {:.4}s vs {:.4}s)",
+        tc.uncompressed,
+        tc.uncompressed_s,
+        tc.compressed_s
+    );
+}
+
+/// The data-plane table after `steps` training steps, one row per scheme.
+/// Panics if the runs fail [`check_data_plane`].
+pub fn compress_data_plane(steps: u64) -> Table {
+    let points = data_plane_points(steps);
+    check_data_plane(&points);
+    let mut t = Table::new(
+        format!("Compression data plane: 4-16-3 MLP, 4 workers, {steps} steps, error feedback"),
+        &["scheme", "final_loss", "accuracy", "wire_bytes_per_step"],
+    );
+    for p in points {
+        let (loss, acc) = (format!("{:.6}", p.final_loss), format!("{:.4}", p.accuracy));
+        t.push(vec![p.scheme.to_string(), loss, acc, p.wire_bytes_per_step.to_string()]);
+    }
+    t
+}
+
+/// The frontier table: simulated seconds per iteration for every scheme ×
+/// stream count. Panics if the sweep fails [`check_frontier`].
+pub fn compress_frontier(streams: &[usize]) -> Table {
+    let points = frontier_points(streams);
+    check_frontier(&points);
+    let mut t = Table::new(
+        "Compression frontier: ctr_production on 2x8 V100 behind 5 Gbps TCP",
+        &["scheme", "streams", "iter_s"],
+    );
+    for p in points {
+        t.push(vec![p.scheme.to_string(), p.streams.to_string(), format!("{:.6}", p.iter_s)]);
+    }
+    t
+}
+
+/// The auto-tuner table: the best configuration of the 3-axis search and of
+/// the warm-started 4-axis search, `budget` evaluations each. Panics if the
+/// two fail [`check_tuning`].
+pub fn compress_tuning(budget: usize) -> Table {
+    let tc = tune_comparison(budget, TUNE_SEED);
+    check_tuning(&tc);
+    let mut t = Table::new(
+        "Compression autotune: 3-axis search, then 4-axis warm-started from its winner",
+        &["space", "budget", "best_config", "iter_s"],
+    );
+    let runs = [
+        ("3-axis", tc.uncompressed, tc.uncompressed_s),
+        ("4-axis", tc.compressed, tc.compressed_s),
+    ];
+    for (space, config, iter_s) in runs {
+        t.push(vec![space.into(), budget.to_string(), config.to_string(), format!("{iter_s:.6}")]);
+    }
+    t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lossy_schemes_stay_accurate_and_shrink_the_wire() {
+        check_data_plane(&data_plane_points(120));
+    }
+
+    #[test]
+    fn compressed_frontier_beats_every_uncompressed_stream_count() {
+        check_frontier(&frontier_points(FRONTIER_QUICK_STREAMS));
+    }
+
+    #[test]
+    fn compressed_tuner_is_strictly_better() {
+        check_tuning(&tune_comparison(12, TUNE_SEED));
+    }
+
+    #[test]
+    fn tables_are_deterministic() {
+        let run = || {
+            [
+                compress_data_plane(120),
+                compress_frontier(FRONTIER_QUICK_STREAMS),
+                compress_tuning(12),
+            ]
+        };
+        let (a, n) = (run(), COMPRESS_SCHEMES.len());
+        let rows: Vec<usize> = a.iter().map(|t| t.rows.len()).collect();
+        assert_eq!(rows, [n, n * FRONTIER_QUICK_STREAMS.len(), 2]);
+        assert_eq!(a, run(), "compression tables must be reproducible");
     }
 }

@@ -11,7 +11,7 @@
 //! slot pool and the quantile sketch compacts to a few thousand items no
 //! matter how many jobs flow through.
 
-use crate::report::{fnum, Table};
+use crate::report::Table;
 use aiacc_cluster::ClusterSpec;
 use aiacc_sched::stream::{run_stream, ArrivalCfg, ArrivalProcess, StreamCfg, StreamStats};
 use aiacc_sched::{ClusterMetrics, JobMix, MultiJobCfg, PlacePolicy, Workload, WorkloadCfg};
@@ -113,35 +113,90 @@ pub fn steady_throughput(points: &[StreamPoint], engine: &str) -> f64 {
         .throughput_jobs_per_sec()
 }
 
+/// The capacity gate: AIACC drains strictly more jobs per simulated second
+/// than Horovod, and every cell saturated and completed without a failure.
+pub fn check_saturated(points: &[StreamPoint]) {
+    let aiacc = steady_throughput(points, "aiacc");
+    let horovod = steady_throughput(points, "horovod");
+    assert!(
+        aiacc > horovod,
+        "steady-state capacity headline broken: aiacc {aiacc:.1} jobs/s vs \
+         horovod {horovod:.1} jobs/s"
+    );
+    // The stream actually saturated: a deep backlog formed and drained.
+    for p in points {
+        assert!(
+            p.stats.peak_backlog as u64 > p.jobs / 2,
+            "{}: peak backlog {} never saturated",
+            p.engine,
+            p.stats.peak_backlog
+        );
+        assert_eq!(p.stats.completed, p.jobs);
+        assert_eq!(p.stats.failed, 0);
+    }
+}
+
+/// The bounded-memory gate on the scale witness: every job completes, and
+/// backlog, live gangs and the quantile sketch stay bounded.
+pub fn check_scale(p: &StreamPoint) {
+    assert_eq!(p.stats.completed, p.jobs);
+    assert_eq!(p.stats.failed, 0);
+    // Arrival-limited: live state never approaches the job count.
+    assert!(p.stats.peak_backlog < 100, "backlog {} not bounded", p.stats.peak_backlog);
+    assert!(p.stats.peak_active <= p.stats.nslots);
+    assert!(
+        p.stats.sketch_stored_items as u64 * 4 < p.jobs,
+        "sketch stores {} of {} jobs — not sublinear",
+        p.stats.sketch_stored_items,
+        p.jobs
+    );
+}
+
 /// The streaming figure: one row per saturated engine cell plus the scale
 /// witness, with the backlog/sketch bounds that prove memory stays O(window).
+/// Panics if the cells fail [`check_saturated`] or [`check_scale`].
 pub fn fig_stream(saturated_jobs: u64, scale_jobs: u64) -> Table {
+    let mut points = saturated_points(saturated_jobs);
+    check_saturated(&points);
+    let scale = scale_point(scale_jobs);
+    check_scale(&scale);
+    points.push(scale);
+    stream_table(points)
+}
+
+/// Renders the streaming figure's rows. The gates only hold at the sizes
+/// `repro` runs, so the determinism test renders tiny runs through here.
+fn stream_table(points: Vec<StreamPoint>) -> Table {
     let mut t = Table::new(
         "Streaming: steady-state service capacity under saturating arrivals (packed, 4x8 V100, TCP)",
         &[
             "engine",
             "jobs",
+            "completed",
             "throughput_jobs_per_s",
             "jct_p50_s",
             "jct_p99_s",
             "peak_backlog",
             "peak_active",
+            "nslots",
+            "windows",
             "sketch_items",
             "sketch_rank_err",
             "failed",
         ],
     );
-    let mut points = saturated_points(saturated_jobs);
-    points.push(scale_point(scale_jobs));
     for p in points {
         t.push(vec![
             p.engine.to_string(),
             p.jobs.to_string(),
-            fnum(p.throughput_jobs_per_sec()),
-            fnum(p.summary.jct_p50_secs),
-            fnum(p.summary.jct_p99_secs),
+            p.stats.completed.to_string(),
+            format!("{:.3}", p.throughput_jobs_per_sec()),
+            format!("{:.4}", p.summary.jct_p50_secs),
+            format!("{:.4}", p.summary.jct_p99_secs),
             p.stats.peak_backlog.to_string(),
             p.stats.peak_active.to_string(),
+            p.stats.nslots.to_string(),
+            p.stats.windows_emitted.to_string(),
             p.stats.sketch_stored_items.to_string(),
             p.stats.sketch_max_rank_error.to_string(),
             p.stats.failed.to_string(),
@@ -156,47 +211,22 @@ mod tests {
 
     #[test]
     fn aiacc_sustains_higher_steady_state_throughput() {
-        let points = saturated_points(STREAM_SATURATED_QUICK_JOBS);
-        let aiacc = steady_throughput(&points, "aiacc");
-        let horovod = steady_throughput(&points, "horovod");
-        assert!(
-            aiacc > horovod,
-            "steady-state capacity headline broken: aiacc {aiacc:.1} jobs/s vs \
-             horovod {horovod:.1} jobs/s"
-        );
-        // The stream actually saturated: a deep backlog formed and drained.
-        for p in &points {
-            assert!(
-                p.stats.peak_backlog as u64 > p.jobs / 2,
-                "{}: peak backlog {} never saturated",
-                p.engine,
-                p.stats.peak_backlog
-            );
-            assert_eq!(p.stats.completed, p.jobs);
-            assert_eq!(p.stats.failed, 0);
-        }
+        check_saturated(&saturated_points(STREAM_SATURATED_QUICK_JOBS));
     }
 
     #[test]
     fn scale_witness_stays_bounded() {
-        let p = scale_point(STREAM_SCALE_QUICK_JOBS);
-        assert_eq!(p.stats.completed, STREAM_SCALE_QUICK_JOBS);
-        assert_eq!(p.stats.failed, 0);
-        // Arrival-limited: live state never approaches the job count.
-        assert!(p.stats.peak_backlog < 100, "backlog {} not bounded", p.stats.peak_backlog);
-        assert!(p.stats.peak_active <= p.stats.nslots);
-        assert!(
-            p.stats.sketch_stored_items as u64 * 4 < p.jobs,
-            "sketch stores {} of {} jobs — not sublinear",
-            p.stats.sketch_stored_items,
-            p.jobs
-        );
+        check_scale(&scale_point(STREAM_SCALE_QUICK_JOBS));
     }
 
     #[test]
     fn figure_is_deterministic() {
-        let a = fig_stream(500, 500);
-        let b = fig_stream(500, 500);
+        let run = || {
+            let mut points = saturated_points(500);
+            points.push(scale_point(500));
+            stream_table(points)
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.rows.len(), 3);
         assert_eq!(a.rows, b.rows, "stream figure must be reproducible");
     }

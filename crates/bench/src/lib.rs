@@ -18,28 +18,13 @@ mod exp_stream;
 mod exp_tuning;
 mod report;
 
-pub use exp_chaos::{
-    chaos_points, fig_chaos, mean_delta_p99, ChaosPoint, CHAOS_QUICK_SEEDS, CHAOS_SEEDS,
-};
-pub use exp_compress::{
-    best_point, data_plane_points, frontier_points, low_bandwidth_cluster, tune_comparison,
-    DataPlanePoint, FrontierPoint, TuneComparison, COMPRESS_SCHEMES, FRONTIER_QUICK_STREAMS,
-    FRONTIER_STREAMS,
-};
-pub use exp_further::{
-    bandwidth_utilization, ctr_production_speedup, dawnbench_table, fig13_hybrid,
-    fig14_batch_sweep, fig15_rdma, insightface_speedup, table1_models,
-};
-pub use exp_multijob::{fig_multijob, MULTIJOB_QUICK_SWEEP, MULTIJOB_SWEEP};
-pub use exp_overall::{fig10_nlp, fig11_tensorflow, fig12_mxnet, fig2_motivation, fig9_cv};
-pub use exp_stream::{
-    fig_stream, saturated_points, scale_point, steady_throughput, StreamPoint,
-    STREAM_SATURATED_JOBS, STREAM_SATURATED_QUICK_JOBS, STREAM_SCALE_JOBS, STREAM_SCALE_QUICK_JOBS,
-};
-pub use exp_tuning::{
-    ablation_byteps_servers, ablation_flow_cap, ablation_granularity, ablation_meta_solver,
-    ablation_sync_scheme, ablation_tree_vs_ring, tuning_report,
-};
+pub use exp_chaos::*;
+pub use exp_compress::*;
+pub use exp_further::*;
+pub use exp_multijob::*;
+pub use exp_overall::*;
+pub use exp_stream::*;
+pub use exp_tuning::*;
 pub use report::Table;
 
 /// The GPU counts swept by the overall-performance figures (Figs. 9–12).

@@ -52,9 +52,9 @@
 //! and prints the measured loss delta and per-step wire bytes.
 //! `--compression` is kept as an alias for `--compress fp16`.
 //!
-//! `--verbose` (or setting `AIACC_VERBOSE`) prints solver diagnostics —
-//! per-run statistics and the solve/apply/queue wall-time breakdown — to
-//! stderr; by default they are suppressed.
+//! `--verbose` prints solver diagnostics — per-run statistics and the
+//! solve/apply/queue wall-time breakdown — to stderr; by default they are
+//! suppressed.
 //!
 //! Examples:
 //! `aiacc-sim --model vgg16 --gpus 32 --engine horovod`
@@ -88,12 +88,6 @@ struct Args {
     faults: Option<String>,
     trace: Option<String>,
     jobs: Option<usize>,
-}
-
-/// `--verbose` or the `AIACC_VERBOSE` environment variable: gates the
-/// solver-diagnostics stderr lines.
-fn verbose_enabled(flag: bool) -> bool {
-    flag || std::env::var_os("AIACC_VERBOSE").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Builds the canned fault scenario selected by `--faults`.
@@ -214,8 +208,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                             --compress puts a gradient compressor on the AIACC wire \
                             (topk:K keeps 1/K coordinates, with error feedback); \
                             --compression is an alias for --compress fp16.\n\
-                            --verbose (or AIACC_VERBOSE=1) prints solver diagnostics \
-                            to stderr.\n\
+                            --verbose prints solver diagnostics to stderr.\n\
                             AIACC_SOLVER selects the fluid solver: \"flat\", \"full\" \
                             or \"flat-solver\" force the flat whole-network solve; \
                             \"partitioned\" (default) solves dirty components only."
@@ -634,7 +627,7 @@ fn cmd_schedule(argv: &[String]) -> Result<(), String> {
     for (policy, (block, solver, json)) in policies.iter().zip(&blocks) {
         println!("# policy {}", policy.name());
         print!("{block}");
-        if verbose_enabled(args.verbose) {
+        if args.verbose {
             eprintln!("[aiacc-sim] solver ({}): {solver}", policy.name());
         }
         if let Some(path) = &args.trace {
@@ -800,7 +793,7 @@ fn main() {
             exact.accuracy(&test),
         );
     }
-    if verbose_enabled(args.verbose) {
+    if args.verbose {
         let bd = sim.solve_breakdown();
         eprintln!(
             "[aiacc-sim] solver: {} | {:.3}s solve / {:.3}s apply / {:.3}s queue",

@@ -327,7 +327,7 @@ fn try_new_rejects_bad_configs_with_typed_errors() {
 /// The availability headline: under identical seeded chaos (same workload,
 /// same crash/straggler/NIC-fault plan), AIACC's p99 JCT degrades less than
 /// single-stream Horovod's in absolute terms. Reduced-seed version of the
-/// `bench_chaos` gate.
+/// gate `repro fig_chaos` applies (`aiacc_bench::check_chaos`).
 #[test]
 fn aiacc_tail_degrades_less_under_chaos() {
     let points = aiacc_bench::chaos_points(aiacc_bench::CHAOS_QUICK_SEEDS, 6);
