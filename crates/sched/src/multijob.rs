@@ -30,9 +30,10 @@
 //!
 //! Determinism argument for the shared event loop: the simulator delivers
 //! events in `(time, schedule-order)` order; every event is routed to its
-//! owning job either by the scope stamped into its token's high bits
-//! ([`aiacc_simnet::Simulator::set_token_scope`]) or by probing
-//! `CollectiveEngine::owns_flow` in ascending job order. Scopes carry a
+//! owning job by the scope stamped into its token's high bits
+//! ([`aiacc_simnet::Simulator::set_token_scope`]) or, for a flow
+//! completion, into the flow's tag
+//! ([`aiacc_simnet::Simulator::completed_flow_tag`]). Scopes carry a
 //! per-job *epoch* that is bumped on every crash recovery, so events from an
 //! aborted attempt can never leak into the resumed one. No routing decision
 //! depends on wall-clock, hashing, or thread interleaving, so a scenario is
@@ -1117,8 +1118,34 @@ impl MultiJobSim {
     }
 
     /// Routes a flow completion to the (unique) job whose collective engine
-    /// owns it.
+    /// owns it: the flow's tag is the scope it was started under, which
+    /// names the job and epoch.
     fn on_flow(&mut self, f: FlowId, t: SimTime) {
+        let owner = self.flow_owner(f, self.sim.completed_flow_tag());
+        debug_assert_eq!(owner, self.scan_flow_owner(f), "flow {f} routed by tag");
+        let Some(id) = owner else { return };
+        self.deliver(id, Event::FlowCompleted(f));
+        self.check_comm_done(id, t);
+    }
+
+    /// The running job, in the epoch named by `tag`, whose collectives own
+    /// flow `f`.
+    fn flow_owner(&self, f: FlowId, tag: u32) -> Option<usize> {
+        if tag == 0 {
+            return None;
+        }
+        let (id, epoch) = self.decode_scope(tag);
+        match &self.jobs[id].state {
+            JobState::Running(r) if self.epoch_live(id, epoch) && r.router.coll.owns_flow(f) => {
+                Some(id)
+            }
+            _ => None,
+        }
+    }
+
+    /// [`Self::flow_owner`] by asking every running job, in ascending order
+    /// (the debug-build cross-check of the tag routing).
+    fn scan_flow_owner(&self, f: FlowId) -> Option<usize> {
         let mut owner = None;
         for (id, job) in self.jobs.iter().enumerate() {
             if let JobState::Running(r) = &job.state {
@@ -1128,9 +1155,7 @@ impl MultiJobSim {
                 }
             }
         }
-        let Some(id) = owner else { return };
-        self.deliver(id, Event::FlowCompleted(f));
-        self.check_comm_done(id, t);
+        owner
     }
 
     /// Broadcasts a fault record to every running job (link capacities have

@@ -141,7 +141,25 @@ impl<T> CalendarQueue<T> {
     /// Inserts `item` at absolute time `at` (nanoseconds).
     pub fn push(&mut self, at: u64, item: T) {
         self.seq += 1;
-        let entry = Entry { at, seq: self.seq, item };
+        self.push_stamped(at, self.seq, item);
+    }
+
+    /// Reserves `n` consecutive insertion stamps, as if `n` entries had been
+    /// pushed, and returns the first. Hand them to
+    /// [`Self::push_stamped`] later to queue entries lazily that sort
+    /// exactly where eager pushes would have.
+    pub fn reserve_stamps(&mut self, n: u64) -> u64 {
+        let first = self.seq + 1;
+        self.seq += n;
+        first
+    }
+
+    /// Inserts `item` at time `at` with a stamp from
+    /// [`Self::reserve_stamps`]: it pops in `(at, seq)` order among the
+    /// queued entries. Each reserved stamp must be used at most once.
+    pub fn push_stamped(&mut self, at: u64, seq: u64, item: T) {
+        debug_assert!(seq <= self.seq, "stamp {seq} was never reserved");
+        let entry = Entry { at, seq, item };
         let day = at >> self.shift;
         // A push behind the cursor (legal: "complete now" entries issued
         // while the cursor peeked ahead) moves the cursor back so the next
@@ -484,6 +502,53 @@ mod tests {
         assert_eq!(q.pop(), Some((1012 * DAY, "b")));
         assert_eq!(q.pop(), Some((1015 * DAY, "c")));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn stamped_entries_keep_their_order_across_rebuild_and_retain() {
+        // Lazy runs: each run reserves its stamps up front and queues only
+        // its head; popping an element re-pushes the next one with its
+        // reserved stamp. The pop order must equal the eager order, in
+        // which every element was pushed at reservation time.
+        const RUNS: u64 = 40;
+        const LEN: u64 = 50;
+        const PLAIN: u64 = LEN; // `k` of plain entries
+        let at = |r: u64, k: u64| 1_000 + (k * 7 + r % 3) * 1_000; // ties across runs
+        let mut eager = CalendarQueue::new();
+        let mut lazy = CalendarQueue::new();
+        let mut first = Vec::new();
+        for r in 0..RUNS {
+            for k in 0..LEN {
+                eager.push(at(r, k), (r, k));
+            }
+            eager.push(at(r, 25), (r, PLAIN)); // ties with run elements
+            let s = lazy.reserve_stamps(LEN);
+            lazy.push_stamped(at(r, 0), s, (r, 0));
+            lazy.push(at(r, 25), (r, PLAIN));
+            first.push(s);
+        }
+        let mut got = Vec::new();
+        while let Some((t, (r, k))) = lazy.pop() {
+            got.push((t, (r, k)));
+            if k + 1 < LEN {
+                lazy.push_stamped(at(r, k + 1), first[r as usize] + k + 1, (r, k + 1));
+            }
+            if got.len() == 100 {
+                // Grow the lazy queue past its rebuild trigger mid-run.
+                let buckets = lazy.buckets.len();
+                for i in 0..300 {
+                    eager.push(at(i % RUNS, 30 + i % 5), (i, PLAIN));
+                    lazy.push(at(i % RUNS, 30 + i % 5), (i, PLAIN));
+                }
+                assert!(lazy.buckets.len() > buckets, "no rebuild");
+            }
+            if got.len() == 200 {
+                eager.retain(|&(r, k)| k < PLAIN || r % 2 == 0);
+                lazy.retain(|&(r, k)| k < PLAIN || r % 2 == 0);
+            }
+        }
+        let want: Vec<_> = std::iter::from_fn(|| eager.pop()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1049,7 +1049,11 @@ impl FlowNet {
     /// (it mutates a flow mid-run) or a slot re-appears (its second settle
     /// must observe its first), so each deferred settle still sees exactly
     /// the state it would have seen serially.
+    ///
+    /// Most calls find nothing due (every timer pop advances the network),
+    /// so the first entry is popped before the wall clock starts.
     fn drain_due(&mut self, t: SimTime) {
+        let Some(first) = self.events.pop_due(t.as_nanos()) else { return };
         let t0 = std::time::Instant::now();
         let mut batch = std::mem::take(&mut self.settle_batch);
         debug_assert!(batch.is_empty());
@@ -1057,7 +1061,8 @@ impl FlowNet {
             self.slot_seen.resize(self.slots.len(), 0);
         }
         self.bump_seen_epoch();
-        while let Some((at_ns, ev)) = self.events.pop_due(t.as_nanos()) {
+        let mut first = Some(first);
+        while let Some((at_ns, ev)) = first.take().or_else(|| self.events.pop_due(t.as_nanos())) {
             if !event_valid(&self.slots, &ev) {
                 continue;
             }
@@ -1230,6 +1235,11 @@ impl FlowNet {
     /// start order (ids are delivered oldest flow first). Call after
     /// [`advance_to`](Self::advance_to).
     pub fn take_completed(&mut self) -> Vec<FlowId> {
+        self.take_completed_tagged().into_iter().map(|(id, _)| id).collect()
+    }
+
+    /// [`Self::take_completed`], with each flow's [`FlowSpec::tag`].
+    pub fn take_completed_tagged(&mut self) -> Vec<(FlowId, u32)> {
         // Collect anything due at the current instant as well (e.g.
         // complete-now entries pushed by the last solve).
         self.drain_due(self.now);
@@ -1261,13 +1271,12 @@ impl FlowNet {
         // entry) appears as identical pairs — dedup before vacating.
         done.sort_unstable();
         done.dedup();
-        let ids: Vec<FlowId> = done
-            .iter()
-            .map(|&(_, slot)| FlowId(pack_id(slot, self.slots[slot as usize].gen)))
-            .collect();
+        let mut ids = Vec::with_capacity(done.len());
         for &(_, slot) in &done {
+            let id = FlowId(pack_id(slot, self.slots[slot as usize].gen));
             self.unlink_flow(slot);
             let st = self.vacate(slot);
+            ids.push((id, st.spec.tag));
             // Credit the sub-epsilon residual (and the full payload of
             // infinite-rate flows that completed without time advancing)
             // on every path hop and to the flow's tag, so both counters

@@ -70,7 +70,7 @@ pub use flow::{Flow, FlowId, FlowSpec};
 pub use flownet::{
     set_default_solve_mode, FlowNet, Resource, ResourceId, SolveBreakdown, SolveMode, SolverStats,
 };
-pub use sim::{Event, Simulator, Token, TOKEN_KIND_MASK, TOKEN_SCOPE_SHIFT};
+pub use sim::{Event, RunOffsets, Simulator, Token, TOKEN_KIND_MASK, TOKEN_SCOPE_SHIFT};
 pub use telemetry::{AnnotatedSample, UtilizationProbe};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TracePhase, TraceSink, TraceSummary};

@@ -7,6 +7,7 @@ use crate::flownet::FlowNet;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{track, TraceSink};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// An opaque, `Copy` event payload for simulator timers.
 ///
@@ -57,6 +58,72 @@ pub const TOKEN_SCOPE_SHIFT: u32 = 16;
 /// Mask selecting the scope-free base kind.
 pub const TOKEN_KIND_MASK: u32 = (1 << TOKEN_SCOPE_SHIFT) - 1;
 
+/// The `(b, offset)` list of a timer run ([`Simulator::schedule_run`]),
+/// checked once to be non-decreasing in its offsets. Cloning shares the
+/// list, so one can serve every worker of an iteration.
+///
+/// # Example
+/// ```
+/// use aiacc_simnet::{RunOffsets, SimDuration};
+/// let offs = RunOffsets::new(vec![(7, SimDuration::ZERO), (3, SimDuration::from_nanos(5))]);
+/// assert_eq!(offs.len(), 2);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct RunOffsets(Arc<[(u64, SimDuration)]>);
+
+impl RunOffsets {
+    /// Validates and wraps `offs`.
+    ///
+    /// # Panics
+    /// Panics if an offset is smaller than the one before it.
+    pub fn new(offs: Vec<(u64, SimDuration)>) -> Self {
+        assert!(
+            offs.windows(2).all(|w| w[0].1 <= w[1].1),
+            "timer run offsets must be non-decreasing"
+        );
+        RunOffsets(offs.into())
+    }
+
+    /// Number of timers in a run over this list.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// One timer-queue entry: a single token, or the queued element of a
+/// lazily expanded run (an index into [`Simulator`]'s run slab).
+#[derive(Debug, Clone, Copy)]
+enum Timer {
+    One(Token),
+    Run(u32),
+}
+
+/// A timer run being expanded: element `next` is queued under stamp `seq`
+/// at `start + (base + offs[next].1 · scale)`.
+#[derive(Debug, Clone)]
+struct TimerRun {
+    offs: RunOffsets,
+    start: SimTime,
+    base: SimDuration,
+    scale: f64,
+    /// Token kind, scope stamp included.
+    kind: u32,
+    a: u32,
+    next: usize,
+    seq: u64,
+}
+
+impl TimerRun {
+    fn at(&self, i: usize) -> SimTime {
+        self.start + (self.base + self.offs.0[i].1.mul_f64(self.scale))
+    }
+}
+
 /// An event yielded by [`Simulator::next_event`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
@@ -90,9 +157,16 @@ pub enum Event {
 #[derive(Debug, Clone, Default)]
 pub struct Simulator {
     net: FlowNet,
-    timers: CalendarQueue<Token>,
-    /// Flow completions discovered together but not yet handed out.
-    pending_flows: Vec<FlowId>,
+    timers: CalendarQueue<Timer>,
+    /// Timer runs being expanded, indexed by [`Timer::Run`]; `None` slots
+    /// are free and listed in `free_runs` for reuse.
+    runs: Vec<Option<TimerRun>>,
+    free_runs: Vec<u32>,
+    /// Flow completions discovered together but not yet handed out, with
+    /// their tags.
+    pending_flows: Vec<(FlowId, u32)>,
+    /// Tag of the flow delivered by the last [`Event::FlowCompleted`].
+    completed_tag: u32,
     /// Compiled link-fault schedule (empty when no plan is installed).
     faults: FaultInjector,
     /// Every fault action executed so far, in order.
@@ -144,15 +218,89 @@ impl Simulator {
     /// kind does not fit below [`TOKEN_SCOPE_SHIFT`].
     pub fn schedule_at(&mut self, at: SimTime, mut token: Token) {
         assert!(at >= self.now(), "scheduling in the past: {at} < {}", self.now());
-        if self.token_scope != 0 {
-            assert!(
-                token.kind <= TOKEN_KIND_MASK,
-                "token kind {} collides with the armed scope stamp",
-                token.kind
-            );
-            token.kind |= self.token_scope << TOKEN_SCOPE_SHIFT;
+        token.kind = self.scoped_kind(token.kind);
+        self.timers.push(at.as_nanos(), Timer::One(token));
+    }
+
+    /// `kind` with the armed token scope stamped in.
+    fn scoped_kind(&self, kind: u32) -> u32 {
+        if self.token_scope == 0 {
+            return kind;
         }
-        self.timers.push(at.as_nanos(), token);
+        assert!(kind <= TOKEN_KIND_MASK, "token kind {kind} collides with the armed scope stamp");
+        kind | self.token_scope << TOKEN_SCOPE_SHIFT
+    }
+
+    /// Schedules a run of timers, one per `(b, off)` in `offs`: exactly
+    /// `for (b, off) in offs { schedule(base + off.mul_f64(scale),
+    /// Token::new(kind, a, b)) }`, with the same instants, scope stamping
+    /// and insertion stamps, so every event pops in the same order. Only
+    /// the run's next element is queued: popping it queues the one after
+    /// under its reserved stamp. Because the offsets are non-decreasing
+    /// and `mul_f64` is monotone, that element sorts at or after the one
+    /// just popped, so the lazy queue pops what the eager one would.
+    ///
+    /// # Panics
+    /// Panics if `offs` is non-empty, a scope is armed and `kind` does not
+    /// fit below [`TOKEN_SCOPE_SHIFT`].
+    pub fn schedule_run(
+        &mut self,
+        base: SimDuration,
+        offs: &RunOffsets,
+        scale: f64,
+        kind: u32,
+        a: u32,
+    ) {
+        if offs.is_empty() {
+            return;
+        }
+        let run = TimerRun {
+            offs: offs.clone(),
+            start: self.now(),
+            base,
+            scale,
+            kind: self.scoped_kind(kind),
+            a,
+            next: 0,
+            seq: self.timers.reserve_stamps(offs.len() as u64),
+        };
+        let at = run.at(0).as_nanos();
+        let seq = run.seq;
+        let id = match self.free_runs.pop() {
+            Some(id) => {
+                self.runs[id as usize] = Some(run);
+                id
+            }
+            None => {
+                self.runs.push(Some(run));
+                (self.runs.len() - 1) as u32
+            }
+        };
+        self.timers.push_stamped(at, seq, Timer::Run(id));
+    }
+
+    /// Slots in the timer-run slab, live or free: the most runs that were
+    /// ever being expanded at once.
+    pub fn timer_run_slots(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// The token of run `id`'s queued element, which just popped; queues
+    /// the run's next element or frees the run.
+    fn pop_run(&mut self, id: u32) -> Token {
+        let slot = &mut self.runs[id as usize];
+        let run = slot.as_mut().expect("queued run is live");
+        let token = Token::new(run.kind, run.a, run.offs.0[run.next].0);
+        run.next += 1;
+        if run.next < run.offs.len() {
+            run.seq += 1;
+            let at = run.at(run.next).as_nanos();
+            self.timers.push_stamped(at, run.seq, Timer::Run(id));
+        } else {
+            *slot = None;
+            self.free_runs.push(id);
+        }
+        token
     }
 
     /// Arms (or with `0` clears) the *token scope*: every timer scheduled and
@@ -306,7 +454,7 @@ impl Simulator {
     /// Returns the next event and advances virtual time to it, or `None` when
     /// neither timers, faults, nor flows remain.
     pub fn next_event(&mut self) -> Option<(SimTime, Event)> {
-        if let Some(id) = self.pending_flows.pop() {
+        if let Some(id) = self.pop_pending_flow() {
             return Some((self.now(), Event::FlowCompleted(id)));
         }
         // Iterative, not recursive: a network change can be an activation
@@ -342,15 +490,17 @@ impl Simulator {
             match (t_timer, t_flow) {
                 (None, None) => return None,
                 (Some(tt), tf) if tf.is_none_or(|tf| tt <= tf) => {
-                    let (at_ns, token) = self.timers.pop().expect("peeked");
-                    let at = SimTime::from_nanos(at_ns);
-                    self.net.advance_to(at);
+                    let token = match self.timers.pop().expect("peeked").1 {
+                        Timer::One(token) => token,
+                        Timer::Run(id) => self.pop_run(id),
+                    };
+                    self.net.advance_to(tt);
                     self.emit_flow_counter();
-                    return Some((at, Event::Timer(token)));
+                    return Some((tt, Event::Timer(token)));
                 }
                 (_, Some(tf)) => {
                     self.net.advance_to(tf);
-                    let mut done = self.net.take_completed();
+                    let mut done = self.net.take_completed_tagged();
                     if done.is_empty() {
                         // The change was a flow activation, not a
                         // completion; sample the counter and keep looking.
@@ -361,7 +511,7 @@ impl Simulator {
                     done.reverse();
                     self.pending_flows = done;
                     self.emit_flow_counter();
-                    let id = self.pending_flows.pop().expect("nonempty");
+                    let id = self.pop_pending_flow().expect("nonempty");
                     return Some((self.now(), Event::FlowCompleted(id)));
                 }
                 // (Some, None) with a failed guard cannot happen: the guard
@@ -369,6 +519,21 @@ impl Simulator {
                 (Some(_), None) => unreachable!(),
             }
         }
+    }
+
+    /// Hands out the next discovered flow completion, remembering its tag.
+    fn pop_pending_flow(&mut self) -> Option<FlowId> {
+        let (id, tag) = self.pending_flows.pop()?;
+        self.completed_tag = tag;
+        Some(id)
+    }
+
+    /// The tag of the flow delivered by the most recent
+    /// [`Event::FlowCompleted`] (`0` = untagged). With a token scope armed
+    /// at its start, that is the scope: multiplexing drivers route the
+    /// completion with it instead of asking every tenant.
+    pub fn completed_flow_tag(&self) -> u32 {
+        self.completed_tag
     }
 
     /// Runs the simulator until quiescent, invoking `handler` for every event.

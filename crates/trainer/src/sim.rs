@@ -7,7 +7,9 @@ use aiacc_cluster::{jitter_factor, ClusterNet, ClusterSpec, ComputeModel, Iterat
 use aiacc_core::ddl::{DdlEngine, DdlRouter, BWD_KIND, GRAD_KIND};
 use aiacc_dnn::{DType, ModelProfile};
 use aiacc_simnet::trace::track;
-use aiacc_simnet::{Event, FaultPlan, SimDuration, SimTime, Simulator, Token, TraceSink};
+use aiacc_simnet::{
+    Event, FaultPlan, RunOffsets, SimDuration, SimTime, Simulator, Token, TraceSink,
+};
 use serde::{Deserialize, Serialize};
 
 /// Timer kind for a scheduled node crash from the fault plan.
@@ -36,7 +38,8 @@ pub struct ComputeAttempt<'a> {
 }
 
 /// Schedules one attempt's per-worker compute timers into `sim` — a
-/// [`GRAD_KIND`] timer per gradient and a [`BWD_KIND`] timer per worker —
+/// [`GRAD_KIND`] timer per gradient, as one lazily expanded run per worker
+/// ([`Simulator::schedule_run`]), and a [`BWD_KIND`] timer per worker —
 /// and returns the time the slowest worker finishes backward.
 /// `compute_scale(w)` is worker `w`'s straggler × fault slow-down at the
 /// attempt's start (`1.0` for a healthy worker).
@@ -48,15 +51,15 @@ pub fn schedule_worker_compute(
     let t_start = sim.now();
     let fw = attempt.framework;
     let timing = attempt.timing;
+    let offs =
+        RunOffsets::new(timing.grad_ready.iter().map(|&(g, off)| (g.0 as u64, off)).collect());
     let mut last_bwd = t_start;
     for w in 0..attempt.world {
         let jf = jitter_factor(attempt.seed, w, attempt.iter, attempt.jitter_frac)
             * fw.compute_factor()
             * compute_scale(w);
         let fwd = timing.forward.mul_f64(jf) + fw.per_iter_overhead();
-        for &(g, off) in &timing.grad_ready {
-            sim.schedule(fwd + off.mul_f64(jf), Token::new(GRAD_KIND, w as u32, g.0 as u64));
-        }
+        sim.schedule_run(fwd, &offs, jf, GRAD_KIND, w as u32);
         let bwd_at = fwd + timing.backward.mul_f64(jf);
         sim.schedule(bwd_at, Token::new(BWD_KIND, w as u32, 0));
         last_bwd = last_bwd.max(t_start + bwd_at);
@@ -735,5 +738,52 @@ mod tests {
 
         let b1 = crashed.run_iteration_detailed();
         assert_eq!(b1, clean1, "the iteration after the crash was affected");
+    }
+
+    #[test]
+    fn a_crash_mid_backward_keeps_its_golden_bits_and_reuses_the_run_slab() {
+        // The crash lands while every worker's gradient-ready run is half
+        // expanded; the aborted runs keep popping into the draining router.
+        let cfg = TrainingSimConfig::new(
+            ClusterSpec::tcp_v100(16),
+            zoo::resnet50(),
+            EngineKind::aiacc_default(),
+        );
+        let mut clean = TrainingSim::new(cfg.clone());
+        let clean0 = clean.run_iteration_detailed();
+        let clean1 = clean.run_iteration_detailed();
+        let timing = clean.compute.iteration_timing(&cfg.model, clean.batch_per_gpu(), DType::F32);
+        let into_iter1 = timing.forward + timing.backward.mul_f64(0.5);
+        let into_secs = into_iter1.as_secs_f64();
+        assert!(
+            timing.forward.as_secs_f64() < into_secs && into_secs < clean1.backward_end_secs,
+            "crash not mid-backward: {into_secs} vs {clean1:?}"
+        );
+        let t_crash = SimTime::from_secs_f64(clean0.iter_secs) + into_iter1;
+        let mut crashed =
+            TrainingSim::new(cfg.with_faults(FaultPlan::new().crash_node(1, t_crash)));
+        let mut bits = Vec::new();
+        let mut slots = 0;
+        for i in 0..100 {
+            let b = crashed.run_iteration_detailed();
+            assert_eq!(b.crashes, u32::from(i == 1), "iteration {i}: {b:?}");
+            bits.push(b.iter_secs.to_bits());
+            if i == 2 {
+                slots = crashed.sim.timer_run_slots();
+            }
+        }
+        // One run per worker (the aborted runs end within the recovery
+        // pause), and no growth over 100 iterations.
+        assert_eq!(slots, 16);
+        assert_eq!(crashed.sim.timer_run_slots(), slots, "run slab grew");
+        let fold = bits
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b).wrapping_mul(0x0100_0000_01b3));
+        // Recorded before gradient timers became lazy runs.
+        assert_eq!(
+            bits[..4],
+            [0x3fca43a0a92d6060, 0x40346c2fd71db39a, 0x3fca2eab61f69db4, 0x3fc7a6f3b29d5442]
+        );
+        assert_eq!(fold, 0xf5d15a091f9052d6);
     }
 }
