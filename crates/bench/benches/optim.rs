@@ -4,6 +4,7 @@ use aiacc_compress::{Compressor, ErrorFeedback, Scheme};
 use aiacc_dnn::f16;
 use aiacc_dnn::{Mlp, MlpConfig};
 use aiacc_optim::{Adam, AdamSgd, Optimizer, Sgd};
+use aiacc_trainer::{DataParallelConfig, DataParallelTrainer};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -59,7 +60,23 @@ fn bench_mlp(c: &mut Criterion) {
     c.bench_function("mlp/loss_and_grads_b32", |b| {
         b.iter(|| black_box(mlp.loss_and_grads(&x, &y).0))
     });
+
+    // One worker's share of the `dataplane_ef` benchmark step: the
+    // 1.3M-parameter network on a 4-sample shard.
+    let big = Mlp::new(&MlpConfig::new(vec![256, 1024, 1024, 16], 1));
+    let x: Vec<f32> = (0..256 * 4).map(|i| ((i * 7919 % 2003) as f32 - 1001.0) * 1e-3).collect();
+    let y: Vec<usize> = (0..4).map(|i| i * 5 % 16).collect();
+    c.bench_function("mlp/loss_and_grads_256_1024_1024_16_b4", |b| {
+        b.iter(|| black_box(big.loss_and_grads(&x, &y).0))
+    });
 }
 
-criterion_group!(benches, bench_optimizers, bench_f16, bench_mlp);
+fn bench_dataparallel(c: &mut Criterion) {
+    // The whole `dataplane_ef` step without compression: 8 workers of 4
+    // samples, the exact all-reduce and the optimizer update.
+    let mut t = DataParallelTrainer::new(DataParallelConfig::new(vec![256, 1024, 1024, 16], 8, 4));
+    c.bench_function("dataparallel/step_8x4_none", |b| b.iter(|| black_box(t.step())));
+}
+
+criterion_group!(benches, bench_optimizers, bench_f16, bench_mlp, bench_dataparallel);
 criterion_main!(benches);

@@ -74,7 +74,7 @@ impl AsyncDataParallelTrainer {
         let data = Dataset::gaussian_blobs(4096, dim, classes, config.seed ^ 0xA5A5);
         let model = Mlp::new(&MlpConfig::new(config.layer_sizes.clone(), config.seed));
         let mut history = VecDeque::with_capacity(config.staleness + 1);
-        history.push_back(model.params_flat());
+        history.push_back(model.params().to_vec());
         let optimizer = Sgd::new(config.lr);
         AsyncDataParallelTrainer { config, model, optimizer, history, data, update_count: 0 }
     }
@@ -99,9 +99,8 @@ impl AsyncDataParallelTrainer {
         for w in 0..self.config.world {
             // The stale snapshot this worker computed against.
             let lag = self.config.staleness.min(self.history.len() - 1);
-            let snapshot = self.history[self.history.len() - 1 - lag].clone();
             let mut stale_model = self.model.clone();
-            stale_model.set_params_flat(&snapshot);
+            stale_model.set_params_flat(&self.history[self.history.len() - 1 - lag]);
 
             let step = self.update_count as usize;
             let mut xs = Vec::with_capacity(b * dim);
@@ -117,12 +116,10 @@ impl AsyncDataParallelTrainer {
 
             // Apply to the LIVE parameters (the defining async property).
             let flat: Vec<f32> = grads.into_iter().flatten().collect();
-            let mut live = self.model.params_flat();
-            self.optimizer.step(&mut live, &flat);
-            self.model.set_params_flat(&live);
+            self.optimizer.step(self.model.params_mut(), &flat);
             self.update_count += 1;
 
-            self.history.push_back(self.model.params_flat());
+            self.history.push_back(self.model.params().to_vec());
             while self.history.len() > self.config.staleness + 1 {
                 self.history.pop_front();
             }

@@ -67,20 +67,25 @@ pub struct Checkpoint {
     params: Vec<f32>,
     optimizer: Sgd,
     step: u64,
+    /// Dataset position of the next step's first sample.
+    cursor: usize,
 }
 
 /// Trains a real [`Mlp`] across `world` workers: every step shards the
 /// batch, computes real gradients per worker, aggregates them through the
 /// exact ring all-reduce, and applies the same optimizer update everywhere.
 ///
-/// The numerical invariant — data-parallel training equals single-worker
-/// training on the combined batch — is enforced by tests and checked in
-/// debug builds.
+/// Every worker receives the same reduced gradient and applies the same
+/// update to the same parameters, so the replicas never differ; the
+/// trainer holds that one model and one optimizer and runs every worker's
+/// shard through it. The numerical invariant — data-parallel training
+/// equals single-worker training on the combined batch — is enforced by
+/// tests.
 #[derive(Debug, Clone)]
 pub struct DataParallelTrainer {
     config: DataParallelConfig,
-    workers: Vec<Mlp>,
-    optimizers: Vec<Sgd>,
+    model: Mlp,
+    optimizer: Sgd,
     perseus: Perseus,
     data: Dataset,
     step: u64,
@@ -102,14 +107,13 @@ impl DataParallelTrainer {
     /// Panics if the dataset dimensionality disagrees with the model input.
     pub fn with_dataset(config: DataParallelConfig, data: Dataset) -> Self {
         assert_eq!(data.dim, config.layer_sizes[0], "dataset/model dim mismatch");
-        let template = Mlp::new(&MlpConfig::new(config.layer_sizes.clone(), config.seed));
-        let workers = vec![template.clone(); config.world];
-        let optimizers = vec![Sgd::new(config.lr).with_momentum(0.9); config.world];
+        let model = Mlp::new(&MlpConfig::new(config.layer_sizes.clone(), config.seed));
+        let optimizer = Sgd::new(config.lr).with_momentum(0.9);
         let perseus = Perseus::new(
-            &template.param_layout(),
+            &model.param_layout(),
             PerseusConfig::new(config.world).with_compress(config.compress),
         );
-        DataParallelTrainer { config, workers, optimizers, perseus, data, step: 0, cursor: 0 }
+        DataParallelTrainer { config, model, optimizer, perseus, data, step: 0, cursor: 0 }
     }
 
     /// The job configuration.
@@ -122,9 +126,9 @@ impl DataParallelTrainer {
         self.step
     }
 
-    /// The (replicated) model of worker 0.
+    /// The model every worker holds a replica of.
     pub fn model(&self) -> &Mlp {
-        &self.workers[0]
+        &self.model
     }
 
     fn current_lr(&self) -> f64 {
@@ -154,7 +158,7 @@ impl DataParallelTrainer {
                 xs.extend_from_slice(f);
                 ys.push(l);
             }
-            let (loss, grads) = self.workers[w].loss_and_grads(&xs, &ys);
+            let (loss, grads) = self.model.loss_and_grads(&xs, &ys);
             loss_sum += loss;
             grads_per_worker.push(grads);
         }
@@ -164,17 +168,8 @@ impl DataParallelTrainer {
         let reduced = self.perseus.allreduce_step(grads_per_worker);
         let flat: Vec<f32> = reduced.into_iter().flatten().collect();
 
-        let lr = self.current_lr();
-        for w in 0..world {
-            self.optimizers[w].set_lr(lr);
-            let mut params = self.workers[w].params_flat();
-            self.optimizers[w].step(&mut params, &flat);
-            self.workers[w].set_params_flat(&params);
-        }
-        debug_assert!(
-            self.workers.windows(2).all(|p| p[0].params_flat() == p[1].params_flat()),
-            "workers diverged"
-        );
+        self.optimizer.set_lr(self.current_lr());
+        self.optimizer.step(self.model.params_mut(), &flat);
         self.step += 1;
         loss_sum / world as f64
     }
@@ -187,7 +182,7 @@ impl DataParallelTrainer {
 
     /// Accuracy of the replicated model on a dataset.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        self.workers[0].accuracy(&data.features, &data.labels)
+        self.model.accuracy(&data.features, &data.labels)
     }
 
     /// Exact compressed bytes one worker put on the wire in the most recent
@@ -196,61 +191,46 @@ impl DataParallelTrainer {
         self.perseus.last_step_wire_bytes()
     }
 
-    /// Snapshots the training state (worker 0's replica suffices — all are
-    /// identical).
+    /// Snapshots the training state.
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             config: self.config.clone(),
-            params: self.workers[0].params_flat(),
-            optimizer: self.optimizers[0].clone(),
+            params: self.model.params_flat(),
+            optimizer: self.optimizer.clone(),
             step: self.step,
+            cursor: self.cursor,
         }
     }
 
     /// Restarts a job from a checkpoint — the §IV node-failure recovery
-    /// path. The dataset and data cursor are rebuilt deterministically from
-    /// the configuration.
+    /// path. The dataset is rebuilt deterministically from the
+    /// configuration; the data cursor comes from the checkpoint, since
+    /// steps taken before a scale-out advanced it by a smaller world.
     pub fn restore(ckpt: Checkpoint) -> Self {
         let mut t = DataParallelTrainer::new(ckpt.config);
-        for w in &mut t.workers {
-            w.set_params_flat(&ckpt.params);
-        }
-        t.optimizers = vec![ckpt.optimizer; t.config.world];
+        t.model.set_params_flat(&ckpt.params);
+        t.optimizer = ckpt.optimizer;
         t.step = ckpt.step;
-        t.cursor = (ckpt.step as usize * t.config.world * t.config.batch_per_worker) % t.data.len();
+        t.cursor = ckpt.cursor;
         t
     }
 
-    /// Elastic scale-out (§IV): adds `extra` workers, propagating the
-    /// current parameters to the newcomers via broadcast and re-opening the
-    /// communication session at the larger world size.
+    /// Elastic scale-out (§IV): adds `extra` workers and re-opens the
+    /// communication session at the larger world size. A newcomer starts
+    /// from a broadcast of the current parameters, which is the shared
+    /// model itself.
     ///
     /// # Panics
     /// Panics if `extra` is zero.
     pub fn scale_out(&mut self, extra: usize) {
         assert!(extra > 0, "must add at least one worker");
-        let params = self.workers[0].params_flat();
-        let new_world = self.config.world + extra;
-        // Broadcast parameters into the new replicas.
-        let replicas = self.perseus.broadcast_parameters(&params);
-        let template = self.workers[0].clone();
-        for _ in 0..extra {
-            let mut m = template.clone();
-            m.set_params_flat(&replicas[0]);
-            self.workers.push(m);
-            self.optimizers.push(Sgd::new(self.current_lr()).with_momentum(0.9));
-        }
-        // Momentum state is reset on the *whole* job after membership
-        // change, exactly like a framework re-init, to keep replicas
-        // identical.
-        let lr = self.current_lr();
-        for o in &mut self.optimizers {
-            *o = Sgd::new(lr).with_momentum(0.9);
-        }
-        self.config.world = new_world;
+        // Momentum state is reset after a membership change, exactly like
+        // a framework re-init: the newcomers have none to share.
+        self.optimizer = Sgd::new(self.current_lr()).with_momentum(0.9);
+        self.config.world += extra;
         self.perseus = Perseus::new(
-            &self.workers[0].param_layout(),
-            PerseusConfig::new(new_world).with_compress(self.config.compress),
+            &self.model.param_layout(),
+            PerseusConfig::new(self.config.world).with_compress(self.config.compress),
         );
     }
 }
@@ -303,6 +283,23 @@ mod tests {
         let replayed: Vec<f64> = (0..5).map(|_| restored.step()).collect();
         assert_eq!(continued, replayed, "restart diverged from original run");
         assert_eq!(t.model().params_flat(), restored.model().params_flat());
+    }
+
+    #[test]
+    fn restore_after_scale_out_resumes_from_the_same_data() {
+        // Steps taken before a scale-out advanced the data cursor by the
+        // old world size, so the cursor cannot be recomputed from the step
+        // count at the new one.
+        let mut t = DataParallelTrainer::new(config(2));
+        t.train(7);
+        t.scale_out(1);
+        t.train(3);
+        let ckpt = t.checkpoint();
+        let continued: Vec<u64> = (0..4).map(|_| t.step().to_bits()).collect();
+        let mut restored = DataParallelTrainer::restore(ckpt);
+        let replayed: Vec<u64> = (0..4).map(|_| restored.step().to_bits()).collect();
+        assert_eq!(continued, replayed, "restart diverged from original run");
+        assert_eq!(t.model().params(), restored.model().params());
     }
 
     #[test]

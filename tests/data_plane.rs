@@ -226,3 +226,119 @@ fn gradient_values_survive_pack_unpack_at_any_granularity() {
         }
     }
 }
+
+/// FNV-1a over the bit patterns of `values`.
+fn fnv_bits(values: &[f32]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Per-step loss bits and the final parameters' hash of a 4-worker
+/// `[32, 64, 48, 8]` job, batch 5, 6 steps; `scale_at` adds two workers
+/// after that many steps.
+fn golden_run(
+    compress: Scheme,
+    decay_steps: Option<u64>,
+    scale_at: Option<u64>,
+) -> (Vec<u64>, u64) {
+    let mut cfg = DataParallelConfig::new(vec![32, 64, 48, 8], 4, 5);
+    cfg.compress = compress;
+    cfg.decay_steps = decay_steps;
+    let mut t = DataParallelTrainer::new(cfg);
+    let mut bits = Vec::new();
+    for step in 0..6 {
+        if scale_at == Some(step) {
+            t.scale_out(2);
+        }
+        bits.push(t.step().to_bits());
+    }
+    (bits, fnv_bits(&t.model().params_flat()))
+}
+
+#[test]
+fn trainer_loss_and_parameter_bits_are_pinned() {
+    // Recorded from the unblocked kernels and one model copy per worker;
+    // the blocked kernels and the shared model reproduce every bit.
+    let runs: [(&str, (Vec<u64>, u64)); 6] = [
+        ("none", golden_run(Scheme::None, None, None)),
+        ("fp16", golden_run(Scheme::Fp16, None, None)),
+        ("int8", golden_run(Scheme::Int8, None, None)),
+        ("topk:8", golden_run(Scheme::TopK { ratio: 8 }, None, None)),
+        ("decay", golden_run(Scheme::None, Some(10), None)),
+        ("scale_out", golden_run(Scheme::None, None, Some(3))),
+    ];
+    let golden: [(&[u64; 6], u64); 6] = [
+        (
+            &[
+                0x40020c80f0c68869,
+                0x4000153c98b8ff0c,
+                0x40021eb0fbc924ec,
+                0x4000c4da01289c41,
+                0x3fff1c8cafd3d75e,
+                0x3ffc7accafade0a9,
+            ],
+            0x3c1cb46861b3c8c1,
+        ),
+        (
+            &[
+                0x40020c80f0c68869,
+                0x4000153cb4cb418e,
+                0x40021eb1126905d9,
+                0x4000c4d96d5696b8,
+                0x3fff1c8e925506bc,
+                0x3ffc7acbbdd19af9,
+            ],
+            0xb6eae3ecb776ec7c,
+        ),
+        (
+            &[
+                0x40020c80f0c68869,
+                0x4000153cb919247f,
+                0x40021eca7b12de47,
+                0x4000c4c0c5b05b2b,
+                0x3fff1cf898e38915,
+                0x3ffc7ab052866a11,
+            ],
+            0x1216bb27f1be4fe4,
+        ),
+        (
+            &[
+                0x40020c80f0c68869,
+                0x400029678b7733eb,
+                0x40022c7edb8cc821,
+                0x4000f4f1e2dcbb57,
+                0x3fffb9f134b163e7,
+                0x3ffd188c27573f19,
+            ],
+            0x13ac47f3c8590882,
+        ),
+        (
+            &[
+                0x40020c80f0c68869,
+                0x4000153c98b8ff0c,
+                0x4002280d015804fc,
+                0x4000e78e35a935cc,
+                0x3fffe806692f1c50,
+                0x3ffd539e9ae3eb6e,
+            ],
+            0xa4e50670b038d952,
+        ),
+        (
+            &[
+                0x40020c80f0c68869,
+                0x4000153c98b8ff0c,
+                0x40021eb0fbc924ec,
+                0x40011b9669e0fb29,
+                0x3ffdfaccd7857d01,
+                0x3fff0afc6232d315,
+            ],
+            0xddbdc6789d3051f8,
+        ),
+    ];
+    for ((name, (bits, hash)), (want_bits, want_hash)) in runs.iter().zip(golden) {
+        assert_eq!(bits.as_slice(), want_bits, "{name}: loss bits moved");
+        assert_eq!(*hash, want_hash, "{name}: final parameters moved");
+    }
+}
