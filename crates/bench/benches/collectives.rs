@@ -21,6 +21,20 @@ fn bench_dataplane(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
+    // The `dataplane_ef` gradient: 8 workers of 1,329,168 floats.
+    let make_1m = || -> Vec<Vec<f32>> {
+        (0..8).map(|w| (0..1_329_168).map(|i| ((w * i) % 4099) as f32).collect()).collect()
+    };
+    c.bench_function("dataplane/ring_allreduce_8x1m", |b| {
+        b.iter_batched(
+            make_1m,
+            |mut bufs| {
+                ring_allreduce(&mut bufs, ReduceOp::Sum);
+                black_box(bufs[0][0])
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
     c.bench_function("dataplane/tree_allreduce_8x64k", |b| {
         b.iter_batched(
             make,

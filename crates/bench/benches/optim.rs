@@ -72,10 +72,17 @@ fn bench_mlp(c: &mut Criterion) {
 }
 
 fn bench_dataparallel(c: &mut Criterion) {
-    // The whole `dataplane_ef` step without compression: 8 workers of 4
-    // samples, the exact all-reduce and the optimizer update.
-    let mut t = DataParallelTrainer::new(DataParallelConfig::new(vec![256, 1024, 1024, 16], 8, 4));
-    c.bench_function("dataparallel/step_8x4_none", |b| b.iter(|| black_box(t.step())));
+    // The whole `dataplane_ef` step, uncompressed and with its costliest
+    // codec: 8 workers of 4 samples, the exact all-reduce and the optimizer
+    // update.
+    for (name, scheme) in [("none", Scheme::None), ("topk64", Scheme::TopK { ratio: 64 })] {
+        let mut cfg = DataParallelConfig::new(vec![256, 1024, 1024, 16], 8, 4);
+        cfg.compress = scheme;
+        let mut t = DataParallelTrainer::new(cfg);
+        c.bench_function(&format!("dataparallel/step_8x4_{name}"), |b| {
+            b.iter(|| black_box(t.step()))
+        });
+    }
 }
 
 criterion_group!(benches, bench_optimizers, bench_f16, bench_mlp, bench_dataparallel);

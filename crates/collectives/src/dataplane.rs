@@ -1,9 +1,14 @@
 //! Exact, chunk-level execution of the collective algorithms on real data.
 //!
-//! Buffers are indexed by worker rank. Within one step of the lock-step ring
-//! of Fig. 1 every worker sends one chunk and receives another, so no chunk
-//! is both read and written in the same step: applying the transfers in
-//! place, one after another, equals sending them all simultaneously.
+//! Buffers are indexed by worker rank. The ring of Fig. 1 is a
+//! reduce-scatter followed by an all-gather. In one address space the
+//! all-gather is pure copying, and the reduce-scatter's result is a fixed
+//! per-element fold order, so [`ring_fold`] computes that order directly
+//! instead of emulating the `2(w − 1)` lock-step chunk transfers; every
+//! result is bit-identical to the emulation's.
+
+use aiacc_simnet::par;
+use std::ops::Range;
 
 /// The reduction operator applied by an all-reduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,23 +22,27 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    /// `a[i] = a[i] ⊕ b[i]`.
-    fn fold(self, a: &mut [f32], b: &[f32]) {
-        debug_assert_eq!(a.len(), b.len());
+    /// `acc[i] = dst[i] ⊕ acc[i]`: one ring hop, where `dst` is the
+    /// receiving worker's buffer and `acc` the partial reduction it
+    /// receives. The operand order is the ring's, which matters for the
+    /// signed zeros of `Min` and `Max`.
+    fn fold_onto(self, acc: &mut [f32], dst: &[f32]) {
+        debug_assert_eq!(acc.len(), dst.len());
         match self {
             ReduceOp::Sum => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += *y;
+                // IEEE addition commutes, so this is `dst + acc` bit for bit.
+                for (a, d) in acc.iter_mut().zip(dst) {
+                    *a += *d;
                 }
             }
             ReduceOp::Min => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x = x.min(*y);
+                for (a, d) in acc.iter_mut().zip(dst) {
+                    *a = d.min(*a);
                 }
             }
             ReduceOp::Max => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x = x.max(*y);
+                for (a, d) in acc.iter_mut().zip(dst) {
+                    *a = d.max(*a);
                 }
             }
         }
@@ -47,12 +56,79 @@ pub fn chunk_range(len: usize, w: usize, i: usize) -> std::ops::Range<usize> {
     (i * len / w)..((i + 1) * len / w)
 }
 
+/// Output elements per block of the fold's fan-out: the block and the
+/// matching slice of each input stay in cache while the inputs fold in.
+const FOLD_BLOCK: usize = 1 << 13;
+
+/// Folds workers `c + 1, …, c + w − 1` (mod `w`) into `acc`, which holds
+/// worker `c`'s values of part of chunk `c` on entry; `src(j)` is worker
+/// `j`'s slice of the same elements. This is the ring's reduce-scatter
+/// order for chunk `c`, each hop computing `acc = b[j] ⊕ acc` on the
+/// receiving worker `j`, and the one implementation of it.
+fn fold_chunk<'a>(
+    op: ReduceOp,
+    c: usize,
+    w: usize,
+    acc: &mut [f32],
+    src: impl Fn(usize) -> &'a [f32],
+) {
+    for k in 1..w {
+        op.fold_onto(acc, src((c + k) % w));
+    }
+}
+
+/// The elements of chunk `c` (of `w` over length `len`) that fall in the
+/// block `lo..hi`, relative to `lo`; empty if none do.
+fn chunk_in_block(len: usize, w: usize, c: usize, lo: usize, hi: usize) -> Range<usize> {
+    let r = chunk_range(len, w, c);
+    r.start.clamp(lo, hi) - lo..r.end.clamp(lo, hi) - lo
+}
+
+/// The ring all-reduce's result, computed directly into `out`, then
+/// multiplied by `scale` when one is given (a fused averaging step).
+///
+/// Every element is folded in exactly the order the ring's reduce-scatter
+/// folds it (see the module docs), so the result is bit-identical to the
+/// lock-step ring's. Output blocks run on the shared pool, `par::jobs()`
+/// wide; each element's fold is independent of the blocking, so the
+/// result does not depend on the thread count.
+///
+/// # Panics
+/// Panics if `bufs` is empty or any buffer's length differs from
+/// `out.len()`.
+pub fn ring_fold<B: AsRef<[f32]> + Sync>(
+    bufs: &[B],
+    op: ReduceOp,
+    scale: Option<f32>,
+    out: &mut [f32],
+) {
+    let (w, len) = (bufs.len(), out.len());
+    assert!(w > 0, "no workers");
+    assert!(bufs.iter().all(|b| b.as_ref().len() == len), "buffer length mismatch");
+    let mut blocks: Vec<&mut [f32]> = out.chunks_mut(FOLD_BLOCK).collect();
+    par::map_mut(&mut blocks, par::jobs(), |bi, block| {
+        let lo = bi * FOLD_BLOCK;
+        for c in 0..w {
+            let r = chunk_in_block(len, w, c, lo, lo + block.len());
+            let at = lo + r.start..lo + r.end;
+            let acc = &mut block[r];
+            acc.copy_from_slice(&bufs[c].as_ref()[at.clone()]);
+            fold_chunk(op, c, w, acc, |j| &bufs[j].as_ref()[at.clone()]);
+            if let Some(k) = scale {
+                for v in acc.iter_mut() {
+                    *v *= k;
+                }
+            }
+        }
+    });
+}
+
 /// Ring all-reduce over one buffer per worker (Fig. 1).
 ///
-/// Runs `w − 1` reduce-scatter steps followed by `w − 1` all-gather steps; on
-/// return every buffer holds the element-wise reduction of all inputs, and
-/// every worker's copy is **bit-identical** (reductions are applied in the
-/// same order on every chunk).
+/// On return every buffer holds the element-wise reduction of all inputs,
+/// folded in the ring's order (as [`ring_fold`]), and every worker's copy
+/// is **bit-identical**: each block is folded once and then copied to
+/// every buffer, with blocks spread over the shared pool.
 ///
 /// # Panics
 /// Panics if buffers are empty or have differing lengths.
@@ -64,44 +140,38 @@ pub fn ring_allreduce(bufs: &mut [Vec<f32>], op: ReduceOp) {
     if w == 1 || len == 0 {
         return;
     }
-    ring_reduce_scatter(bufs, op);
-
-    // After reduce-scatter, worker i owns the complete reduction of chunk
-    // (i + 1) mod w. All-gather: at step s, worker i sends chunk
-    // (i + 1 − s) mod w onward; the receiver overwrites.
-    for s in 0..w - 1 {
-        for i in 0..w {
-            let r = chunk_range(len, w, (i + 1 + w - s % w) % w);
-            let (src, dst) = src_dst(bufs, i, (i + 1) % w);
-            dst[r.clone()].copy_from_slice(&src[r]);
+    // Block `i` of every worker's buffer, as one row per block.
+    let mut rows: Vec<Vec<&mut [f32]>> =
+        (0..len.div_ceil(FOLD_BLOCK)).map(|_| Vec::with_capacity(w)).collect();
+    for b in bufs.iter_mut() {
+        for (row, block) in rows.iter_mut().zip(b.chunks_mut(FOLD_BLOCK)) {
+            row.push(block);
         }
     }
-}
-
-/// The reduce-scatter phase of the ring, in place: at step s, worker i sends
-/// chunk (i − s) mod w to worker (i + 1) mod w, which folds it into its own
-/// copy. Afterwards worker i holds the full reduction of chunk (i + 1) mod w.
-fn ring_reduce_scatter(bufs: &mut [Vec<f32>], op: ReduceOp) {
-    let w = bufs.len();
-    let len = bufs[0].len();
-    for s in 0..w.saturating_sub(1) {
-        for i in 0..w {
-            let r = chunk_range(len, w, (i + w - s % w) % w);
-            let (src, dst) = src_dst(bufs, i, (i + 1) % w);
-            op.fold(&mut dst[r.clone()], &src[r]);
+    par::map_mut(&mut rows, par::jobs(), |bi, row| {
+        let lo = bi * FOLD_BLOCK;
+        let hi = lo + row[0].len();
+        for c in 0..w {
+            // The ring passes chunk `c`'s running fold from worker to
+            // worker; here it stays in worker `c`'s buffer, whose values it
+            // starts from, and every other worker then copies the result.
+            let r = chunk_in_block(len, w, c, lo, hi);
+            let (before, rest) = row.split_at_mut(c);
+            let (own, after) = rest.split_first_mut().expect("chunk index below world");
+            let acc = &mut own[r.clone()];
+            let (pre, post): (&[&mut [f32]], &[&mut [f32]]) = (before, after);
+            fold_chunk(op, c, w, acc, |j| {
+                if j < c {
+                    &pre[j][r.clone()]
+                } else {
+                    &post[j - c - 1][r.clone()]
+                }
+            });
+            for b in before.iter_mut().chain(after.iter_mut()) {
+                b[r.clone()].copy_from_slice(acc);
+            }
         }
-    }
-}
-
-/// Worker `src`'s buffer to read and worker `dst`'s to write, `src != dst`.
-fn src_dst(bufs: &mut [Vec<f32>], src: usize, dst: usize) -> (&[f32], &mut [f32]) {
-    if src < dst {
-        let (lo, hi) = bufs.split_at_mut(dst);
-        (&lo[src], &mut hi[0])
-    } else {
-        let (lo, hi) = bufs.split_at_mut(src);
-        (&hi[0], &mut lo[dst])
-    }
+    });
 }
 
 /// Hierarchical ("tree") all-reduce (§V-B): ring all-reduce within each node,
@@ -149,19 +219,17 @@ pub fn broadcast(bufs: &mut [Vec<f32>], root: usize) {
 }
 
 /// Ring reduce-scatter only: returns each worker's fully reduced chunk
-/// (worker `i` owns chunk `(i + 1) mod w`).
+/// (worker `i` owns chunk `(i + 1) mod w`), folded in the ring's order.
+///
+/// # Panics
+/// Panics if buffers are empty or have differing lengths.
 pub fn reduce_scatter(bufs: &mut [Vec<f32>], op: ReduceOp) -> Vec<Vec<f32>> {
     let w = bufs.len();
     assert!(w > 0, "no workers");
     let len = bufs[0].len();
-    let mut work = bufs.to_vec();
-    ring_reduce_scatter(&mut work, op);
-    (0..w)
-        .map(|i| {
-            let c = (i + 1) % w;
-            work[i][chunk_range(len, w, c)].to_vec()
-        })
-        .collect()
+    let mut out = vec![0.0; len];
+    ring_fold(bufs, op, None, &mut out);
+    (0..w).map(|i| out[chunk_range(len, w, (i + 1) % w)].to_vec()).collect()
 }
 
 /// All-gather: worker `i` contributes `chunks[i]`; every worker receives the
@@ -195,9 +263,107 @@ pub fn allreduce_and_bits(vecs: &mut [Vec<u64>]) {
     }
 }
 
+/// The step-by-step ring emulation [`ring_fold`] replaced, kept verbatim as
+/// the oracle for its fold order.
+#[cfg(test)]
+mod reference {
+    use super::{chunk_range, ReduceOp};
+
+    /// `a[i] = a[i] ⊕ b[i]`.
+    fn fold(op: ReduceOp, a: &mut [f32], b: &[f32]) {
+        debug_assert_eq!(a.len(), b.len());
+        match op {
+            ReduceOp::Sum => {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x += *y;
+                }
+            }
+            ReduceOp::Min => {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x = x.min(*y);
+                }
+            }
+            ReduceOp::Max => {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x = x.max(*y);
+                }
+            }
+        }
+    }
+
+    /// Runs `w − 1` reduce-scatter steps followed by `w − 1` all-gather
+    /// steps.
+    pub fn ring_allreduce(bufs: &mut [Vec<f32>], op: ReduceOp) {
+        let w = bufs.len();
+        assert!(w > 0, "no workers");
+        let len = bufs[0].len();
+        assert!(bufs.iter().all(|b| b.len() == len), "buffer length mismatch");
+        if w == 1 || len == 0 {
+            return;
+        }
+        ring_reduce_scatter(bufs, op);
+
+        // After reduce-scatter, worker i owns the complete reduction of chunk
+        // (i + 1) mod w. All-gather: at step s, worker i sends chunk
+        // (i + 1 − s) mod w onward; the receiver overwrites.
+        for s in 0..w - 1 {
+            for i in 0..w {
+                let r = chunk_range(len, w, (i + 1 + w - s % w) % w);
+                let (src, dst) = src_dst(bufs, i, (i + 1) % w);
+                dst[r.clone()].copy_from_slice(&src[r]);
+            }
+        }
+    }
+
+    /// The reduce-scatter phase of the ring, in place: at step s, worker i sends
+    /// chunk (i − s) mod w to worker (i + 1) mod w, which folds it into its own
+    /// copy. Afterwards worker i holds the full reduction of chunk (i + 1) mod w.
+    fn ring_reduce_scatter(bufs: &mut [Vec<f32>], op: ReduceOp) {
+        let w = bufs.len();
+        let len = bufs[0].len();
+        for s in 0..w.saturating_sub(1) {
+            for i in 0..w {
+                let r = chunk_range(len, w, (i + w - s % w) % w);
+                let (src, dst) = src_dst(bufs, i, (i + 1) % w);
+                fold(op, &mut dst[r.clone()], &src[r]);
+            }
+        }
+    }
+
+    /// Worker `src`'s buffer to read and worker `dst`'s to write, `src != dst`.
+    fn src_dst(bufs: &mut [Vec<f32>], src: usize, dst: usize) -> (&[f32], &mut [f32]) {
+        if src < dst {
+            let (lo, hi) = bufs.split_at_mut(dst);
+            (&lo[src], &mut hi[0])
+        } else {
+            let (lo, hi) = bufs.split_at_mut(src);
+            (&hi[0], &mut lo[dst])
+        }
+    }
+
+    /// Ring reduce-scatter only: returns each worker's fully reduced chunk
+    /// (worker `i` owns chunk `(i + 1) mod w`).
+    pub fn reduce_scatter(bufs: &mut [Vec<f32>], op: ReduceOp) -> Vec<Vec<f32>> {
+        let w = bufs.len();
+        assert!(w > 0, "no workers");
+        let len = bufs[0].len();
+        let mut work = bufs.to_vec();
+        ring_reduce_scatter(&mut work, op);
+        (0..w)
+            .map(|i| {
+                let c = (i + 1) % w;
+                work[i][chunk_range(len, w, c)].to_vec()
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn make_bufs(w: usize, len: usize) -> Vec<Vec<f32>> {
         (0..w).map(|i| (0..len).map(|j| (i * len + j) as f32 * 0.5 + 1.0).collect()).collect()
@@ -329,6 +495,111 @@ mod tests {
         for v in &vecs {
             assert_eq!(v[0], 0b101);
         }
+    }
+
+    const SPECIAL: [f32; 10] = [
+        0.0,
+        -0.0,
+        1e-40,  // subnormal
+        -3e-39, // subnormal
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MAX,
+        1.0,
+        -0.5,
+    ];
+
+    /// `len` values, uniform or (one in four) an IEEE edge case.
+    fn values(rng: &mut StdRng, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                if rng.random_range(0u32..4) == 0 {
+                    SPECIAL[rng.random_range(0..SPECIAL.len())]
+                } else {
+                    rng.random_range(-100.0f32..100.0)
+                }
+            })
+            .collect()
+    }
+
+    /// Bitwise equality, except that all NaNs form one class and, for
+    /// `Min` and `Max`, +0.0 equals −0.0: Rust leaves a NaN result's sign
+    /// and payload, and which zero `min`/`max` return, unspecified.
+    fn assert_same(op: ReduceOp, got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits()
+                || (g.is_nan() && w.is_nan())
+                || (op != ReduceOp::Sum && *g == 0.0 && *w == 0.0);
+            assert!(same, "{what}: element {i}: {g:?} vs reference {w:?}");
+        }
+    }
+
+    /// `ring_allreduce` and `reduce_scatter` against the step-by-step
+    /// emulation on one set of buffers.
+    fn assert_matches_reference(bufs: &[Vec<f32>], op: ReduceOp) {
+        let mut got = bufs.to_vec();
+        let mut want = bufs.to_vec();
+        ring_allreduce(&mut got, op);
+        reference::ring_allreduce(&mut want, op);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_same(op, g, w, &format!("{op:?} all-reduce, worker {i}"));
+        }
+        let got = reduce_scatter(&mut bufs.to_vec(), op);
+        let want = reference::reduce_scatter(&mut bufs.to_vec(), op);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_same(op, g, w, &format!("{op:?} reduce-scatter, worker {i}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every world size 1..=9 against lengths 0..=64 (empty chunks
+        /// included), for every operator, with signed zeros, infinities,
+        /// NaN and subnormals mixed into the inputs.
+        #[test]
+        fn ring_fold_matches_step_by_step_ring(
+            w in 1usize..=9,
+            len in 0usize..=64,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bufs: Vec<Vec<f32>> = (0..w).map(|_| values(&mut rng, len)).collect();
+            for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
+                assert_matches_reference(&bufs, op);
+            }
+        }
+    }
+
+    /// The `dataplane_ef` gradient: 8 workers × 1,329,168 floats, cut into
+    /// its 4 MiB packing units. Run with
+    /// `cargo test --release -p aiacc-collectives -- --ignored`.
+    #[test]
+    #[ignore]
+    fn ring_fold_matches_step_by_step_ring_at_benchmark_size() {
+        const PARAMS: usize = 1_329_168;
+        const UNIT: usize = 1 << 20;
+        let mut rng = StdRng::seed_from_u64(1);
+        let full: Vec<Vec<f32>> = (0..8).map(|_| values(&mut rng, PARAMS)).collect();
+        for lo in (0..PARAMS).step_by(UNIT) {
+            let hi = (lo + UNIT).min(PARAMS);
+            let unit: Vec<Vec<f32>> = full.iter().map(|b| b[lo..hi].to_vec()).collect();
+            for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
+                assert_matches_reference(&unit, op);
+            }
+        }
+    }
+
+    #[test]
+    fn ring_fold_scales_after_folding() {
+        let bufs = [vec![1.0f32, 2.0, 3.0], vec![3.0, 4.0, 5.0]];
+        let mut out = [0.0f32; 3];
+        ring_fold(&bufs, ReduceOp::Sum, Some(0.5), &mut out);
+        assert_eq!(out, [2.0, 3.0, 4.0]);
+        ring_fold(&bufs, ReduceOp::Max, None, &mut out);
+        assert_eq!(out, [3.0, 4.0, 5.0]);
     }
 
     #[test]

@@ -408,7 +408,10 @@ fn compress_topk(values: &[f32], ratio: u32) -> Compressed {
 /// gradient a lossy compressor drops this iteration is accumulated and
 /// re-injected into the next one, so the *long-run* update is unbiased
 /// even though each wire payload is lossy.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The residual is part of a training run's state: a checkpoint that drops
+/// it does not resume the same run.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ErrorFeedback {
     residual: Vec<f32>,
 }

@@ -2,23 +2,39 @@
 //!
 //! Named after AIACC-Training's unified communication API (§IV). This is the
 //! *numerical* counterpart of the timing engine: real `f32` gradients from
-//! real training workers are packed into all-reduce units, pushed through
-//! the exact chunk-level ring (or hierarchical) all-reduce, optionally
-//! compressed to fp16 for the wire, averaged, and unpacked — with the
-//! guarantee that every worker receives **bit-identical** aggregated
-//! gradients.
+//! real training workers are packed into all-reduce units, optionally
+//! compressed for the wire with error feedback, reduced in the exact ring
+//! (or hierarchical) all-reduce order, and averaged — with the guarantee
+//! that every worker receives **bit-identical** aggregated gradients.
 //!
 //! The API is lock-step: one call aggregates one iteration's gradients for
 //! all workers, mirroring how the simulation's workers are modelled in a
-//! single process.
+//! single process. The core, [`Perseus::allreduce_flat`], takes one flat
+//! gradient per worker (all tensors back to back in registration order).
+//! Units are packed in gradient-id order, so every unit is a contiguous
+//! slice of that flat buffer: a worker's codec runs in place on its unit
+//! slices, and the ring path folds those slices straight into the output
+//! ([`ring_fold`]) with the averaging multiply fused, with no per-worker
+//! gather copy. [`Perseus::allreduce_step`] is the per-tensor wrapper.
+//!
+//! # Threading
+//!
+//! A call fans out on the shared pool (`aiacc_simnet::pool`,
+//! `par::jobs()` wide): one pool index per worker for the codecs, each
+//! touching only that worker's buffer and residuals, then blocks of the
+//! output for the fold. Every output element is computed by one thread in
+//! a fixed order, so results are identical for any pool width, and inline
+//! when the pool is busy. The session itself is `Send` but not `Sync`.
 
-use crate::packing::{pack_units, AllReduceUnit};
+use crate::packing::pack_units;
 use crate::registry::GradientRegistry;
-use aiacc_collectives::dataplane::{ring_allreduce, tree_allreduce, ReduceOp};
-use aiacc_compress::{ErrorFeedback, Scheme};
+use aiacc_collectives::dataplane::{ring_fold, tree_allreduce, ReduceOp};
+use aiacc_compress::{Compressor, ErrorFeedback, Scheme};
 use aiacc_dnn::DType;
+use aiacc_simnet::par;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 
 /// Configuration of a [`Perseus`] data-plane session.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -107,16 +123,13 @@ impl PerseusConfig {
 pub struct Perseus {
     cfg: PerseusConfig,
     registry: GradientRegistry,
-    /// Every registered gradient packed into units (§V-B): a pure function
-    /// of the registry and granularity, so all workers agree.
-    units: Vec<AllReduceUnit>,
-    /// Error-feedback state, `[worker][unit]`, lazily grown on first use.
-    /// Interior mutability keeps the lock-step `&self` API: the session is
-    /// single-threaded by construction (one call aggregates everyone).
+    /// Every registered gradient packed into units (§V-B), as element
+    /// ranges of the flat gradient: a pure function of the registry and
+    /// granularity, so all workers agree.
+    units: Vec<Range<usize>>,
+    /// Error-feedback state, `[worker][unit]`. Interior mutability keeps
+    /// the lock-step `&self` API: one call aggregates everyone.
     ef: RefCell<Vec<Vec<ErrorFeedback>>>,
-    /// One gather buffer per worker, reused for every unit of every step;
-    /// allocated on the first step with the largest unit's capacity.
-    gather: RefCell<Vec<Vec<f32>>>,
     /// Exact compressed bytes each worker put on the wire last step.
     last_wire_bytes: Cell<u64>,
 }
@@ -126,23 +139,48 @@ impl Perseus {
     /// (`(name, element_count)` in registration order).
     pub fn new(layout: &[(String, usize)], cfg: PerseusConfig) -> Self {
         let registry = GradientRegistry::from_layout(layout, DType::F32);
-        let (mut units, partial) =
+        let (mut packed, partial) =
             pack_units(&registry, registry.iter().map(|g| g.id), cfg.granularity);
-        units.extend(partial);
-        let ef = RefCell::new(vec![Vec::new(); cfg.world]);
-        Perseus {
-            cfg,
-            registry,
-            units,
-            ef,
-            gather: RefCell::new(Vec::new()),
-            last_wire_bytes: Cell::new(0),
-        }
+        packed.extend(partial);
+        // Units take gradients in ascending id order and fill up before the
+        // next one starts, so each is the next contiguous run of the flat
+        // gradient.
+        let starts: Vec<usize> = registry
+            .iter()
+            .scan(0, |at, g| {
+                let start = *at;
+                *at += g.elems;
+                Some(start)
+            })
+            .collect();
+        let mut at = 0;
+        let units: Vec<Range<usize>> = packed
+            .iter()
+            .map(|unit| {
+                let start = at;
+                for seg in &unit.segments {
+                    debug_assert_eq!(
+                        starts[seg.grad.as_usize()] + seg.offset,
+                        at,
+                        "non-contiguous unit"
+                    );
+                    at += seg.elems;
+                }
+                start..at
+            })
+            .collect();
+        debug_assert_eq!(
+            at,
+            registry.iter().map(|g| g.elems).sum::<usize>(),
+            "units miss elements"
+        );
+        let ef = RefCell::new(vec![vec![ErrorFeedback::new(); units.len()]; cfg.world]);
+        Perseus { cfg, registry, units, ef, last_wire_bytes: Cell::new(0) }
     }
 
     /// Exact bytes one worker's compressed payloads occupied on the wire in
-    /// the most recent [`Perseus::allreduce_step`] (every worker sends the
-    /// same amount — the wire size is a closed form over element counts).
+    /// the most recent step (every worker sends the same amount — the wire
+    /// size is a closed form over element counts).
     pub fn last_step_wire_bytes(&self) -> u64 {
         self.last_wire_bytes.get()
     }
@@ -157,87 +195,118 @@ impl Perseus {
         &self.registry
     }
 
+    /// Total gradient elements: the length of one flat gradient.
+    pub fn elems(&self) -> usize {
+        self.units.last().map_or(0, |u| u.end)
+    }
+
     /// Aggregates one iteration's gradients.
     ///
     /// `grads_per_worker[w][t]` is worker `w`'s gradient for registered
     /// tensor `t`. Returns the aggregated (averaged, unless configured as a
     /// sum) gradients — identical for every worker, so a single copy is
-    /// returned.
+    /// returned. A wrapper over [`Perseus::allreduce_flat`].
     ///
     /// # Panics
     /// Panics if the outer length differs from the world size or any tensor
     /// shape disagrees with the registry.
     pub fn allreduce_step(&self, grads_per_worker: Vec<Vec<Vec<f32>>>) -> Vec<Vec<f32>> {
-        let w = self.cfg.world;
-        assert_eq!(grads_per_worker.len(), w, "expected one gradient set per worker");
+        assert_eq!(grads_per_worker.len(), self.cfg.world, "expected one gradient set per worker");
         for (wi, set) in grads_per_worker.iter().enumerate() {
             assert_eq!(set.len(), self.registry.len(), "worker {wi}: wrong tensor count");
-            for (ti, t) in set.iter().enumerate() {
-                assert_eq!(
-                    t.len(),
-                    self.registry.get(aiacc_dnn::GradId(ti as u32)).elems,
-                    "worker {wi} tensor {ti}: wrong length"
-                );
+            for (t, (g, info)) in set.iter().zip(self.registry.iter()).enumerate() {
+                assert_eq!(g.len(), info.elems, "worker {wi} tensor {t}: wrong length");
             }
         }
+        let mut flat: Vec<Vec<f32>> =
+            grads_per_worker.into_iter().map(|set| set.concat()).collect();
+        let mut out = vec![0.0; self.elems()];
+        self.allreduce_flat(&mut flat, &mut out);
+        let mut rest = &out[..];
+        self.registry
+            .iter()
+            .map(|info| {
+                let (t, tail) = rest.split_at(info.elems);
+                rest = tail;
+                t.to_vec()
+            })
+            .collect()
+    }
 
-        let mut out: Vec<Vec<f32>> = self.registry.iter().map(|g| vec![0.0; g.elems]).collect();
-        let mut ef = self.ef.borrow_mut();
-        let mut gather = self.gather.borrow_mut();
-        if gather.is_empty() {
-            let cap = self.units.iter().map(AllReduceUnit::elems).max().unwrap_or(0);
-            *gather = (0..w).map(|_| Vec::with_capacity(cap)).collect();
-        }
+    /// Aggregates one iteration's flat gradients into `out`.
+    ///
+    /// `grads[w]` is worker `w`'s gradient with every registered tensor
+    /// back to back in registration order (an `Mlp::params` layout). On
+    /// return `out` holds the aggregate (averaged, unless configured as a
+    /// sum) and each `grads[w]` holds what the wire delivered for that
+    /// worker: its values after compensated compression, which is what the
+    /// reduction consumed.
+    ///
+    /// # Panics
+    /// Panics if `grads.len()` differs from the world size, or any buffer's
+    /// length from [`Perseus::elems`].
+    pub fn allreduce_flat(&self, grads: &mut [Vec<f32>], out: &mut [f32]) {
+        let w = self.cfg.world;
+        assert_eq!(grads.len(), w, "expected one gradient buffer per worker");
+        let n = self.elems();
+        assert!(grads.iter().all(|g| g.len() == n), "gradient length mismatch");
+        assert_eq!(out.len(), n, "output length mismatch");
         let scheme = self.cfg.compress;
-        let mut step_wire: u64 = 0;
+        let units = &self.units;
 
-        for (ui, unit) in self.units.iter().enumerate() {
-            for (wi, buf) in gather.iter_mut().enumerate() {
-                // Gather this worker's unit payload.
-                buf.clear();
-                for seg in &unit.segments {
-                    let t = &grads_per_worker[wi][seg.grad.as_usize()];
-                    buf.extend_from_slice(&t[seg.offset..seg.offset + seg.elems]);
+        if scheme.is_lossy() {
+            // Compensated compression, one worker per pool index: the
+            // reduction consumes exactly what the wire would deliver; what
+            // the codec drops lands in this worker's residual and rides
+            // along next iteration.
+            let mut ef = self.ef.borrow_mut();
+            let mut lanes: Vec<(&mut Vec<f32>, &mut Vec<ErrorFeedback>)> =
+                grads.iter_mut().zip(ef.iter_mut()).collect();
+            par::map_mut(&mut lanes, par::jobs(), |_, (g, efs)| {
+                for (u, e) in units.iter().zip(efs.iter_mut()) {
+                    e.compress_step(scheme, &mut g[u.clone()]);
                 }
-                // Compensated compression: the reduction consumes exactly
-                // what the wire would deliver; what the codec drops lands in
-                // this worker's residual and rides along next iteration.
-                // `Scheme::None` passes through and keeps no residual.
-                if ef[wi].len() <= ui {
-                    ef[wi].resize_with(ui + 1, ErrorFeedback::new);
-                }
-                let wire = ef[wi][ui].compress_step(scheme, buf);
-                if wi == 0 {
-                    step_wire += wire;
-                }
-            }
+            });
+        }
 
+        let scale = self.cfg.average.then(|| 1.0 / w as f32);
+        for u in units {
+            let out = &mut out[u.clone()];
             match self.cfg.gpus_per_node {
-                Some(g) => tree_allreduce(&mut gather, g, ReduceOp::Sum),
-                None => ring_allreduce(&mut gather, ReduceOp::Sum),
-            }
-            debug_assert!(gather.windows(2).all(|p| p[0] == p[1]), "workers diverged");
-
-            // Unpack (Algorithm 1, l. 13) from worker 0's — identical — copy.
-            let reduced = &gather[0];
-            let mut off = 0;
-            for seg in &unit.segments {
-                let dst = &mut out[seg.grad.as_usize()][seg.offset..seg.offset + seg.elems];
-                dst.copy_from_slice(&reduced[off..off + seg.elems]);
-                off += seg.elems;
-            }
-        }
-
-        self.last_wire_bytes.set(step_wire);
-        if self.cfg.average {
-            let inv = 1.0 / w as f32;
-            for t in &mut out {
-                for v in t.iter_mut() {
-                    *v *= inv;
+                None => {
+                    let slices: Vec<&[f32]> = grads.iter().map(|g| &g[u.clone()]).collect();
+                    ring_fold(&slices, ReduceOp::Sum, scale, out);
+                }
+                Some(g) => {
+                    let mut bufs: Vec<Vec<f32>> =
+                        grads.iter().map(|b| b[u.clone()].to_vec()).collect();
+                    tree_allreduce(&mut bufs, g, ReduceOp::Sum);
+                    out.copy_from_slice(&bufs[0]);
+                    if let Some(k) = scale {
+                        for v in out.iter_mut() {
+                            *v *= k;
+                        }
+                    }
                 }
             }
         }
-        out
+        self.last_wire_bytes.set(units.iter().map(|u| scheme.wire_bytes(u.len())).sum());
+    }
+
+    /// The error-feedback residuals, `[worker][unit]`: session state that a
+    /// checkpoint must carry for a lossy scheme to resume the same run.
+    pub fn error_feedback(&self) -> Vec<Vec<ErrorFeedback>> {
+        self.ef.borrow().clone()
+    }
+
+    /// Restores residuals saved by [`Perseus::error_feedback`].
+    ///
+    /// # Panics
+    /// Panics if the shape is not `[world][units]` of this session.
+    pub fn restore_error_feedback(&mut self, ef: Vec<Vec<ErrorFeedback>>) {
+        assert_eq!(ef.len(), self.cfg.world, "residuals for a different world size");
+        assert!(ef.iter().all(|e| e.len() == self.units.len()), "residuals for different units");
+        *self.ef.get_mut() = ef;
     }
 
     /// Broadcasts `params` from the root to all workers — used when an

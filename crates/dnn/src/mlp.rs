@@ -170,11 +170,49 @@ impl Mlp {
     ///
     /// Gradients come back as one `Vec<f32>` per parameter tensor in
     /// registration order (`w0, b0, w1, b1, …`), averaged over the batch —
-    /// ready to feed through the collectives' data plane.
+    /// ready to feed through the collectives' data plane. The values are
+    /// [`Mlp::loss_and_grads_into`]'s, split per tensor.
     ///
     /// # Panics
     /// Panics on shape mismatch or a label out of range.
     pub fn loss_and_grads(&self, x: &[f32], labels: &[usize]) -> (f64, Vec<Vec<f32>>) {
+        let mut grads: Vec<Vec<f32>> = self.tensor_lens().map(|n| vec![0.0; n]).collect();
+        let mut slices: Vec<&mut [f32]> = grads.iter_mut().map(Vec::as_mut_slice).collect();
+        let loss = self.backprop(x, labels, &mut slices);
+        (loss, grads)
+    }
+
+    /// Mean cross-entropy loss for a labelled batch, writing the gradients
+    /// into `out` in [`Mlp::params`] layout (`w0, b0, w1, b1, …`), averaged
+    /// over the batch. `out` is overwritten, not accumulated into, so one
+    /// buffer serves every step.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch, a label out of range, or
+    /// `out.len() != self.num_params()`.
+    pub fn loss_and_grads_into(&self, x: &[f32], labels: &[usize], out: &mut [f32]) -> f64 {
+        assert_eq!(out.len(), self.num_params(), "gradient length mismatch");
+        // The parameter-gradient kernel accumulates from +0.0.
+        out.fill(0.0);
+        let mut slices = Vec::with_capacity(2 * self.num_layers());
+        let mut rest = out;
+        for n in self.tensor_lens() {
+            let (g, tail) = rest.split_at_mut(n);
+            slices.push(g);
+            rest = tail;
+        }
+        self.backprop(x, labels, &mut slices)
+    }
+
+    /// Element counts of the parameter tensors in registration order.
+    fn tensor_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.sizes.windows(2).flat_map(|d| [d[0] * d[1], d[1]])
+    }
+
+    /// Mean loss of the batch, accumulating the batch-averaged gradients
+    /// into `grads`: one zeroed slice per parameter tensor, in registration
+    /// order. The one backward pass behind both gradient layouts.
+    fn backprop(&self, x: &[f32], labels: &[usize], grads: &mut [&mut [f32]]) -> f64 {
         let batch = labels.len();
         assert_eq!(x.len(), batch * self.input_dim(), "bad input shape");
         assert!(batch > 0, "empty batch");
@@ -182,18 +220,12 @@ impl Mlp {
         let (loss, delta) = softmax_cross_entropy(acts.last().expect("layers"), labels);
 
         let scale = 1.0 / batch as f32;
-        let mut grads: Vec<Vec<f32>> = Vec::with_capacity(2 * self.num_layers());
-        for d in self.sizes.windows(2) {
-            grads.push(vec![0.0; d[0] * d[1]]);
-            grads.push(vec![0.0; d[1]]);
-        }
-
         // Backward through layers.
         let mut dz = delta;
         for l in (0..self.num_layers()).rev() {
             let (w, _) = self.layer(l);
             let (gw, gb) = grads[2 * l..].split_at_mut(1);
-            dense_param_grads(&dz, &acts[l], scale, &mut gw[0], &mut gb[0]);
+            dense_param_grads(&dz, &acts[l], scale, gw[0], gb[0]);
             if l == 0 {
                 break;
             }
@@ -202,7 +234,7 @@ impl Mlp {
             dense_input_grads(&dz, w, batch, &pre[l - 1], &mut dprev);
             dz = dprev;
         }
-        (loss, grads)
+        loss
     }
 
     /// Applies a flat gradient with plain SGD: `p -= lr * g` (convenience for
@@ -563,6 +595,12 @@ mod tests {
         for (t, (g, want)) in grads.iter().zip(&want_grads).enumerate() {
             assert_eq!(bits(g), bits(want), "gradient tensor {t}");
         }
+        // The flat form overwrites a dirty buffer with the same bits.
+        let mut flat = vec![-0.0f32; m.num_params()];
+        flat.iter_mut().step_by(3).for_each(|v| *v = f32::NAN);
+        let flat_loss = m.loss_and_grads_into(x, labels, &mut flat);
+        assert_eq!(flat_loss.to_bits(), want_loss.to_bits(), "flat loss");
+        assert_eq!(bits(&flat), bits(&want_grads.concat()), "flat gradients");
     }
 
     /// Values that exercise rounding and IEEE edge cases.

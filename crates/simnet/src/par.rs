@@ -106,6 +106,49 @@ where
         .collect()
 }
 
+/// Runs `f(i, &mut items[i])` for every item on up to `jobs` workers of the
+/// shared pool and returns the results **in index order** — the in-place
+/// counterpart of [`map_indexed`] for coarse items that own their output
+/// (one gradient buffer per training worker, one block of a reduction).
+/// Each item is visited exactly once, by one thread, so results depend on
+/// neither the worker count nor the interleaving. Runs inline when
+/// `jobs <= 1`, for fewer than two items, or when the pool is busy.
+///
+/// # Panics
+/// Panics if `f` panics for any index, once every other index has run.
+pub fn map_mut<T, R, F>(items: &mut [T], jobs: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let n = items.len();
+    let workers = jobs.max(1).min(n);
+    if workers <= 1 {
+        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    // The cursor only hands out indices; each lane's data passes between
+    // threads through its mutex and the pool's completion wait.
+    let next = AtomicUsize::new(0);
+    let lanes: Vec<Mutex<(&mut T, Option<R>)>> =
+        items.iter_mut().map(|t| Mutex::new((t, None))).collect();
+    crate::pool::run(workers, &|_w| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let mut lane = lanes[i].lock().expect("lane poisoned by a panicking worker");
+        let (item, out) = &mut *lane;
+        *out = Some(f(i, item));
+    });
+    lanes
+        .into_iter()
+        .map(|m| {
+            m.into_inner().expect("lane poisoned by a panicking worker").1.expect("every lane ran")
+        })
+        .collect()
+}
+
 /// Maps `f` over `items` with the ambient worker count ([`jobs`]), returning
 /// results in item order. The convenience form every sweep uses.
 pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -172,6 +215,20 @@ mod tests {
         assert_eq!(jobs(), 3);
         set_jobs(0);
         assert!(jobs() >= 1);
+    }
+
+    #[test]
+    fn map_mut_visits_each_item_once_in_place() {
+        for jobs in [1, 2, 4, 16] {
+            let mut items: Vec<u64> = (0..11).collect();
+            let out = map_mut(&mut items, jobs, |i, v| {
+                *v *= 3;
+                i as u64 + *v
+            });
+            assert_eq!(items, (0..11).map(|v| v * 3).collect::<Vec<_>>(), "jobs={jobs}");
+            assert_eq!(out, (0..11).map(|i| i * 4).collect::<Vec<_>>(), "jobs={jobs}");
+        }
+        assert!(map_mut(&mut [] as &mut [u8], 4, |_, _| ()).is_empty());
     }
 
     #[test]

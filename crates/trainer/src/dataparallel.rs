@@ -1,12 +1,13 @@
 //! Real data-parallel training through the exact collectives (data plane),
 //! with fault tolerance and elastic scaling (§IV).
 
-use aiacc_compress::Scheme;
+use aiacc_compress::{ErrorFeedback, Scheme};
 use aiacc_core::{Perseus, PerseusConfig};
 use aiacc_dnn::data::Dataset;
 use aiacc_dnn::{Mlp, MlpConfig};
 use aiacc_optim::schedule::{LinearDecay, LrSchedule};
 use aiacc_optim::{Optimizer, Sgd};
+use aiacc_simnet::par;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a real data-parallel training job.
@@ -69,6 +70,11 @@ pub struct Checkpoint {
     step: u64,
     /// Dataset position of the next step's first sample.
     cursor: usize,
+    /// Perseus's error-feedback residuals, `[worker][unit]`: what the lossy
+    /// codecs dropped and will re-inject. Empty in checkpoints written
+    /// before residuals were saved, which restore with fresh residuals.
+    #[serde(default)]
+    error_feedback: Vec<Vec<ErrorFeedback>>,
 }
 
 /// Trains a real [`Mlp`] across `world` workers: every step shards the
@@ -81,6 +87,11 @@ pub struct Checkpoint {
 /// shard through it. The numerical invariant — data-parallel training
 /// equals single-worker training on the combined batch — is enforced by
 /// tests.
+///
+/// Workers' shards run on the shared pool, one per pool index, each
+/// writing only its own gradient buffer and loss lane; the losses are
+/// summed in worker order afterwards, so a step's output does not depend
+/// on the pool width.
 #[derive(Debug, Clone)]
 pub struct DataParallelTrainer {
     config: DataParallelConfig,
@@ -90,6 +101,11 @@ pub struct DataParallelTrainer {
     data: Dataset,
     step: u64,
     cursor: usize,
+    /// One flat gradient per worker, reused every step; allocated by the
+    /// first step, so building a trainer stays cheap.
+    grads: Vec<Vec<f32>>,
+    /// The aggregated gradient the optimizer consumes.
+    reduced: Vec<f32>,
 }
 
 impl DataParallelTrainer {
@@ -113,7 +129,17 @@ impl DataParallelTrainer {
             &model.param_layout(),
             PerseusConfig::new(config.world).with_compress(config.compress),
         );
-        DataParallelTrainer { config, model, optimizer, perseus, data, step: 0, cursor: 0 }
+        DataParallelTrainer {
+            config,
+            model,
+            optimizer,
+            perseus,
+            data,
+            step: 0,
+            cursor: 0,
+            grads: Vec::new(),
+            reduced: Vec::new(),
+        }
     }
 
     /// The job configuration.
@@ -145,31 +171,32 @@ impl DataParallelTrainer {
     pub fn step(&mut self) -> f64 {
         let world = self.config.world;
         let b = self.config.batch_per_worker;
+        if self.grads.is_empty() {
+            let n = self.model.num_params();
+            self.grads = vec![vec![0.0; n]; world];
+            self.reduced = vec![0.0; n];
+        }
         // Every worker draws its shard of the global batch (strided layout,
         // wrapping over the dataset).
-        let mut grads_per_worker = Vec::with_capacity(world);
-        let mut loss_sum = 0.0;
-        for w in 0..world {
-            let mut xs = Vec::with_capacity(b * self.data.dim);
+        let (model, data, cursor) = (&self.model, &self.data, self.cursor);
+        let losses = par::map_mut(&mut self.grads, par::jobs(), |w, grad| {
+            let mut xs = Vec::with_capacity(b * data.dim);
             let mut ys = Vec::with_capacity(b);
             for i in 0..b {
-                let idx = (self.cursor + w * b + i) % self.data.len();
-                let (f, l) = self.data.sample(idx);
+                let (f, l) = data.sample((cursor + w * b + i) % data.len());
                 xs.extend_from_slice(f);
                 ys.push(l);
             }
-            let (loss, grads) = self.model.loss_and_grads(&xs, &ys);
-            loss_sum += loss;
-            grads_per_worker.push(grads);
-        }
+            model.loss_and_grads_into(&xs, &ys, grad)
+        });
+        let loss_sum = losses.iter().fold(0.0, |sum, l| sum + l);
         self.cursor = (self.cursor + world * b) % self.data.len();
 
         // Aggregate through the exact ring all-reduce (averaged).
-        let reduced = self.perseus.allreduce_step(grads_per_worker);
-        let flat: Vec<f32> = reduced.into_iter().flatten().collect();
+        self.perseus.allreduce_flat(&mut self.grads, &mut self.reduced);
 
         self.optimizer.set_lr(self.current_lr());
-        self.optimizer.step(self.model.params_mut(), &flat);
+        self.optimizer.step(self.model.params_mut(), &self.reduced);
         self.step += 1;
         loss_sum / world as f64
     }
@@ -199,19 +226,27 @@ impl DataParallelTrainer {
             optimizer: self.optimizer.clone(),
             step: self.step,
             cursor: self.cursor,
+            error_feedback: self.perseus.error_feedback(),
         }
     }
 
     /// Restarts a job from a checkpoint — the §IV node-failure recovery
     /// path. The dataset is rebuilt deterministically from the
     /// configuration; the data cursor comes from the checkpoint, since
-    /// steps taken before a scale-out advanced it by a smaller world.
+    /// steps taken before a scale-out advanced it by a smaller world, and
+    /// so do the error-feedback residuals of a lossy wire.
+    ///
+    /// # Panics
+    /// Panics if the checkpoint's residuals do not fit its configuration.
     pub fn restore(ckpt: Checkpoint) -> Self {
         let mut t = DataParallelTrainer::new(ckpt.config);
         t.model.set_params_flat(&ckpt.params);
         t.optimizer = ckpt.optimizer;
         t.step = ckpt.step;
         t.cursor = ckpt.cursor;
+        if !ckpt.error_feedback.is_empty() {
+            t.perseus.restore_error_feedback(ckpt.error_feedback);
+        }
         t
     }
 
@@ -232,6 +267,10 @@ impl DataParallelTrainer {
             &self.model.param_layout(),
             PerseusConfig::new(self.config.world).with_compress(self.config.compress),
         );
+        if !self.grads.is_empty() {
+            let n = self.model.num_params();
+            self.grads.resize_with(self.config.world, || vec![0.0; n]);
+        }
     }
 }
 
@@ -283,6 +322,24 @@ mod tests {
         let replayed: Vec<f64> = (0..5).map(|_| restored.step()).collect();
         assert_eq!(continued, replayed, "restart diverged from original run");
         assert_eq!(t.model().params_flat(), restored.model().params_flat());
+    }
+
+    #[test]
+    fn restore_resumes_lossy_wire_runs_bit_for_bit() {
+        // The error-feedback residuals are training state: without them a
+        // restored run re-injects nothing at its first lossy step.
+        for scheme in [Scheme::Fp16, Scheme::Int8, Scheme::TopK { ratio: 8 }] {
+            let mut cfg = DataParallelConfig::new(vec![8, 16, 3], 2, 4);
+            cfg.compress = scheme;
+            let mut t = DataParallelTrainer::new(cfg);
+            t.train(5);
+            let ckpt = t.checkpoint();
+            let continued: Vec<u64> = (0..4).map(|_| t.step().to_bits()).collect();
+            let mut restored = DataParallelTrainer::restore(ckpt);
+            let replayed: Vec<u64> = (0..4).map(|_| restored.step().to_bits()).collect();
+            assert_eq!(continued, replayed, "{scheme}: restart diverged from original run");
+            assert_eq!(t.model().params(), restored.model().params(), "{scheme}: parameters");
+        }
     }
 
     #[test]

@@ -342,3 +342,115 @@ fn trainer_loss_and_parameter_bits_are_pinned() {
         assert_eq!(*hash, want_hash, "{name}: final parameters moved");
     }
 }
+
+/// Deterministic gradients for `layout`, one set per worker, with signs,
+/// exact zeros and magnitudes from 2^-14 to 2^5 mixed so every codec
+/// rounds, clips or drops something.
+fn mixed_grads(layout: &[(String, usize)], world: usize, call: u64) -> Vec<Vec<Vec<f32>>> {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ call.wrapping_mul(0xa076_1d64_78bd_642f);
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..world)
+        .map(|_| {
+            layout
+                .iter()
+                .map(|(_, n)| {
+                    (0..*n)
+                        .map(|_| {
+                            let r = next();
+                            match r % 16 {
+                                0 => 0.0,
+                                1 => -0.0,
+                                _ => {
+                                    let unit = (r >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+                                    unit * (((r >> 8) % 20) as f32 - 14.0).exp2()
+                                }
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// FNV-1a over the output bits of three `allreduce_step` calls of one
+/// session per compression scheme.
+fn perseus_call_hashes(cfg: PerseusConfig) -> Vec<[u64; 3]> {
+    let layout: Vec<(String, usize)> = [("a", 37usize), ("b", 1), ("z", 0), ("c", 130), ("d", 64)]
+        .iter()
+        .map(|&(n, s)| (n.to_string(), s))
+        .collect();
+    [Scheme::None, Scheme::Fp16, Scheme::Int8, Scheme::TopK { ratio: 8 }]
+        .into_iter()
+        .map(|scheme| {
+            let p = Perseus::new(&layout, cfg.with_compress(scheme));
+            std::array::from_fn(|call| {
+                let out = p.allreduce_step(mixed_grads(&layout, cfg.world, call as u64));
+                fnv_bits(&out.concat())
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn perseus_output_bits_are_pinned() {
+    // Recorded from the step-by-step ring emulation with per-worker gather
+    // buffers; the direct fold over flat buffers reproduces every bit.
+    let sessions: [(&str, PerseusConfig); 3] = [
+        ("tree", PerseusConfig::new(8).with_tree(4).with_granularity(96.0)),
+        ("sum", PerseusConfig::new(5).with_sum().with_granularity(64.0)),
+        ("mean", PerseusConfig::new(6).with_granularity(128.0)),
+    ];
+    // Per session: none, fp16, int8, topk:8; three calls each.
+    let golden: [[[u64; 3]; 4]; 3] = [
+        [
+            [0xc08ab8af02309e28, 0x6d2050f09589fb8f, 0x9b605bb98f27c4c4],
+            [0x86f1544c4dd2ca11, 0xb009d86b30443e84, 0x655cddc3e47407a0],
+            [0xd5cb2c9bd9944e98, 0x1f77560166adf7a7, 0xe05bbef5c818f2af],
+            [0x9322c874152c7127, 0xe8f6dadce3812a60, 0x9308506c5503242a],
+        ],
+        [
+            [0x4650d941769d49c4, 0xdc3406b7331cea1a, 0x498cdc625c3228fe],
+            [0xcaee9a68b8c9632f, 0xff36050bd0ac6f13, 0x2567b596c413bac1],
+            [0x26d2c7ee047de508, 0x20f58199fb9f0730, 0x2fd9277f6ffbf4d5],
+            [0x3e56a56c70955ec8, 0x4405c003c1ced5a3, 0x2d7086bed7fd087a],
+        ],
+        [
+            [0xd6168c5123dc361e, 0x140e42ff2f9ea290, 0x8ec718887f3f728f],
+            [0x93e1f1045e11b2e7, 0xac0ab087f52ca2b4, 0xe27057bc7c04d3ea],
+            [0x01c27a3a030a2f57, 0x4924aad2091135bf, 0x7fd9e4a7275acee9],
+            [0xf752026f4cfceb8b, 0xaa1387ea2c9b3aee, 0x4d8e7ffe0a42a69d],
+        ],
+    ];
+    for ((name, cfg), want) in sessions.into_iter().zip(golden) {
+        assert_eq!(perseus_call_hashes(cfg), want, "{name}: output bits moved");
+    }
+}
+
+#[test]
+fn trainer_output_does_not_depend_on_the_pool() {
+    // Run directly, a step fans the workers' shards, their codecs and the
+    // fold's output blocks (this model's gradient spans three) across the
+    // pool. Inside a two-wide fan-out the pool is busy, so every step runs
+    // inline on one thread. Both must produce the same bits.
+    use aiacc::simnet::par;
+    par::set_jobs(4);
+    let run = |compress: Scheme| {
+        let mut cfg = DataParallelConfig::new(vec![64, 128, 96, 8], 4, 3);
+        cfg.compress = compress;
+        let mut t = DataParallelTrainer::new(cfg);
+        let bits: Vec<u64> = (0..5).map(|_| t.step().to_bits()).collect();
+        (bits, fnv_bits(t.model().params()))
+    };
+    for scheme in [Scheme::None, Scheme::Int8, Scheme::TopK { ratio: 8 }] {
+        let direct = run(scheme);
+        for nested in par::map_indexed(2, 2, |_| run(scheme)) {
+            assert_eq!(nested, direct, "{scheme}: output depends on the pool");
+        }
+    }
+}
