@@ -5,7 +5,7 @@
 //! repro [EXPERIMENT ...] [--quick] [--out DIR] [--jobs N]
 //!
 //! EXPERIMENT: a table (table1 bandwidth fig2 fig9..fig15 fig_multijob
-//!             fig_chaos fig_stream ctr insightface dawnbench tuning
+//!             fig_chaos fig_stream fig_scale ctr insightface dawnbench tuning
 //!             ablation_* compress_*), a group (ablations compress) or all
 //! --quick     reduced sweeps (fewer GPU counts, seeds, jobs and budget)
 //! --out DIR   write each table as TSV under DIR (default: results/)
@@ -13,8 +13,9 @@
 //!             AIACC_JOBS or all cores; output is bit-identical to --jobs 1)
 //! ```
 //!
-//! The chaos, streaming and compression tables panic when their headline
-//! breaks. Usage errors exit 2 before anything runs; a failed write exits 1.
+//! The chaos, streaming, fabric-scale and compression tables panic when
+//! their headline breaks. Usage errors exit 2 before anything runs; a
+//! failed write exits 1.
 
 use aiacc_bench::*;
 use std::path::PathBuf;
@@ -45,6 +46,7 @@ const EXPERIMENTS: &[(&str, &str, Build)] = &[
             pick(q, STREAM_SCALE_JOBS, STREAM_SCALE_QUICK_JOBS),
         )
     }),
+    ("fig_scale", "", |q| fig_scale(pick(q, &SCALE_FULL, &SCALE_QUICK))),
     ("ctr", "", |q| ctr_production_speedup(pick(q, 128, 32))),
     ("insightface", "", |q| insightface_speedup(pick(q, 128, 32))),
     ("dawnbench", "", |_| dawnbench_table()),

@@ -14,6 +14,7 @@ mod exp_compress;
 mod exp_further;
 mod exp_multijob;
 mod exp_overall;
+mod exp_scale;
 mod exp_stream;
 mod exp_tuning;
 mod report;
@@ -23,6 +24,7 @@ pub use exp_compress::*;
 pub use exp_further::*;
 pub use exp_multijob::*;
 pub use exp_overall::*;
+pub use exp_scale::*;
 pub use exp_stream::*;
 pub use exp_tuning::*;
 pub use report::Table;

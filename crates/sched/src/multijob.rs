@@ -49,7 +49,7 @@ use aiacc_dnn::{zoo, DType, ModelProfile};
 use aiacc_simnet::trace::track;
 use aiacc_simnet::{
     Event, FaultPhase, FaultPlan, FaultRecord, FaultTarget, FlowId, SimDuration, SimTime,
-    Simulator, SolverStats, Token,
+    Simulator, SolveMode, SolverStats, Token,
 };
 use aiacc_trainer::recovery::{replay_elastic_join, replay_failure_recovery, RecoveryConfig};
 use aiacc_trainer::{comm_stream_limits, schedule_worker_compute, ComputeAttempt, Framework};
@@ -141,6 +141,9 @@ pub struct MultiJobCfg {
     pub straggler_threshold: Option<f64>,
     /// Records a structured trace (one lane per job).
     pub trace: bool,
+    /// How the fluid solver re-solves a dirty network. Both modes produce
+    /// bit-identical output; [`SolveMode::Full`] is the flat oracle.
+    pub solve_mode: SolveMode,
 }
 
 impl MultiJobCfg {
@@ -157,6 +160,7 @@ impl MultiJobCfg {
             recovery: RecoveryPolicy::Restart,
             straggler_threshold: None,
             trace: false,
+            solve_mode: SolveMode::Partitioned,
         }
     }
 
@@ -187,6 +191,12 @@ impl MultiJobCfg {
     /// Enables structured tracing.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
+        self
+    }
+
+    /// Selects the fluid solver's [`SolveMode`].
+    pub fn with_solve_mode(mut self, mode: SolveMode) -> Self {
+        self.solve_mode = mode;
         self
     }
 }
@@ -485,6 +495,7 @@ impl MultiJobSim {
         if cfg.trace {
             sim.enable_tracing();
         }
+        sim.net_mut().set_solve_mode(cfg.solve_mode);
         let physical = ClusterNet::build(&cfg.cluster, sim.net_mut());
         let free = GpuFreeList::new(&cfg.cluster);
         let faults = cfg.faults.resolve_links(|n| {

@@ -1268,6 +1268,7 @@ impl StreamSim {
 
         let mut source = ArrivalSource::new(cfg.arrivals.clone())?;
         let mut sim = Simulator::new();
+        sim.net_mut().set_solve_mode(base.solve_mode);
         let physical = ClusterNet::build(&base.cluster, sim.net_mut());
         let mut free = GpuFreeList::new(&base.cluster);
         let faults = base.faults.resolve_links(|n| {

@@ -29,7 +29,6 @@ use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Identifier of a [`Resource`] (a link port, NIC direction, bus, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -74,43 +73,15 @@ pub struct Resource {
 }
 
 /// How the max-min solver reacts to a dirty network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SolveMode {
     /// Re-solve every component whenever anything changed. This is the flat
     /// baseline: asymptotically the old global solve, kept as the
     /// bit-identity oracle for [`SolveMode::Partitioned`].
     Full,
     /// Re-solve only components marked dirty since the last solve (default).
+    #[default]
     Partitioned,
-}
-
-static DEFAULT_SOLVE_MODE: OnceLock<SolveMode> = OnceLock::new();
-
-/// Sets the process-wide default [`SolveMode`] for networks created after
-/// this call (e.g. from a `--flat-solver` CLI flag). Returns `false` if the
-/// default was already fixed — by an earlier call or by a network having
-/// read the `AIACC_SOLVER` environment variable (`flat`, `full`, or the
-/// CLI-flag spelling `flat-solver` select [`SolveMode::Full`];
-/// `partitioned` selects [`SolveMode::Partitioned`]).
-pub fn set_default_solve_mode(mode: SolveMode) -> bool {
-    DEFAULT_SOLVE_MODE.set(mode).is_ok()
-}
-
-fn default_solve_mode() -> SolveMode {
-    *DEFAULT_SOLVE_MODE.get_or_init(|| match std::env::var("AIACC_SOLVER").ok().as_deref() {
-        Some("flat") | Some("full") | Some("flat-solver") => SolveMode::Full,
-        Some("partitioned") | None => SolveMode::Partitioned,
-        Some(other) => {
-            // OnceLock init runs at most once, so this warns exactly once
-            // per process no matter how many networks are built.
-            eprintln!(
-                "warning: unrecognized AIACC_SOLVER value {other:?} \
-                 (expected \"flat\", \"full\", \"flat-solver\" or \
-                 \"partitioned\"); using the partitioned solver"
-            );
-            SolveMode::Partitioned
-        }
-    })
 }
 
 /// Cumulative solver work counters (see [`FlowNet::solver_stats`]).
@@ -617,7 +588,7 @@ impl Default for FlowNet {
             nactive: 0,
             now: SimTime::ZERO,
             next_seq: 0,
-            mode: default_solve_mode(),
+            mode: SolveMode::Partitioned,
             uf: Vec::new(),
             comp_of_group: Vec::new(),
             ncomps: 0,
@@ -648,8 +619,8 @@ impl Default for FlowNet {
 }
 
 impl FlowNet {
-    /// Creates an empty network at time zero, using the process default
-    /// [`SolveMode`] (see [`set_default_solve_mode`]).
+    /// Creates an empty network at time zero, using the partitioned solver
+    /// (see [`set_solve_mode`](Self::set_solve_mode)).
     pub fn new() -> Self {
         FlowNet::default()
     }

@@ -67,9 +67,7 @@ pub mod trace;
 pub use calq::CalendarQueue;
 pub use faults::{FaultEvent, FaultKind, FaultPhase, FaultPlan, FaultRecord, FaultTarget};
 pub use flow::{Flow, FlowId, FlowSpec};
-pub use flownet::{
-    set_default_solve_mode, FlowNet, Resource, ResourceId, SolveBreakdown, SolveMode, SolverStats,
-};
+pub use flownet::{FlowNet, Resource, ResourceId, SolveBreakdown, SolveMode, SolverStats};
 pub use sim::{Event, RunOffsets, Simulator, Token, TOKEN_KIND_MASK, TOKEN_SCOPE_SHIFT};
 pub use telemetry::{AnnotatedSample, UtilizationProbe};
 pub use time::{SimDuration, SimTime};

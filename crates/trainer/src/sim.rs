@@ -8,7 +8,7 @@ use aiacc_core::ddl::{DdlEngine, DdlRouter, BWD_KIND, GRAD_KIND};
 use aiacc_dnn::{DType, ModelProfile};
 use aiacc_simnet::trace::track;
 use aiacc_simnet::{
-    Event, FaultPlan, RunOffsets, SimDuration, SimTime, Simulator, Token, TraceSink,
+    Event, FaultPlan, RunOffsets, SimDuration, SimTime, Simulator, SolveMode, Token, TraceSink,
 };
 use serde::{Deserialize, Serialize};
 
@@ -121,6 +121,10 @@ pub struct TrainingSimConfig {
     /// default: with tracing disabled no event is ever allocated and the
     /// simulation is bit-identical to a build without the trace layer.
     pub trace: bool,
+    /// How the fluid solver re-solves a dirty network. Both modes produce
+    /// bit-identical output; [`SolveMode::Full`] is the flat oracle.
+    #[serde(default)]
+    pub solve_mode: SolveMode,
 }
 
 impl TrainingSimConfig {
@@ -140,6 +144,7 @@ impl TrainingSimConfig {
             stragglers: Vec::new(),
             faults: FaultPlan::new(),
             trace: false,
+            solve_mode: SolveMode::Partitioned,
         }
     }
 
@@ -188,6 +193,12 @@ impl TrainingSimConfig {
     /// Enables (or disables) structured tracing for the run.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
+        self
+    }
+
+    /// Selects the fluid solver's [`SolveMode`].
+    pub fn with_solve_mode(mut self, mode: SolveMode) -> Self {
+        self.solve_mode = mode;
         self
     }
 }
@@ -264,6 +275,7 @@ impl TrainingSim {
         if cfg.trace {
             sim.enable_tracing();
         }
+        sim.net_mut().set_solve_mode(cfg.solve_mode);
         let cluster = ClusterNet::build(&cfg.cluster, sim.net_mut());
         let engine = cfg.engine.build(&cfg.model, cfg.cluster.world_size());
         let compute = ComputeModel::new(cfg.cluster.node.gpu.clone());

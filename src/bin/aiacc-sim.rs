@@ -35,12 +35,14 @@
 //! `--racks N` packs nodes into racks of `N` behind 2:1-oversubscribed ToR
 //! uplinks and a shared spine, so cross-rack gradient traffic contends the
 //! way it does on a real datacenter fabric (the default is a flat,
-//! single-tier network). `--flat-solver` (or the `AIACC_SOLVER` environment
-//! variable: `flat`, `full` and `flat-solver` all select the flat solve;
-//! `partitioned` is the default) disables the partitioned rack-by-rack
-//! fluid solver in favour of the flat whole-network solve — results are
-//! bit-identical either way; the flag exists for benchmarking and for the
-//! CI equivalence check.
+//! single-tier network). `--flat-solver` runs the job (or every scheduled
+//! job) with the flat whole-network solve instead of the partitioned
+//! rack-by-rack fluid solver — results are bit-identical either way; the
+//! flag exists for benchmarking and for the CI equivalence check.
+//!
+//! Count flags (`--gpus`, `--iters`, `--streams`, `--batch`, `--njobs`,
+//! `--racks`, `--tune`, `--jobs`) must be positive; a zero is a usage error
+//! (exit 2), like an unknown flag.
 //!
 //! `--compress SCHEME` puts a gradient compressor on the wire for the AIACC
 //! engine: `fp16` and `int8` quantize every unit, `topk:K` keeps the top
@@ -66,8 +68,8 @@
 
 use aiacc::collectives::Algo;
 use aiacc::prelude::*;
-use aiacc::sched::{JobMix, MultiJobSim};
-use aiacc::simnet::FaultPlan;
+use aiacc::sched::{JobMix, MultiJobSim, RecoveryPolicy};
+use aiacc::simnet::{FaultPlan, SolveMode};
 use aiacc::trainer::tune::tune_aiacc;
 
 struct Args {
@@ -79,7 +81,7 @@ struct Args {
     batch: Option<usize>,
     rdma: bool,
     racks: Option<usize>,
-    flat_solver: bool,
+    solve_mode: SolveMode,
     compress: Scheme,
     tree: bool,
     tune: Option<usize>,
@@ -126,6 +128,26 @@ fn fault_scenario(name: &str, nodes: usize) -> Result<FaultPlan, String> {
     }
 }
 
+/// Parses the value after the flag at `argv[*i]` and moves `i` onto it.
+fn flag_value<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let flag = &argv[*i];
+    *i += 1;
+    let value = argv.get(*i).ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Parses a count flag's value, rejecting zero as a usage error instead of
+/// letting it reach a library assertion.
+fn count_value(argv: &[String], i: &mut usize, what: &str) -> Result<usize, String> {
+    match flag_value(argv, i)? {
+        0 => Err(format!("{} needs a positive {what}", argv[*i - 1])),
+        n => Ok(n),
+    }
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         model: "resnet50".to_string(),
@@ -136,7 +158,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         batch: None,
         rdma: false,
         racks: None,
-        flat_solver: false,
+        solve_mode: SolveMode::Partitioned,
         compress: Scheme::None,
         tree: false,
         tune: None,
@@ -147,55 +169,32 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         jobs: None,
     };
     let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i).cloned().ok_or_else(|| format!("{} needs a value", argv[*i - 1]))
-    };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--model" => args.model = value(&mut i)?,
-            "--gpus" => args.gpus = value(&mut i)?.parse().map_err(|e| format!("--gpus: {e}"))?,
-            "--engine" => args.engine = value(&mut i)?,
-            "--streams" => {
-                args.streams = Some(value(&mut i)?.parse().map_err(|e| format!("--streams: {e}"))?)
-            }
+            "--model" => args.model = flag_value(argv, &mut i)?,
+            "--gpus" => args.gpus = count_value(argv, &mut i, "GPU count")?,
+            "--engine" => args.engine = flag_value(argv, &mut i)?,
+            "--streams" => args.streams = Some(count_value(argv, &mut i, "stream count")?),
             "--granularity" => {
-                args.granularity_mib =
-                    Some(value(&mut i)?.parse().map_err(|e| format!("--granularity: {e}"))?)
-            }
-            "--batch" => {
-                args.batch = Some(value(&mut i)?.parse().map_err(|e| format!("--batch: {e}"))?)
-            }
-            "--rdma" => args.rdma = true,
-            "--racks" => {
-                let n: usize = value(&mut i)?.parse().map_err(|e| format!("--racks: {e}"))?;
-                if n == 0 {
-                    return Err("--racks needs a positive nodes-per-rack count".to_string());
+                let mib: f64 = flag_value(argv, &mut i)?;
+                if mib.is_nan() || mib <= 0.0 {
+                    return Err("--granularity needs a positive size in MiB".to_string());
                 }
-                args.racks = Some(n);
+                args.granularity_mib = Some(mib);
             }
-            "--flat-solver" => args.flat_solver = true,
-            "--compress" => {
-                args.compress = value(&mut i)?.parse().map_err(|e| format!("--compress: {e}"))?
-            }
+            "--batch" => args.batch = Some(count_value(argv, &mut i, "batch size")?),
+            "--rdma" => args.rdma = true,
+            "--racks" => args.racks = Some(count_value(argv, &mut i, "nodes-per-rack count")?),
+            "--flat-solver" => args.solve_mode = SolveMode::Full,
+            "--compress" => args.compress = flag_value(argv, &mut i)?,
             "--compression" => args.compress = Scheme::Fp16,
             "--tree" => args.tree = true,
-            "--tune" => {
-                args.tune = Some(value(&mut i)?.parse().map_err(|e| format!("--tune: {e}"))?)
-            }
-            "--iters" => {
-                args.iters = value(&mut i)?.parse().map_err(|e| format!("--iters: {e}"))?
-            }
+            "--tune" => args.tune = Some(count_value(argv, &mut i, "warm-up budget")?),
+            "--iters" => args.iters = count_value(argv, &mut i, "iteration count")?,
             "--verbose" => args.verbose = true,
-            "--faults" => args.faults = Some(value(&mut i)?),
-            "--trace" => args.trace = Some(value(&mut i)?),
-            "--jobs" => {
-                let n: usize = value(&mut i)?.parse().map_err(|e| format!("--jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs needs a positive integer".to_string());
-                }
-                args.jobs = Some(n);
-            }
+            "--faults" => args.faults = Some(flag_value(argv, &mut i)?),
+            "--trace" => args.trace = Some(flag_value(argv, &mut i)?),
+            "--jobs" => args.jobs = Some(count_value(argv, &mut i, "integer")?),
             "--help" | "-h" => {
                 return Err("usage: aiacc-sim [train] [--model NAME] [--gpus N] [--engine E] \
                             [--streams N] [--granularity MIB] [--batch N] [--rdma] \
@@ -209,9 +208,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                             (topk:K keeps 1/K coordinates, with error feedback); \
                             --compression is an alias for --compress fp16.\n\
                             --verbose prints solver diagnostics to stderr.\n\
-                            AIACC_SOLVER selects the fluid solver: \"flat\", \"full\" \
-                            or \"flat-solver\" force the flat whole-network solve; \
-                            \"partitioned\" (default) solves dirty components only."
+                            --flat-solver solves the whole network on every change \
+                            instead of only the dirty components (same output)."
                     .to_string())
             }
             other => return Err(format!("unknown flag {other} (try --help)")),
@@ -231,7 +229,7 @@ struct SchedArgs {
     iters: usize,
     rdma: bool,
     racks: Option<usize>,
-    flat_solver: bool,
+    solve_mode: SolveMode,
     compress: Scheme,
     verbose: bool,
     load: Option<String>,
@@ -266,7 +264,7 @@ fn parse_sched_args(argv: &[String]) -> Result<SchedArgs, String> {
         iters: 6,
         rdma: false,
         racks: None,
-        flat_solver: false,
+        solve_mode: SolveMode::Partitioned,
         compress: Scheme::None,
         verbose: false,
         load: None,
@@ -290,78 +288,37 @@ fn parse_sched_args(argv: &[String]) -> Result<SchedArgs, String> {
         per_job: false,
     };
     let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i).cloned().ok_or_else(|| format!("{} needs a value", argv[*i - 1]))
-    };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--policy" => args.policy = value(&mut i)?,
-            "--njobs" => {
-                args.njobs = value(&mut i)?.parse().map_err(|e| format!("--njobs: {e}"))?
-            }
-            "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--gpus" => args.gpus = value(&mut i)?.parse().map_err(|e| format!("--gpus: {e}"))?,
-            "--engine" => args.engine = Some(value(&mut i)?),
-            "--mix" => args.mix = value(&mut i)?,
-            "--iters" => {
-                args.iters = value(&mut i)?.parse().map_err(|e| format!("--iters: {e}"))?
-            }
+            "--policy" => args.policy = flag_value(argv, &mut i)?,
+            "--njobs" => args.njobs = flag_value(argv, &mut i)?,
+            "--seed" => args.seed = flag_value(argv, &mut i)?,
+            "--gpus" => args.gpus = count_value(argv, &mut i, "GPU count")?,
+            "--engine" => args.engine = Some(flag_value(argv, &mut i)?),
+            "--mix" => args.mix = flag_value(argv, &mut i)?,
+            "--iters" => args.iters = flag_value(argv, &mut i)?,
             "--rdma" => args.rdma = true,
-            "--racks" => {
-                let n: usize = value(&mut i)?.parse().map_err(|e| format!("--racks: {e}"))?;
-                if n == 0 {
-                    return Err("--racks needs a positive nodes-per-rack count".to_string());
-                }
-                args.racks = Some(n);
-            }
-            "--flat-solver" => args.flat_solver = true,
-            "--compress" => {
-                args.compress = value(&mut i)?.parse().map_err(|e| format!("--compress: {e}"))?
-            }
+            "--racks" => args.racks = Some(count_value(argv, &mut i, "nodes-per-rack count")?),
+            "--flat-solver" => args.solve_mode = SolveMode::Full,
+            "--compress" => args.compress = flag_value(argv, &mut i)?,
             "--verbose" => args.verbose = true,
-            "--load" => args.load = Some(value(&mut i)?),
-            "--save" => args.save = Some(value(&mut i)?),
-            "--trace" => args.trace = Some(value(&mut i)?),
-            "--jobs" => {
-                let n: usize = value(&mut i)?.parse().map_err(|e| format!("--jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs needs a positive integer".to_string());
-                }
-                args.jobs = Some(n);
-            }
+            "--load" => args.load = Some(flag_value(argv, &mut i)?),
+            "--save" => args.save = Some(flag_value(argv, &mut i)?),
+            "--trace" => args.trace = Some(flag_value(argv, &mut i)?),
+            "--jobs" => args.jobs = Some(count_value(argv, &mut i, "integer")?),
             "--chaos" => args.chaos = true,
-            "--chaos-events" => {
-                args.chaos_events =
-                    value(&mut i)?.parse().map_err(|e| format!("--chaos-events: {e}"))?
-            }
-            "--chaos-horizon" => {
-                args.chaos_horizon_secs =
-                    value(&mut i)?.parse().map_err(|e| format!("--chaos-horizon: {e}"))?
-            }
-            "--recovery" => args.recovery = value(&mut i)?,
+            "--chaos-events" => args.chaos_events = flag_value(argv, &mut i)?,
+            "--chaos-horizon" => args.chaos_horizon_secs = flag_value(argv, &mut i)?,
+            "--recovery" => args.recovery = flag_value(argv, &mut i)?,
             "--stream" => args.stream = true,
-            "--arrivals" => args.arrivals = value(&mut i)?,
-            "--interarrival" => {
-                args.interarrival =
-                    Some(value(&mut i)?.parse().map_err(|e| format!("--interarrival: {e}"))?)
-            }
-            "--arrival-period" => {
-                args.arrival_period_secs =
-                    value(&mut i)?.parse().map_err(|e| format!("--arrival-period: {e}"))?
-            }
-            "--window" => {
-                args.window = value(&mut i)?.parse().map_err(|e| format!("--window: {e}"))?
-            }
-            "--nslots" => {
-                args.nslots = Some(value(&mut i)?.parse().map_err(|e| format!("--nslots: {e}"))?)
-            }
-            "--snapshot-every" => {
-                args.snapshot_every =
-                    Some(value(&mut i)?.parse().map_err(|e| format!("--snapshot-every: {e}"))?)
-            }
-            "--snapshot" => args.snapshot = Some(value(&mut i)?),
-            "--resume" => args.resume = Some(value(&mut i)?),
+            "--arrivals" => args.arrivals = flag_value(argv, &mut i)?,
+            "--interarrival" => args.interarrival = Some(flag_value(argv, &mut i)?),
+            "--arrival-period" => args.arrival_period_secs = flag_value(argv, &mut i)?,
+            "--window" => args.window = flag_value(argv, &mut i)?,
+            "--nslots" => args.nslots = Some(flag_value(argv, &mut i)?),
+            "--snapshot-every" => args.snapshot_every = Some(flag_value(argv, &mut i)?),
+            "--snapshot" => args.snapshot = Some(flag_value(argv, &mut i)?),
+            "--resume" => args.resume = Some(flag_value(argv, &mut i)?),
             "--stop-after-snapshot" => args.stop_after_snapshot = true,
             "--per-job" => args.per_job = true,
             "--help" | "-h" => {
@@ -383,6 +340,16 @@ fn parse_sched_args(argv: &[String]) -> Result<SchedArgs, String> {
             other => return Err(format!("unknown flag {other} (try schedule --help)")),
         }
         i += 1;
+    }
+    // A generated batch workload needs jobs and iterations; the streaming
+    // replay reports its own errors, and a loaded workload ignores both.
+    if !args.stream && args.load.is_none() {
+        if args.njobs == 0 {
+            return Err("--njobs needs a positive job count".to_string());
+        }
+        if args.iters == 0 {
+            return Err("--iters needs a positive iteration count".to_string());
+        }
     }
     Ok(args)
 }
@@ -409,14 +376,15 @@ fn sched_render(report: &aiacc::sched::MultiJobReport) -> String {
 /// streaming replay. Headers are printed only on a fresh run so that a
 /// stopped run's output concatenated with its resumed run's output is
 /// byte-identical to the uninterrupted run.
-fn cmd_schedule_stream(args: &SchedArgs) -> Result<(), String> {
+fn cmd_schedule_stream(
+    args: &SchedArgs,
+    recovery: RecoveryPolicy,
+    engine: Option<EngineKind>,
+    chaos: Option<&FaultPlan>,
+) -> Result<(), String> {
     use aiacc::sched::stream::{ArrivalCfg, ArrivalProcess, StreamCfg, StreamSim};
-    let cluster = sched_cluster(args);
     let policy = PlacePolicy::by_name(&args.policy)
         .ok_or_else(|| format!("unknown policy {}; use packed|spread|topo", args.policy))?;
-    let recovery = aiacc::sched::RecoveryPolicy::by_name(&args.recovery).ok_or_else(|| {
-        format!("unknown recovery policy {}; use restart|shrink|fail", args.recovery)
-    })?;
     let process = match args.arrivals.as_str() {
         "poisson" => ArrivalProcess::Poisson,
         "diurnal" => ArrivalProcess::Diurnal { period_secs: args.arrival_period_secs },
@@ -430,35 +398,16 @@ fn cmd_schedule_stream(args: &SchedArgs) -> Result<(), String> {
     if let Some(gap) = args.interarrival {
         arrivals.mean_interarrival_secs = gap;
     }
-    if let Some(label) = &args.engine {
-        arrivals.engine = Some(aiacc::sched::engine_by_label(label).ok_or_else(|| {
-            format!("unknown engine {label}; use aiacc|horovod|pytorch-ddp|byteps|mxnet-kvstore")
-        })?);
-    }
+    arrivals.engine = engine;
     if args.compress != Scheme::None {
-        if let Some(aiacc::trainer::EngineKind::Aiacc(c)) = &mut arrivals.engine {
+        if let Some(EngineKind::Aiacc(c)) = &mut arrivals.engine {
             *c = c.with_compress(args.compress);
         }
     }
     // The batch workload field is unused in streaming mode; a one-job
     // placeholder satisfies the constructor.
     let placeholder = Workload::generate(&WorkloadCfg::new(1, 1).with_mix(JobMix::Tiny));
-    let mut base = MultiJobCfg::new(cluster.clone(), policy, placeholder).with_recovery(recovery);
-    if args.chaos {
-        let plan = FaultPlan::chaos(
-            args.seed,
-            cluster.nodes,
-            SimDuration::from_secs_f64(args.chaos_horizon_secs),
-            args.chaos_events,
-        );
-        eprintln!(
-            "[aiacc-sim] chaos plan (seed {}): {} event(s), recovery `{}`",
-            args.seed,
-            plan.events().len(),
-            recovery.name()
-        );
-        base = base.with_faults(plan).with_straggler_mitigation(1.3);
-    }
+    let base = sched_cfg(args, policy, placeholder, recovery, chaos);
     let mut cfg = StreamCfg::new(base, arrivals)
         .with_window(args.window)
         .with_per_job_rows(args.per_job)
@@ -509,17 +458,50 @@ fn cmd_schedule_stream(args: &SchedArgs) -> Result<(), String> {
 }
 
 /// Builds the cluster selected by the shared `--gpus/--rdma/--racks` flags.
-fn sched_cluster(args: &SchedArgs) -> ClusterSpec {
-    let mut cluster = if args.rdma {
-        ClusterSpec::rdma_v100(args.gpus)
-    } else {
-        ClusterSpec::tcp_v100(args.gpus)
-    };
-    if let Some(n) = args.racks {
+fn cluster_spec(gpus: usize, rdma: bool, racks: Option<usize>) -> ClusterSpec {
+    let mut cluster = if rdma { ClusterSpec::rdma_v100(gpus) } else { ClusterSpec::tcp_v100(gpus) };
+    if let Some(n) = racks {
         let nic = cluster.node.nic;
         cluster = cluster.with_rack_layer(aiacc::cluster::RackSpec::oversubscribed_2to1(n, &nic));
     }
     cluster
+}
+
+/// One policy's shared-cluster scenario as the `schedule` flags describe
+/// it. A chaos plan also arms the straggler detector: jobs 30 % slower than
+/// the cluster-median slowdown get the NIC-health mitigation.
+fn sched_cfg(
+    args: &SchedArgs,
+    policy: PlacePolicy,
+    workload: Workload,
+    recovery: RecoveryPolicy,
+    chaos: Option<&FaultPlan>,
+) -> MultiJobCfg {
+    let mut cfg =
+        MultiJobCfg::new(cluster_spec(args.gpus, args.rdma, args.racks), policy, workload)
+            .with_recovery(recovery)
+            .with_solve_mode(args.solve_mode);
+    if let Some(plan) = chaos {
+        cfg = cfg.with_faults(plan.clone()).with_straggler_mitigation(1.3);
+    }
+    cfg
+}
+
+/// The single-job run the `train` flags describe, on `cluster`.
+fn train_cfg(
+    args: &Args,
+    cluster: ClusterSpec,
+    model: ModelProfile,
+    engine: EngineKind,
+) -> TrainingSimConfig {
+    let mut cfg = TrainingSimConfig::new(cluster, model, engine)
+        .with_iterations(1, args.iters)
+        .with_trace(args.trace.is_some())
+        .with_solve_mode(args.solve_mode);
+    if let Some(b) = args.batch {
+        cfg = cfg.with_batch(b);
+    }
+    cfg
 }
 
 fn cmd_schedule(argv: &[String]) -> Result<(), String> {
@@ -527,16 +509,29 @@ fn cmd_schedule(argv: &[String]) -> Result<(), String> {
     if let Some(n) = args.jobs {
         aiacc::simnet::par::set_jobs(n);
     }
-    if args.flat_solver {
-        aiacc::simnet::set_default_solve_mode(aiacc::simnet::SolveMode::Full);
-    }
-    if args.stream {
-        return cmd_schedule_stream(&args);
-    }
-    let cluster = sched_cluster(&args);
-    let recovery = aiacc::sched::RecoveryPolicy::by_name(&args.recovery).ok_or_else(|| {
+    let recovery = RecoveryPolicy::by_name(&args.recovery).ok_or_else(|| {
         format!("unknown recovery policy {}; use restart|shrink|fail", args.recovery)
     })?;
+    let engine = args.engine.as_deref().map(|label| {
+        aiacc::sched::engine_by_label(label).ok_or_else(|| {
+            format!("unknown engine {label}; use aiacc|horovod|pytorch-ddp|byteps|mxnet-kvstore")
+        })
+    });
+    let engine = engine.transpose()?;
+    let cluster = cluster_spec(args.gpus, args.rdma, args.racks);
+    let chaos_plan = args.chaos.then(|| {
+        let horizon = SimDuration::from_secs_f64(args.chaos_horizon_secs);
+        let plan = FaultPlan::chaos(args.seed, cluster.nodes, horizon, args.chaos_events);
+        let (seed, events) = (args.seed, plan.events().len());
+        eprintln!(
+            "[aiacc-sim] chaos plan (seed {seed}): {events} event(s), recovery `{}`",
+            recovery.name()
+        );
+        plan
+    });
+    if args.stream {
+        return cmd_schedule_stream(&args, recovery, engine, chaos_plan.as_ref());
+    }
     let mut workload = match &args.load {
         Some(path) => {
             let text =
@@ -548,52 +543,28 @@ fn cmd_schedule(argv: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("unknown mix {}; use comm-heavy|mixed|tiny", args.mix))?;
             let mut cfg =
                 WorkloadCfg::new(args.njobs, args.seed).with_mix(mix).with_iterations(args.iters);
-            if let Some(label) = &args.engine {
-                let engine = aiacc::sched::engine_by_label(label).ok_or_else(|| {
-                    format!(
-                        "unknown engine {label}; use aiacc|horovod|pytorch-ddp|byteps|mxnet-kvstore"
-                    )
-                })?;
+            if let Some(engine) = engine {
                 cfg = cfg.with_engine(engine);
             }
             Workload::generate(&cfg)
         }
     };
-    // `--compress` applies to every job that runs the AIACC engine; the
-    // baseline engines have no compression knob.
-    if args.compress != Scheme::None {
-        for j in &mut workload.jobs {
-            if let aiacc::trainer::EngineKind::Aiacc(c) = &mut j.engine {
+    for j in &mut workload.jobs {
+        if let EngineKind::Aiacc(c) = &mut j.engine {
+            // `--compress` applies to every job that runs the AIACC engine;
+            // the baseline engines have no compression knob.
+            if args.compress != Scheme::None {
                 *c = c.with_compress(args.compress);
             }
-        }
-    }
-    let chaos_plan = if args.chaos {
-        let plan = FaultPlan::chaos(
-            args.seed,
-            cluster.nodes,
-            SimDuration::from_secs_f64(args.chaos_horizon_secs),
-            args.chaos_events,
-        );
-        // Crashed collectives can wedge a stream: arm AIACC's stall watchdog
-        // with a bounded resubmission budget so retries back off instead of
-        // thrashing.
-        for j in &mut workload.jobs {
-            if let aiacc::trainer::EngineKind::Aiacc(c) = &mut j.engine {
+            // Crashed collectives can wedge a stream: under chaos, arm
+            // AIACC's stall watchdog with a bounded resubmission budget so
+            // retries back off instead of thrashing.
+            if args.chaos {
                 *c =
                     c.with_stall_timeout(SimDuration::from_secs_f64(0.5)).with_max_resubmissions(4);
             }
         }
-        eprintln!(
-            "[aiacc-sim] chaos plan (seed {}): {} event(s), recovery `{}`",
-            args.seed,
-            plan.events().len(),
-            recovery.name()
-        );
-        Some(plan)
-    } else {
-        None
-    };
+    }
     if let Some(path) = &args.save {
         std::fs::write(path, workload.to_tsv()).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("[aiacc-sim] workload trace saved to {path}");
@@ -608,14 +579,8 @@ fn cmd_schedule(argv: &[String]) -> Result<(), String> {
     // scenario's event loop stays single-threaded, so output is
     // bit-identical for any worker count.
     let blocks = aiacc::simnet::par::map(&policies, |&policy| {
-        let mut cfg = MultiJobCfg::new(cluster.clone(), policy, workload.clone())
-            .with_recovery(recovery)
+        let cfg = sched_cfg(&args, policy, workload.clone(), recovery, chaos_plan.as_ref())
             .with_trace(args.trace.is_some());
-        if let Some(plan) = &chaos_plan {
-            // Chaos also arms the straggler detector: jobs 30 % slower than
-            // the cluster-median slowdown get the NIC-health mitigation.
-            cfg = cfg.with_faults(plan.clone()).with_straggler_mitigation(1.3);
-        }
         if args.trace.is_some() {
             let (report, json) = MultiJobSim::new(cfg).run_with_trace();
             (sched_render(&report), report.solver.to_string(), json)
@@ -666,9 +631,6 @@ fn main() {
     if let Some(n) = args.jobs {
         aiacc::simnet::par::set_jobs(n);
     }
-    if args.flat_solver {
-        aiacc::simnet::set_default_solve_mode(aiacc::simnet::SolveMode::Full);
-    }
     let Some(model) = zoo::by_name(&args.model) else {
         eprintln!(
             "unknown model {}; available: vgg16 resnet50 resnet101 transformer bert_large \
@@ -677,15 +639,7 @@ fn main() {
         );
         std::process::exit(2);
     };
-    let mut cluster = if args.rdma {
-        ClusterSpec::rdma_v100(args.gpus)
-    } else {
-        ClusterSpec::tcp_v100(args.gpus)
-    };
-    if let Some(n) = args.racks {
-        let nic = cluster.node.nic;
-        cluster = cluster.with_rack_layer(aiacc::cluster::RackSpec::oversubscribed_2to1(n, &nic));
-    }
+    let cluster = cluster_spec(args.gpus, args.rdma, args.racks);
 
     let fault_plan = match args.faults.as_deref() {
         Some(name) => match fault_scenario(name, cluster.nodes) {
@@ -744,12 +698,7 @@ fn main() {
         }
     };
 
-    let mut cfg = TrainingSimConfig::new(cluster, model, engine)
-        .with_iterations(1, args.iters)
-        .with_trace(args.trace.is_some());
-    if let Some(b) = args.batch {
-        cfg = cfg.with_batch(b);
-    }
+    let mut cfg = train_cfg(&args, cluster, model, engine);
     if let Some(plan) = &fault_plan {
         eprintln!(
             "[aiacc-sim] fault scenario `{}`: {} event(s)",
@@ -834,5 +783,61 @@ fn main() {
             s.max_queue_depth,
             s.resubmissions,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for (args, err) in [
+            (&["--gpus", "0"][..], "--gpus needs a positive GPU count"),
+            (&["--iters", "0"], "--iters needs a positive iteration count"),
+            (&["--streams", "0"], "--streams needs a positive stream count"),
+            (&["--batch", "0"], "--batch needs a positive batch size"),
+            (&["--racks", "0"], "--racks needs a positive nodes-per-rack count"),
+            (&["--tune", "0"], "--tune needs a positive warm-up budget"),
+            (&["--granularity", "0"], "--granularity needs a positive size in MiB"),
+            (&["--granularity", "NaN"], "--granularity needs a positive size in MiB"),
+        ] {
+            assert_eq!(parse_args(&strings(args)).err().as_deref(), Some(err), "{args:?}");
+        }
+        for (args, err) in [
+            (&["--gpus", "0"][..], "--gpus needs a positive GPU count"),
+            (&["--njobs", "0"], "--njobs needs a positive job count"),
+            (&["--iters", "0"], "--iters needs a positive iteration count"),
+            (&["--racks", "0"], "--racks needs a positive nodes-per-rack count"),
+        ] {
+            assert_eq!(parse_sched_args(&strings(args)).err().as_deref(), Some(err), "{args:?}");
+        }
+        // The streaming replay validates its own arrival count.
+        assert!(parse_sched_args(&strings(&["--stream", "--njobs", "0"])).is_ok());
+    }
+
+    #[test]
+    fn flat_solver_flag_reaches_both_configs() {
+        for (flags, mode) in
+            [(&[][..], SolveMode::Partitioned), (&["--flat-solver"], SolveMode::Full)]
+        {
+            let args = parse_args(&strings(flags)).unwrap_or_else(|e| panic!("{e}"));
+            let cfg = train_cfg(
+                &args,
+                ClusterSpec::tcp_v100(8),
+                zoo::tiny_cnn(),
+                EngineKind::aiacc_default(),
+            );
+            assert_eq!(cfg.solve_mode, mode, "train {flags:?}");
+            let args = parse_sched_args(&strings(flags)).unwrap_or_else(|e| panic!("{e}"));
+            let wl = Workload::generate(&WorkloadCfg::new(1, 1));
+            let recovery = RecoveryPolicy::Restart;
+            let cfg = sched_cfg(&args, PlacePolicy::Packed, wl, recovery, None);
+            assert_eq!(cfg.solve_mode, mode, "schedule {flags:?}");
+        }
     }
 }

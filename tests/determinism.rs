@@ -110,3 +110,43 @@ fn simulator_event_order_is_stable_under_ties() {
     };
     assert_eq!(order(), order());
 }
+
+#[test]
+fn solve_mode_field_selects_the_solver_without_changing_results() {
+    use aiacc::cluster::RackSpec;
+    use aiacc::simnet::SolveMode;
+    use aiacc::trainer::TrainingSim;
+    // 8 nodes of 8 GPUs in racks of 2 behind a 2:1 ToR/spine tier.
+    let racked = || {
+        let cluster = ClusterSpec::tcp_v100(64);
+        let nic = cluster.node.nic;
+        cluster.with_rack_layer(RackSpec::oversubscribed_2to1(2, &nic))
+    };
+    let train = |mode: SolveMode| {
+        let cfg = TrainingSimConfig::new(racked(), zoo::resnet50(), EngineKind::aiacc_default())
+            .with_iterations(1, 2)
+            .with_solve_mode(mode);
+        let mut sim = TrainingSim::new(cfg);
+        let bits: Vec<u64> = sim.run().iter_secs.iter().map(|s| s.to_bits()).collect();
+        (bits, sim.solver_stats())
+    };
+    let schedule = |mode: SolveMode| {
+        let wl = Workload::generate(&WorkloadCfg::new(4, 3).with_mix(aiacc::sched::JobMix::Tiny));
+        let report =
+            run_multijob(MultiJobCfg::new(racked(), PlacePolicy::Packed, wl).with_solve_mode(mode));
+        let rows: Vec<String> = report.jobs.iter().map(|j| j.tsv_row()).collect();
+        (rows, report.solver)
+    };
+    let ((train_part, tp), (train_full, tf)) =
+        (train(SolveMode::Partitioned), train(SolveMode::Full));
+    let ((jct_part, sp), (jct_full, sf)) =
+        (schedule(SolveMode::Partitioned), schedule(SolveMode::Full));
+    assert_eq!(train_part, train_full, "iteration times differ between solve modes");
+    assert_eq!(jct_part, jct_full, "JCT rows differ between solve modes");
+    // The field reached the network: the flat solver re-solves every
+    // component, the partitioned one skips clean ones.
+    for (part, full) in [(tp, tf), (sp, sf)] {
+        assert_eq!(full.comps_solved, full.comps_existing);
+        assert!(part.comps_solved < full.comps_solved, "{part:?} vs {full:?}");
+    }
+}
