@@ -11,16 +11,14 @@
 //! link bandwidth.
 
 use crate::space::TuningConfig;
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The computation-graph signature: the model's layer-kind sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphSig(pub Vec<String>);
 
 /// The topology signature of a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopoSig {
     /// Compute nodes.
     pub nodes: usize,
@@ -60,7 +58,7 @@ pub fn topo_distance(a: &TopoSig, b: &TopoSig) -> f64 {
     nd + gd + bd + fd
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Entry {
     graph: GraphSig,
     topo: TopoSig,
@@ -101,19 +99,28 @@ impl TuningCache {
         TuningCache::default()
     }
 
+    // The lock never poisons: no writer can leave `entries` half-updated.
+    fn read(&self) -> RwLockReadGuard<'_, Vec<Entry>> {
+        self.entries.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Vec<Entry>> {
+        self.entries.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of stored deployments.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.read().len()
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.read().is_empty()
     }
 
     /// Stores (or improves) the best configuration for a deployment.
     pub fn store(&self, graph: GraphSig, topo: TopoSig, config: TuningConfig, value: f64) {
-        let mut entries = self.entries.write();
+        let mut entries = self.write();
         if let Some(e) =
             entries.iter_mut().find(|e| e.graph == graph && topo_distance(&e.topo, &topo) == 0.0)
         {
@@ -129,7 +136,7 @@ impl TuningCache {
     /// The stored configuration of the most similar deployment, if any is
     /// similar enough — the warm-start seed for a new search (§VI).
     pub fn lookup(&self, graph: &GraphSig, topo: &TopoSig) -> Option<TuningConfig> {
-        let entries = self.entries.read();
+        let entries = self.read();
         entries
             .iter()
             .map(|e| {
@@ -216,5 +223,42 @@ mod tests {
         cache.store(sig(&["conv"; 20]), topo(16), cfg(24), 1.0);
         // 14 nodes is closer to 16 than to 2.
         assert_eq!(cache.lookup(&sig(&["conv"; 20]), &topo(14)), Some(cfg(24)));
+    }
+
+    #[test]
+    fn clones_share_one_store_across_threads() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 25;
+        let cache = TuningCache::new();
+        let shared = sig(&["shared"]);
+        let start = Arc::new(std::sync::Barrier::new(THREADS));
+        let joins: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (cache, shared, start) = (cache.clone(), shared.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    // Descending values: every thread keeps improving the
+                    // shared deployment while the others race it.
+                    for i in (0..PER_THREAD).rev() {
+                        let own = sig(&[&format!("t{t}"), &format!("d{i}")]);
+                        cache.store(own, topo(1), cfg(i + 1), 1.0);
+                        let rank = i * THREADS + t;
+                        cache.store(shared.clone(), topo(8), cfg(rank + 1), rank as f64);
+                    }
+                })
+            })
+            .collect();
+        for j in joins {
+            j.join().unwrap();
+        }
+        assert_eq!(cache.len(), THREADS * PER_THREAD + 1);
+        for t in 0..THREADS {
+            for i in 0..PER_THREAD {
+                let own = sig(&[&format!("t{t}"), &format!("d{i}")]);
+                assert_eq!(cache.lookup(&own, &topo(1)), Some(cfg(i + 1)), "t{t} d{i}");
+            }
+        }
+        // Rank 0 (thread 0's last store) has the lowest value of all.
+        assert_eq!(cache.lookup(&shared, &topo(8)), Some(cfg(1)));
     }
 }

@@ -52,7 +52,6 @@ mod grid;
 mod hyperband;
 mod mab;
 mod pbt;
-mod random;
 mod space;
 mod tuner;
 
@@ -61,6 +60,5 @@ pub use grid::GridSearch;
 pub use hyperband::Hyperband;
 pub use mab::MetaSolver;
 pub use pbt::PopulationTraining;
-pub use random::RandomSearch;
 pub use space::{TuneAlgo, TuningConfig, TuningSpace};
 pub use tuner::{BatchObjective, Evaluation, Objective, Searcher, TuneReport, Tuner};

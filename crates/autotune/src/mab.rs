@@ -2,7 +2,6 @@
 //! assignment (§VI, following the adaptive operator selection of [13] and
 //! OpenTuner \[28\]).
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Bandit over search techniques.
@@ -23,7 +22,7 @@ use std::collections::VecDeque;
 /// m.record(0, false);
 /// assert_eq!(m.select(3), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetaSolver {
     window: usize,
     c: f64,

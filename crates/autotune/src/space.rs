@@ -4,12 +4,11 @@
 //! compression shrinks units and shifts the stream/granularity optimum.
 
 use aiacc_compress::Scheme;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// All-reduce algorithm choice, mirrored from the collectives layer (kept
 /// local so the tuner stays engine-agnostic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TuneAlgo {
     /// Flat ring all-reduce.
     #[default]
@@ -28,7 +27,7 @@ impl fmt::Display for TuneAlgo {
 }
 
 /// One point in the search space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningConfig {
     /// Concurrent communication streams.
     pub streams: usize,
@@ -37,7 +36,6 @@ pub struct TuningConfig {
     /// All-reduce algorithm.
     pub algo: TuneAlgo,
     /// Gradient compression scheme.
-    #[serde(default)]
     pub compress: Scheme,
 }
 
@@ -55,7 +53,7 @@ impl fmt::Display for TuningConfig {
 }
 
 /// The discrete lattice the searchers explore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningSpace {
     /// Stream-count axis.
     pub streams: Vec<usize>,
@@ -66,7 +64,6 @@ pub struct TuningSpace {
     /// Compression-scheme axis. Defaults to `[Scheme::None]` (compression
     /// changes accuracy, so lossy schemes only enter the search when the
     /// caller opts in via [`TuningSpace::with_compression`]).
-    #[serde(default = "default_compress_axis")]
     pub compress: Vec<Scheme>,
 }
 

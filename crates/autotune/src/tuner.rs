@@ -3,7 +3,6 @@
 use crate::mab::MetaSolver;
 use crate::space::{TuningConfig, TuningSpace};
 use crate::{BayesOpt, GridSearch, Hyperband, PopulationTraining};
-use serde::{Deserialize, Serialize};
 
 /// Something that can score a configuration. Lower is better (e.g. measured
 /// iteration seconds on the simulated cluster).
@@ -53,7 +52,7 @@ pub trait Searcher {
 }
 
 /// One warm-up evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// The configuration tried.
     pub config: TuningConfig,
@@ -64,7 +63,7 @@ pub struct Evaluation {
 }
 
 /// The outcome of a tuning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuneReport {
     /// Best configuration found.
     pub best: TuningConfig,

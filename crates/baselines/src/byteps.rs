@@ -19,11 +19,10 @@ use aiacc_core::packing::{pack_units, AllReduceUnit, ReduceTracker};
 use aiacc_core::GradientRegistry;
 use aiacc_dnn::{DType, GradId, ModelProfile};
 use aiacc_simnet::{FlowSpec, ResourceId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// BytePS tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BytePsConfig {
     /// Partition/packing granularity (BytePS default 4 MB).
     pub partition_bytes: f64,

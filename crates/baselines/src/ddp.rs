@@ -13,10 +13,9 @@ use aiacc_core::ddl::{DdlCtx, DdlEngine};
 use aiacc_core::packing::{AllReduceUnit, ReduceTracker, Segment};
 use aiacc_core::GradientRegistry;
 use aiacc_dnn::{DType, GradId, ModelProfile};
-use serde::{Deserialize, Serialize};
 
 /// DDP tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdpConfig {
     /// Bucket capacity (`bucket_cap_mb`, default 25 MB). Tensors larger than
     /// the cap get their own bucket — DDP never splits a tensor.

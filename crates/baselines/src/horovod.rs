@@ -17,14 +17,13 @@ use aiacc_core::packing::{pack_units, AllReduceUnit, ReduceTracker};
 use aiacc_core::{GradientRegistry, SyncVector};
 use aiacc_dnn::{DType, GradId, ModelProfile};
 use aiacc_simnet::{SimDuration, Token};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 const TIMER_CYCLE: u32 = 0;
 const TIMER_NEGOTIATED: u32 = 1;
 
 /// Horovod tunables (defaults match v0.23's shipping configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HorovodConfig {
     /// Coordinator cycle period (`HOROVOD_CYCLE_TIME`, default 5 ms... the
     /// shipped default is 1 ms with adaptive backoff; 2.5 ms models the

@@ -12,11 +12,10 @@ use aiacc_core::packing::{AllReduceUnit, ReduceTracker, Segment};
 use aiacc_core::GradientRegistry;
 use aiacc_dnn::{DType, GradId, ModelProfile};
 use aiacc_simnet::FlowSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// KVStore tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KvStoreConfig {
     /// Per-key server assignment stride (servers = one per node).
     pub seed: u64,

@@ -1,10 +1,9 @@
 //! Hardware specifications: GPUs, NICs, nodes, clusters.
 
 use aiacc_simnet::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Inter-node network technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetKind {
     /// VPC TCP/IP — the dominant infrastructure in public GPU clouds (§II-E).
     Tcp,
@@ -18,7 +17,7 @@ pub enum NetKind {
 /// communication stream utilizes at most ~30 % of a TCP link and only 5–10 %
 /// of an RDMA link (§III) — the core motivation for multi-streamed
 /// communication.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NicSpec {
     /// Network technology.
     pub kind: NetKind,
@@ -75,7 +74,7 @@ impl NicSpec {
 }
 
 /// A GPU specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"V100-SXM2-32GB"`.
     pub name: String,
@@ -116,7 +115,7 @@ impl GpuSpec {
 }
 
 /// One compute node: identical GPUs behind one NIC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// GPUs in the node.
     pub gpus_per_node: usize,
@@ -147,7 +146,7 @@ impl NodeSpec {
 /// oversubscribed uplinks the way real datacenter fabrics do. Racks also
 /// partition the fluid solver: rack-local flows are solved per rack and only
 /// the spine tier is re-solved when a cross-rack share moves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackSpec {
     /// Nodes behind one ToR switch.
     pub nodes_per_rack: usize,
@@ -204,7 +203,7 @@ impl RackSpec {
 /// gang sizes like 12 GPUs on 8-GPU nodes (1 full node + 4-GPU tail) are
 /// expressed. Global ranks stay node-contiguous: node `n` starts at rank
 /// `n * gpus_per_node`, so rank↔node arithmetic is unchanged by a tail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of nodes (including the partial last node, if any).
     pub nodes: usize,
@@ -214,7 +213,6 @@ pub struct ClusterSpec {
     pub tail_gpus: usize,
     /// Optional rack/spine tier (`None` = flat single-tier fabric, which is
     /// what every pre-rack snapshot and spec deserializes to).
-    #[serde(default)]
     pub rack: Option<RackSpec>,
 }
 
@@ -491,8 +489,7 @@ mod tests {
     #[test]
     fn constructors_default_to_no_rack_layer() {
         // Every existing constructor must keep yielding a flat fabric so
-        // pre-rack callers (and serialized specs, via `#[serde(default)]`)
-        // see unchanged behaviour.
+        // pre-rack callers see unchanged behaviour.
         assert!(ClusterSpec::tcp_v100(16).rack.is_none());
         assert!(ClusterSpec::rdma_v100(16).rack.is_none());
         assert!(ClusterSpec::with_tail(2, NodeSpec::alibaba_v100_tcp(), 4).rack.is_none());

@@ -10,12 +10,11 @@
 use aiacc_cluster::{ClusterNet, ClusterSpec};
 use aiacc_simnet::trace::track;
 use aiacc_simnet::{FlowId, FlowSpec, SimDuration, Simulator};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// Identifier of a launched collective operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub u64);
 
 impl fmt::Display for OpId {
@@ -26,7 +25,7 @@ impl fmt::Display for OpId {
 
 /// All-reduce algorithm (§V-B: AIACC-Training supports both and auto-tunes
 /// the choice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algo {
     /// Flat ring over all workers.
     #[default]
@@ -37,7 +36,7 @@ pub enum Algo {
 }
 
 /// Fidelity of the ring timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RingMode {
     /// Simulate every lock-step ring step as its own set of flows. Exact but
     /// O(W²) flows per operation.
@@ -52,7 +51,7 @@ pub enum RingMode {
 }
 
 /// What to run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveSpec {
     /// Payload bytes contributed per worker — the bytes that actually hit
     /// the wire (already compressed, if a compression scheme is active).
@@ -65,7 +64,6 @@ pub struct CollectiveSpec {
     /// compress + decompress kernels). Folded into the start-up latency of
     /// the operation's first phase, so completion shifts by exactly this
     /// amount without adding events.
-    #[serde(default)]
     pub overhead: SimDuration,
 }
 

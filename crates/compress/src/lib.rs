@@ -26,7 +26,6 @@
 //! them together.
 
 use aiacc_dnn::f16;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -34,7 +33,7 @@ use std::str::FromStr;
 pub const INT8_CHUNK: usize = 256;
 
 /// A gradient compression scheme, selectable per engine/session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scheme {
     /// No compression: `f32` on the wire.
     #[default]
@@ -411,7 +410,7 @@ fn compress_topk(values: &[f32], ratio: u32) -> Compressed {
 ///
 /// The residual is part of a training run's state: a checkpoint that drops
 /// it does not resume the same run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ErrorFeedback {
     residual: Vec<f32>,
 }

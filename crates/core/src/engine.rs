@@ -25,7 +25,6 @@ use aiacc_compress::Scheme;
 use aiacc_dnn::{DType, GradId, ModelProfile};
 use aiacc_simnet::trace::track;
 use aiacc_simnet::{FaultRecord, SimDuration, SimTime, Token};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// Timer code: a sync round finished.
@@ -36,7 +35,7 @@ const TIMER_UNIT_STALL: u32 = 1;
 
 /// Tunable communication hyper-parameters — exactly the knobs the
 /// auto-tuner of §VI searches over.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AiaccConfig {
     /// Communication thread-pool size (concurrent CUDA streams), N in
     /// Algorithm 1.
@@ -50,7 +49,6 @@ pub struct AiaccConfig {
     /// Gradient compression scheme (§X / RedSync): what actually travels
     /// on the wire. The engine charges the scheme's exact compressed wire
     /// size per unit and its compress/decompress kernels on compute.
-    #[serde(default)]
     pub compress: Scheme,
     /// Stall watchdog: if a dispatched unit has not completed after this
     /// long, cancel it and resubmit on a fresh stream (doubling the timeout
@@ -152,7 +150,7 @@ impl AiaccConfig {
 
 /// Counters exposed for tests, tuning diagnostics and the experiment
 /// harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AiaccStats {
     /// Decentralized sync rounds run this iteration.
     pub sync_rounds: u64,

@@ -40,16 +40,11 @@ pub mod ddl;
 mod engine;
 pub mod packing;
 mod perseus;
-mod perseus_mt;
-mod queue;
 mod registry;
 mod syncvec;
 pub mod translate;
-pub mod wire;
 
 pub use engine::{AiaccConfig, AiaccEngine, AiaccStats};
 pub use perseus::{Perseus, PerseusConfig};
-pub use perseus_mt::{perseus_world, PerseusHandle};
-pub use queue::{Bucket, GradientQueue};
 pub use registry::{GradientInfo, GradientRegistry};
 pub use syncvec::SyncVector;

@@ -9,10 +9,9 @@
 
 use crate::registry::{GradientInfo, GradientRegistry};
 use aiacc_dnn::GradId;
-use serde::{Deserialize, Serialize};
 
 /// A contiguous slice of one gradient tensor inside an all-reduce unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// The gradient this slice belongs to.
     pub grad: GradId,
@@ -23,7 +22,7 @@ pub struct Segment {
 }
 
 /// One unit of communication: what a single ring all-reduce carries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllReduceUnit {
     /// The packed slices, in gradient-id order.
     pub segments: Vec<Segment>,
@@ -92,7 +91,7 @@ pub fn pack_units(
 
 /// Tracks which gradients have been fully reduced as units complete
 /// ("gradient unpack" + callback dispatch of Algorithm 1, lines 12–15).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReduceTracker {
     remaining: Vec<usize>,
     zero_len_done: Vec<bool>,

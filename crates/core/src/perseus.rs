@@ -32,12 +32,11 @@ use aiacc_collectives::dataplane::{ring_fold, tree_allreduce, ReduceOp};
 use aiacc_compress::{Compressor, ErrorFeedback, Scheme};
 use aiacc_dnn::DType;
 use aiacc_simnet::par;
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 
 /// Configuration of a [`Perseus`] data-plane session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerseusConfig {
     /// Number of training workers.
     pub world: usize,
@@ -52,7 +51,6 @@ pub struct PerseusConfig {
     /// through compress → decompress before reduction, exactly as the wire
     /// would deliver it (§X / RedSync), with per-worker error-feedback
     /// residuals for the lossy schemes.
-    #[serde(default)]
     pub compress: Scheme,
 }
 

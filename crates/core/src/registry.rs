@@ -1,10 +1,9 @@
 //! Gradient registration (§V-A1).
 
 use aiacc_dnn::{DType, GradId, ModelProfile};
-use serde::{Deserialize, Serialize};
 
 /// Static description of one registered gradient.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientInfo {
     /// Registration index == synchronization-vector slot.
     pub id: GradId,
@@ -31,7 +30,7 @@ pub struct GradientInfo {
 /// let g = reg.get(GradId(0));
 /// assert!(g.elems > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientRegistry {
     grads: Vec<GradientInfo>,
     dtype: DType,

@@ -8,7 +8,6 @@
 //! *every* worker has produced it.
 
 use aiacc_dnn::GradId;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-length readiness bit vector.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(v.get(GradId(3)));
 /// assert_eq!(v.count_ready(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncVector {
     words: Vec<u64>,
     len: usize,

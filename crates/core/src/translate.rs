@@ -15,10 +15,8 @@
 //! anything it does not recognize passes through untouched, and the report
 //! lists every edit so users can audit the result.
 
-use serde::{Deserialize, Serialize};
-
 /// What kind of input script the translator detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScriptKind {
     /// Already a Horovod program: only the import swap is needed.
     Horovod,
@@ -29,7 +27,7 @@ pub enum ScriptKind {
 }
 
 /// One edit the translator performed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edit {
     /// 1-based line in the *input* where the edit anchors.
     pub line: usize,
@@ -38,7 +36,7 @@ pub struct Edit {
 }
 
 /// The translation outcome.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Translation {
     /// The rewritten source.
     pub source: String,

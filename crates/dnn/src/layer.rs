@@ -1,10 +1,8 @@
 //! Layer and parameter specifications for model profiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Coarse layer family; used for workload characterization and the
 /// graph-similarity signature consumed by the auto-tuner warm-start cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution.
     Conv2d,
@@ -25,7 +23,7 @@ pub enum LayerKind {
 /// Each `ParamSpec` produces exactly one gradient tensor during backward
 /// propagation — the unit of registration and communication in
 /// AIACC-Training (§V-A).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ParamSpec {
     /// Parameter name, unique within its layer (e.g. `"weight"`).
     pub name: String,
@@ -46,7 +44,7 @@ impl ParamSpec {
 }
 
 /// One layer of a model profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSpec {
     /// Layer name, unique within the model (e.g. `"conv3_2"`).
     pub name: String,

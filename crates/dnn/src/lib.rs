@@ -4,10 +4,8 @@
 //! a deep-learning training job, plus a small *real* neural network for
 //! end-to-end numerical tests:
 //!
-//! * [`Tensor`] / [`DType`] — gradient payloads. Dense tensors carry real
-//!   `f32` data (used by correctness tests and the MLP trainer); synthetic
-//!   tensors carry only a length (used by large-scale timing simulations where
-//!   materializing BERT-sized gradients for 256 workers would be absurd).
+//! * [`DType`] — the element type of gradients on the wire, which sets their
+//!   byte size. Real gradient values travel as flat `f32` slices.
 //! * [`mod@f16`] — IEEE-754 half-precision conversion used by the gradient
 //!   compression path (AIACC-Training uses half precision on the wire, §X).
 //! * [`ModelProfile`] and the [`zoo`] — layer-accurate descriptions of the
@@ -33,14 +31,14 @@
 #![warn(missing_docs)]
 
 pub mod data;
+mod dtype;
 pub mod f16;
 mod layer;
 mod mlp;
 mod profile;
-mod tensor;
 pub mod zoo;
 
+pub use dtype::DType;
 pub use layer::{LayerKind, LayerSpec, ParamSpec};
 pub use mlp::{Mlp, MlpConfig};
 pub use profile::{GradId, GradientSpec, ModelProfile, SampleUnit};
-pub use tensor::{DType, Tensor};

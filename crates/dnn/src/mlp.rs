@@ -9,10 +9,9 @@ use crate::layer::{LayerKind, LayerSpec, ParamSpec};
 use crate::profile::{ModelProfile, SampleUnit};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an [`Mlp`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MlpConfig {
     /// Layer widths from input to output, e.g. `[16, 32, 4]` = one hidden
     /// layer of 32 units and 4 output classes.
@@ -49,7 +48,7 @@ impl MlpConfig {
 /// let logits = mlp.forward(&x, 2);
 /// assert_eq!(logits.len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     sizes: Vec<usize>,
     /// Every parameter in registration order `w0, b0, w1, b1, …`.

@@ -1,14 +1,13 @@
 //! Model profiles: what the communication layers need to know about a DNN.
 
+use crate::dtype::DType;
 use crate::layer::{LayerKind, LayerSpec};
-use crate::tensor::DType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one gradient tensor within a model, assigned during
 /// gradient registration (AIACC-Training §V-A1: parameters are sorted and
 /// given a unique index in the gradient synchronization vector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GradId(pub u32);
 
 impl GradId {
@@ -25,7 +24,7 @@ impl fmt::Display for GradId {
 }
 
 /// What one training sample means for throughput reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SampleUnit {
     /// Images (CV models; throughput in images/s).
     Images,
@@ -46,7 +45,7 @@ impl fmt::Display for SampleUnit {
 }
 
 /// Static description of one gradient to be communicated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientSpec {
     /// Registration index (also the synchronization-vector slot).
     pub id: GradId,
@@ -88,7 +87,7 @@ pub struct GradientSpec {
 /// assert_eq!(model.num_params(), 12);
 /// assert_eq!(model.gradients(DType::F32).len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     name: String,
     layers: Vec<LayerSpec>,

@@ -1,7 +1,6 @@
 //! Adaptive Moment Estimation (Adam).
 
 use crate::Optimizer;
-use serde::{Deserialize, Serialize};
 
 /// Adam with bias correction (Kingma & Ba, 2014) — one half of AIACC's
 /// hybrid optimizer (§IV).
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// opt.step(&mut p, &[0.1]);
 /// assert!(p[0] < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     lr: f64,
     beta1: f64,

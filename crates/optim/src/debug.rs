@@ -6,11 +6,10 @@
 //! which parameter produced the first few non-finite values.
 
 use aiacc_dnn::GradId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One non-finite gradient value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NonFiniteReport {
     /// Gradient tensor id.
     pub grad: GradId,

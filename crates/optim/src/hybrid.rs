@@ -9,7 +9,6 @@
 //! well-understood late-training behaviour.
 
 use crate::Optimizer;
-use serde::{Deserialize, Serialize};
 
 /// Adam → SGD hybrid with dynamic step-size bounds.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// opt.step(&mut p, &[0.3]);
 /// assert!(p[0] < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdamSgd {
     lr: f64,
     final_lr: f64,

@@ -5,8 +5,6 @@
 //! communication optimization and gradient compression" (§IV). Both are
 //! provided, plus the warmup wrapper used by large-batch training.
 
-use serde::{Deserialize, Serialize};
-
 /// A learning-rate schedule: maps a global step to a rate.
 pub trait LrSchedule {
     /// Learning rate at (0-based) step `step`.
@@ -14,7 +12,7 @@ pub trait LrSchedule {
 }
 
 /// Constant rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constant(pub f64);
 
 impl LrSchedule for Constant {
@@ -24,7 +22,7 @@ impl LrSchedule for Constant {
 }
 
 /// Linear decay from `base` to `floor` over `total_steps` (AIACC's choice).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearDecay {
     /// Initial rate.
     pub base: f64,
@@ -54,7 +52,7 @@ impl LrSchedule for LinearDecay {
 }
 
 /// Classic step decay: multiply by `gamma` every `step_size` steps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepDecay {
     /// Initial rate.
     pub base: f64,
@@ -84,7 +82,7 @@ impl LrSchedule for StepDecay {
 
 /// Linear warmup from zero over `warmup_steps`, then the inner schedule
 /// (shifted so its step 0 is the end of warmup).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Warmup<S> {
     /// Warmup length.
     pub warmup_steps: u64,

@@ -1,7 +1,6 @@
 //! Stochastic gradient descent with momentum.
 
 use crate::Optimizer;
-use serde::{Deserialize, Serialize};
 
 /// SGD with optional momentum, Nesterov acceleration and L2 weight decay.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// let mut p = vec![0.0f32; 4];
 /// opt.step(&mut p, &[1.0; 4]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sgd {
     lr: f64,
     momentum: f64,

@@ -13,10 +13,9 @@
 
 use crate::multijob::MultiJobReport;
 use aiacc_trainer::metrics::{p50, p95, p99};
-use serde::Serialize;
 
 /// Summary metrics of one multi-job scenario.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterMetrics {
     /// Placement policy name.
     pub policy: String,

@@ -11,10 +11,9 @@
 //! and with it the whole scheduler — is deterministic.
 
 use aiacc_cluster::{ClusterSpec, GpuFreeList};
-use serde::{Deserialize, Serialize};
 
 /// Gang placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacePolicy {
     /// Fewest nodes, preferring already-fragmented (fullest) nodes: best for
     /// NVLink locality and low fragmentation, worst for NIC sharing.

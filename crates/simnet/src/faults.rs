@@ -54,11 +54,10 @@
 
 use crate::flownet::{FlowNet, ResourceId};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What a fault does to its target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Scale the target link's capacity by `factor` (0 < factor < 1) for the
     /// event's duration.
@@ -83,7 +82,7 @@ pub enum FaultKind {
 }
 
 /// What a fault applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     /// A concrete network resource (link port).
     Resource(ResourceId),
@@ -94,7 +93,7 @@ pub enum FaultTarget {
 }
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// The fault's target.
     pub target: FaultTarget,
@@ -125,7 +124,7 @@ impl FaultEvent {
 /// Plans are inert data: building one has no effect until it is handed to
 /// [`crate::Simulator::install_faults`] (link faults) or queried by the
 /// training layer (compute faults).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
@@ -458,7 +457,7 @@ impl FaultPlan {
 }
 
 /// Whether a [`FaultRecord`] marks a fault taking effect or being lifted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPhase {
     /// The fault just took effect.
     Applied,

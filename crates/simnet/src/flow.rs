@@ -2,7 +2,6 @@
 
 use crate::flownet::ResourceId;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a flow inside a [`crate::FlowNet`].
@@ -11,7 +10,7 @@ use std::fmt;
 /// packs a storage slot index and a per-slot generation counter; a slot
 /// reused by a later flow gets a new generation, so a stale id held after
 /// its flow completed never resolves to the replacement flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub(crate) u64);
 
 impl FlowId {
@@ -47,7 +46,7 @@ impl fmt::Display for FlowId {
 ///     .with_latency(SimDuration::from_micros(25));
 /// assert_eq!(spec.bytes, 1024.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
     /// Resources loaded while the flow is active.
     pub path: Vec<ResourceId>,

@@ -26,12 +26,11 @@
 use crate::calq::CalendarQueue;
 use crate::flow::{Flow, FlowId, FlowSpec};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a [`Resource`] (a link port, NIC direction, bus, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceId(u32);
 
 impl ResourceId {
@@ -55,7 +54,7 @@ impl fmt::Display for ResourceId {
 }
 
 /// A capacity-limited network resource (e.g. one direction of a NIC).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Resource {
     /// Human-readable name used in diagnostics.
     pub name: String,
@@ -73,7 +72,7 @@ pub struct Resource {
 }
 
 /// How the max-min solver reacts to a dirty network.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SolveMode {
     /// Re-solve every component whenever anything changed. This is the flat
     /// baseline: asymptotically the old global solve, kept as the
@@ -95,7 +94,7 @@ pub enum SolveMode {
 /// fill rounds as the serial one); `par_solves`/`par_workers` record how the
 /// work was *scheduled* and legitimately differ across worker counts — keep
 /// them out of any cross-worker-count byte comparison.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of times a dirty network was re-solved.
     pub recomputes: u64,
@@ -184,7 +183,7 @@ impl std::fmt::Display for SolverStats {
 /// back into simulation state, so instrumented runs stay bit-identical —
 /// but the values themselves are machine-dependent and must stay out of any
 /// byte-compared report field.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveBreakdown {
     /// Seconds computing max-min rates + completion predictions (the
     /// per-component, read-only phase the worker pool parallelizes).

@@ -6,7 +6,6 @@ use crate::flow::{FlowId, FlowSpec};
 use crate::flownet::FlowNet;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{track, TraceSink};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// An opaque, `Copy` event payload for simulator timers.
@@ -23,9 +22,7 @@ use std::sync::Arc;
 /// let t = Token { kind: KIND_GRAD_READY, a: 3, b: 17 };
 /// assert_eq!(t.a, 3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Token {
     /// Event family (defined by the scheduling layer).
     pub kind: u32,

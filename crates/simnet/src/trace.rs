@@ -36,7 +36,6 @@
 //! ```
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Well-known trace tracks (Chrome-trace process ids), one per subsystem.
@@ -54,7 +53,7 @@ pub mod track {
 }
 
 /// What kind of Chrome-trace record an event is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePhase {
     /// Span open (`ph:"B"`).
     Begin,
@@ -67,7 +66,7 @@ pub enum TracePhase {
 }
 
 /// One recorded trace event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Virtual time the event happened.
     pub at: SimTime,
@@ -90,7 +89,7 @@ pub struct TraceEvent {
 /// Disabled by default: every record method first checks
 /// [`TraceSink::is_enabled`] and returns immediately when tracing is off, so
 /// an un-armed sink costs one branch per call site and allocates nothing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSink {
     enabled: bool,
     events: Vec<TraceEvent>,
@@ -333,7 +332,7 @@ impl TraceSink {
 /// `overlap_fraction` is the share of communication-busy time during which
 /// **two or more** stream lanes were simultaneously active — the direct,
 /// measurable form of the paper's Fig. 7 multi-stream overlap claim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
     /// Distinct per-stream lanes that carried at least one all-reduce unit.
     pub stream_lanes: usize,

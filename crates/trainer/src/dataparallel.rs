@@ -8,10 +8,9 @@ use aiacc_dnn::{Mlp, MlpConfig};
 use aiacc_optim::schedule::{LinearDecay, LrSchedule};
 use aiacc_optim::{Optimizer, Sgd};
 use aiacc_simnet::par;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a real data-parallel training job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataParallelConfig {
     /// MLP layer widths.
     pub layer_sizes: Vec<usize>,
@@ -25,7 +24,6 @@ pub struct DataParallelConfig {
     /// `None` = constant rate.
     pub decay_steps: Option<u64>,
     /// Gradient compression scheme on the (simulated) wire.
-    #[serde(default)]
     pub compress: Scheme,
     /// Weight-init and data seed.
     pub seed: u64,
@@ -51,7 +49,7 @@ impl DataParallelConfig {
 }
 
 /// Statistics of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainStats {
     /// Mean training loss per step.
     pub losses: Vec<f64>,
@@ -62,7 +60,7 @@ pub struct TrainStats {
 /// A restartable snapshot of the training state (§IV fault tolerance:
 /// "restart the training process from the last checkpoint upon node
 /// failure").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     config: DataParallelConfig,
     params: Vec<f32>,
@@ -73,7 +71,6 @@ pub struct Checkpoint {
     /// Perseus's error-feedback residuals, `[worker][unit]`: what the lossy
     /// codecs dropped and will re-inject. Empty in checkpoints written
     /// before residuals were saved, which restore with fresh residuals.
-    #[serde(default)]
     error_feedback: Vec<Vec<ErrorFeedback>>,
 }
 

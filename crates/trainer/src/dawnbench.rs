@@ -13,7 +13,6 @@ use aiacc_cluster::{ClusterSpec, GpuSpec, NodeSpec};
 use aiacc_compress::Scheme;
 use aiacc_core::AiaccConfig;
 use aiacc_dnn::zoo;
-use serde::{Deserialize, Serialize};
 
 /// ImageNet-1k training-set size.
 pub const IMAGENET_IMAGES: f64 = 1_281_167.0;
@@ -26,7 +25,7 @@ pub const EPOCHS_TO_TARGET: f64 = 28.0;
 pub const INSTANCE_USD_PER_HOUR: f64 = 10.58;
 
 /// A DAWNBench-style estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DawnbenchEstimate {
     /// Aggregate throughput in images/second.
     pub images_per_sec: f64,

@@ -8,11 +8,10 @@ use aiacc_core::ddl::DdlEngine;
 use aiacc_core::{AiaccConfig, AiaccEngine};
 use aiacc_dnn::ModelProfile;
 use aiacc_simnet::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which communication framework runs the simulated job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineKind {
     /// AIACC-Training with the given configuration.
     Aiacc(AiaccConfig),
@@ -65,7 +64,7 @@ impl fmt::Display for EngineKind {
 /// efficiency and per-iteration runtime overhead, and each ships a different
 /// *native* distributed engine that AIACC is compared against in
 /// Figs. 9–12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Framework {
     /// PyTorch v1.10 (native DDL: DistributedDataParallel).
     PyTorch,

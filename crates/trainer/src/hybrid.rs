@@ -13,11 +13,10 @@ use aiacc_cluster::{ClusterNet, ClusterSpec, ComputeModel};
 use aiacc_collectives::CollectiveEngine;
 use aiacc_dnn::{DType, ModelProfile};
 use aiacc_simnet::{Event, FlowSpec, SimDuration, Simulator};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Gradient aggregation scheme for the hybrid job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HybridEngine {
     /// AIACC: all per-stage ring all-reduces run concurrently.
     Aiacc,
@@ -26,7 +25,7 @@ pub enum HybridEngine {
 }
 
 /// Result of a hybrid-parallel simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridReport {
     /// Samples per second.
     pub samples_per_sec: f64,

@@ -22,13 +22,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod async_dp;
 mod dataparallel;
 pub mod dawnbench;
 mod engines;
 pub mod hybrid;
 pub mod metrics;
-pub mod pipeline;
 pub mod recovery;
 mod sim;
 pub mod timeline;

@@ -1,11 +1,10 @@
 //! Throughput reports and the paper's derived metrics.
 
 use aiacc_dnn::SampleUnit;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Measured throughput of one simulated training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputReport {
     /// Engine name (with configuration summary).
     pub engine: String,

@@ -10,13 +10,12 @@
 use aiacc_cluster::{ClusterNet, ClusterSpec};
 use aiacc_dnn::{DType, ModelProfile};
 use aiacc_simnet::{Event, FlowSpec, SimDuration, Simulator, Token};
-use serde::{Deserialize, Serialize};
 
 /// Timer kind used by the replayed recovery timelines.
 const RESTART_DONE_KIND: u32 = 7001;
 
 /// Infrastructure constants for recovery timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Per-node read bandwidth from the checkpoint store (object storage /
     /// NAS), bytes/second.
@@ -37,7 +36,7 @@ impl Default for RecoveryConfig {
 }
 
 /// The cost breakdown of a recovery or join operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryReport {
     /// Fixed restart/setup time.
     pub overhead_secs: f64,

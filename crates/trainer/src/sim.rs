@@ -10,7 +10,6 @@ use aiacc_simnet::trace::track;
 use aiacc_simnet::{
     Event, FaultPlan, RunOffsets, SimDuration, SimTime, Simulator, SolveMode, Token, TraceSink,
 };
-use serde::{Deserialize, Serialize};
 
 /// Timer kind for a scheduled node crash from the fault plan.
 const FAULT_CRASH_KIND: u32 = 3;
@@ -85,7 +84,7 @@ pub fn comm_stream_limits(
 }
 
 /// Configuration of one simulated training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingSimConfig {
     /// The cluster to run on.
     pub cluster: ClusterSpec,
@@ -123,7 +122,6 @@ pub struct TrainingSimConfig {
     pub trace: bool,
     /// How the fluid solver re-solves a dirty network. Both modes produce
     /// bit-identical output; [`SolveMode::Full`] is the flat oracle.
-    #[serde(default)]
     pub solve_mode: SolveMode,
 }
 
@@ -208,7 +206,7 @@ impl TrainingSimConfig {
 /// The *communication tail* — how long the job waits for gradient
 /// aggregation after every worker finished backward — is exactly the
 /// quantity AIACC's overlap machinery minimizes (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationBreakdown {
     /// When the slowest worker finished backward, seconds.
     pub backward_end_secs: f64,

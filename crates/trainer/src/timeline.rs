@@ -15,10 +15,9 @@ use crate::sim::{TrainingSim, TrainingSimConfig};
 use aiacc_cluster::ClusterSpec;
 use aiacc_dnn::data::Dataset;
 use aiacc_dnn::ModelProfile;
-use serde::{Deserialize, Serialize};
 
 /// Result of a two-plane time-to-accuracy estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeToAccuracy {
     /// Steps the real training needed to reach the target.
     pub steps: u64,

@@ -35,7 +35,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`simnet`] | deterministic discrete-event + fluid-flow network simulator |
-//! | [`dnn`] | tensors, fp16, the Table I model zoo, a real MLP, datasets |
+//! | [`dnn`] | wire dtypes, fp16, the Table I model zoo, a real MLP, datasets |
 //! | [`cluster`] | GPU/node/cluster specs, topology, compute timing |
 //! | [`collectives`] | exact + timed ring/tree all-reduce |
 //! | [`optim`] | SGD, Adam, the Adam/SGD hybrid, LR decay, fp16 compression |
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use aiacc_core::{
         AiaccConfig, AiaccEngine, GradientRegistry, Perseus, PerseusConfig, SyncVector,
     };
-    pub use aiacc_dnn::{data::Dataset, zoo, DType, Mlp, MlpConfig, ModelProfile, Tensor};
+    pub use aiacc_dnn::{data::Dataset, zoo, DType, Mlp, MlpConfig, ModelProfile};
     pub use aiacc_optim::{Adam, AdamSgd, Optimizer, Sgd};
     pub use aiacc_sched::{
         run_multijob, summarize, ClusterMetrics, MultiJobCfg, MultiJobReport, PlacePolicy,

@@ -114,89 +114,6 @@ fn linear_decay_trains_at_least_as_well_as_step_decay_here() {
 }
 
 #[test]
-fn threaded_perseus_trains_real_models_from_worker_threads() {
-    // Horovod-shaped usage: each worker thread owns a handle and its own
-    // model replica; replicas stay identical across steps.
-    use aiacc::core::perseus_world;
-    let world = 4;
-    let template = Mlp::new(&MlpConfig::new(vec![4, 12, 3], 3));
-    let data = Dataset::gaussian_blobs(256, 4, 3, 21);
-    let handles = perseus_world(&template.param_layout(), PerseusConfig::new(world));
-    let joins: Vec<_> = handles
-        .into_iter()
-        .map(|h| {
-            let mut model = template.clone();
-            let shard = data.shard(h.rank(), world);
-            std::thread::spawn(move || {
-                for step in 0..20 {
-                    let start = (step * 8) % (shard.len() - 8);
-                    let xs = &shard.features[start * 4..(start + 8) * 4];
-                    let ys = &shard.labels[start..start + 8];
-                    let (_, grads) = model.loss_and_grads(xs, ys);
-                    let reduced = h.allreduce(grads);
-                    let flat: Vec<f32> = reduced.into_iter().flatten().collect();
-                    model.apply_sgd(&flat, 0.1);
-                }
-                model.params_flat()
-            })
-        })
-        .collect();
-    let finals: Vec<Vec<f32>> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-    for f in &finals[1..] {
-        assert_eq!(f, &finals[0], "replicas diverged across threads");
-    }
-}
-
-#[test]
-fn wire_frames_round_trip_packed_buckets() {
-    // Pack → encode → decode → unpack across the crate boundary.
-    use aiacc::core::packing::pack_units;
-    use aiacc::core::wire::{decode_frame, encode_frame};
-    use aiacc::core::GradientRegistry;
-    use aiacc::dnn::GradId;
-
-    let layout = vec![("a".to_string(), 10usize), ("b".to_string(), 7)];
-    let reg = GradientRegistry::from_layout(&layout, DType::F32);
-    let (units, partial) = pack_units(&reg, [GradId(0), GradId(1)], 24.0);
-    let all: Vec<_> = units.into_iter().chain(partial).collect();
-    let payload: Vec<f32> = (0..17).map(|i| i as f32 * 0.5).collect();
-    let mut offset = 0;
-    for unit in &all {
-        let n = unit.elems();
-        let frame = encode_frame(&unit.segments, &payload[offset..offset + n], DType::F32);
-        let decoded = decode_frame(&frame).expect("well-formed frame");
-        assert_eq!(decoded.segments, unit.segments);
-        assert_eq!(decoded.values, &payload[offset..offset + n]);
-        offset += n;
-    }
-    assert_eq!(offset, 17, "frames covered the full payload");
-}
-
-#[test]
-fn gradient_queue_feeds_perseus_buckets() {
-    use aiacc::core::{GradientQueue, GradientRegistry};
-    use aiacc::dnn::GradId;
-
-    let mlp = Mlp::new(&MlpConfig::new(vec![3, 6, 2], 1));
-    let reg = GradientRegistry::from_layout(&mlp.param_layout(), DType::F32);
-    let mut q = GradientQueue::new(&reg, 64.0); // 16 f32 elements per bucket
-    let (_, grads) = mlp.loss_and_grads(&[0.1, 0.2, 0.3], &[1]);
-    let mut buckets = Vec::new();
-    for (i, g) in grads.into_iter().enumerate() {
-        if let Some(b) = q.push(GradId(i as u32), Tensor::from_vec(g)) {
-            buckets.push(b);
-        }
-    }
-    assert!(q.all_pushed());
-    let tail = q.flush();
-    if !tail.is_empty() {
-        buckets.push(tail);
-    }
-    let total: usize = buckets.iter().flatten().map(|(_, t)| t.len()).sum();
-    assert_eq!(total, mlp.num_params(), "queue lost or duplicated elements");
-}
-
-#[test]
 fn gradient_values_survive_pack_unpack_at_any_granularity() {
     // Property-style check across the crate boundary: oddly-sized tensors,
     // several granularities, world sizes 2..5.

@@ -22,7 +22,7 @@ fn comm_bound_cfg(trace: bool) -> TrainingSimConfig {
 }
 
 // ---------------------------------------------------------------------------
-// A minimal JSON validity checker (no serde_json in the vendored set): parses
+// A minimal JSON validity checker (the workspace has no JSON crate): parses
 // one complete JSON value and requires it to consume the whole input.
 
 fn skip_ws(b: &[u8], mut i: usize) -> usize {
