@@ -2,8 +2,8 @@
 //!
 //! Each `fig*`/`table*` function runs the corresponding sweep on the
 //! simulated cluster and returns a [`Table`] whose rows mirror what the
-//! paper plots; the `repro` binary prints them and writes TSV files, and the
-//! criterion benches wrap reduced-scale versions. `EXPERIMENTS.md` records
+//! paper plots; the `repro` binary prints them and writes TSV files (at
+//! reduced scale with `--quick`). `EXPERIMENTS.md` records
 //! the paper-vs-measured comparison for every entry here.
 
 #![forbid(unsafe_code)]
@@ -32,5 +32,5 @@ pub use report::Table;
 /// The GPU counts swept by the overall-performance figures (Figs. 9–12).
 pub const FULL_GPU_SWEEP: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 
-/// A reduced sweep for quick runs and criterion benches.
+/// A reduced sweep for quick runs (`repro --quick`).
 pub const QUICK_GPU_SWEEP: &[usize] = &[1, 8, 32];

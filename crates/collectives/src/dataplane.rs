@@ -242,27 +242,6 @@ pub fn all_gather(chunks: &[Vec<f32>]) -> Vec<f32> {
     out
 }
 
-/// Bitwise-AND all-reduce over `u64` words — the exact operation AIACC's
-/// decentralized gradient synchronization performs on its bit vectors: a
-/// **min** over `{0, 1}` entries is an AND (§V-A2).
-///
-/// # Panics
-/// Panics if vectors are empty or have differing lengths.
-pub fn allreduce_and_bits(vecs: &mut [Vec<u64>]) {
-    assert!(!vecs.is_empty(), "no workers");
-    let len = vecs[0].len();
-    assert!(vecs.iter().all(|v| v.len() == len), "bit vector length mismatch");
-    let mut acc = vecs[0].clone();
-    for v in vecs[1..].iter() {
-        for (a, b) in acc.iter_mut().zip(v) {
-            *a &= *b;
-        }
-    }
-    for v in vecs.iter_mut() {
-        v.copy_from_slice(&acc);
-    }
-}
-
 /// The step-by-step ring emulation [`ring_fold`] replaced, kept verbatim as
 /// the oracle for its fold order.
 #[cfg(test)]
@@ -485,16 +464,6 @@ mod tests {
     fn all_gather_concatenates() {
         let out = all_gather(&[vec![1.0], vec![2.0, 3.0], vec![]]);
         assert_eq!(out, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn and_bits_is_min_vote() {
-        // Worker 1 is missing gradient 1; everyone must see it missing.
-        let mut vecs = vec![vec![0b111u64], vec![0b101], vec![0b111]];
-        allreduce_and_bits(&mut vecs);
-        for v in &vecs {
-            assert_eq!(v[0], 0b101);
-        }
     }
 
     const SPECIAL: [f32; 10] = [

@@ -1,8 +1,7 @@
 //! Property-based tests of the data-plane collectives.
 
 use aiacc_collectives::dataplane::{
-    all_gather, allreduce_and_bits, broadcast, chunk_range, reduce_scatter, ring_allreduce,
-    tree_allreduce, ReduceOp,
+    all_gather, broadcast, chunk_range, reduce_scatter, ring_allreduce, tree_allreduce, ReduceOp,
 };
 use proptest::prelude::*;
 
@@ -123,28 +122,5 @@ proptest! {
         for b in &got {
             prop_assert_eq!(b, &want);
         }
-    }
-
-    /// The bit-vector AND all-reduce is exact and idempotent.
-    #[test]
-    fn and_bits_exact_and_idempotent(
-        words in prop::collection::vec(
-            prop::collection::vec(any::<u64>(), 1..8),
-            1..6,
-        ),
-    ) {
-        let len = words.iter().map(Vec::len).min().unwrap();
-        let mut vecs: Vec<Vec<u64>> =
-            words.iter().map(|v| v[..len].to_vec()).collect();
-        let reference: Vec<u64> = (0..len)
-            .map(|i| vecs.iter().fold(u64::MAX, |acc, v| acc & v[i]))
-            .collect();
-        allreduce_and_bits(&mut vecs);
-        for v in &vecs {
-            prop_assert_eq!(v, &reference);
-        }
-        let before = vecs.clone();
-        allreduce_and_bits(&mut vecs);
-        prop_assert_eq!(vecs, before, "AND all-reduce must be idempotent");
     }
 }

@@ -4,8 +4,8 @@
 //! *numerical* counterpart of the timing engine: real `f32` gradients from
 //! real training workers are packed into all-reduce units, optionally
 //! compressed for the wire with error feedback, reduced in the exact ring
-//! (or hierarchical) all-reduce order, and averaged — with the guarantee
-//! that every worker receives **bit-identical** aggregated gradients.
+//! all-reduce order, and averaged — with the guarantee that every worker
+//! receives **bit-identical** aggregated gradients.
 //!
 //! The API is lock-step: one call aggregates one iteration's gradients for
 //! all workers, mirroring how the simulation's workers are modelled in a
@@ -28,7 +28,7 @@
 
 use crate::packing::pack_units;
 use crate::registry::GradientRegistry;
-use aiacc_collectives::dataplane::{ring_fold, tree_allreduce, ReduceOp};
+use aiacc_collectives::dataplane::{ring_fold, ReduceOp};
 use aiacc_compress::{Compressor, ErrorFeedback, Scheme};
 use aiacc_dnn::DType;
 use aiacc_simnet::par;
@@ -42,11 +42,6 @@ pub struct PerseusConfig {
     pub world: usize,
     /// Packing granularity in bytes (f32 elements on the data plane).
     pub granularity: f64,
-    /// Use the hierarchical algorithm with this node size (`None` = flat
-    /// ring).
-    pub gpus_per_node: Option<usize>,
-    /// Divide the aggregate by the world size (gradient *averaging*).
-    pub average: bool,
     /// Gradient compression scheme: each worker's unit payload goes
     /// through compress → decompress before reduction, exactly as the wire
     /// would deliver it (§X / RedSync), with per-worker error-feedback
@@ -61,13 +56,7 @@ impl PerseusConfig {
     /// Panics if `world` is zero.
     pub fn new(world: usize) -> Self {
         assert!(world > 0, "world must be positive");
-        PerseusConfig {
-            world,
-            granularity: 4.0 * 1024.0 * 1024.0,
-            gpus_per_node: None,
-            average: true,
-            compress: Scheme::None,
-        }
+        PerseusConfig { world, granularity: 4.0 * 1024.0 * 1024.0, compress: Scheme::None }
     }
 
     /// Sets the packing granularity in bytes.
@@ -80,26 +69,9 @@ impl PerseusConfig {
         self
     }
 
-    /// Switches to the hierarchical (tree) algorithm.
-    ///
-    /// # Panics
-    /// Panics if `gpus_per_node` is zero or does not divide the world size.
-    pub fn with_tree(mut self, gpus_per_node: usize) -> Self {
-        assert!(gpus_per_node > 0, "gpus_per_node must be positive");
-        assert_eq!(self.world % gpus_per_node, 0, "world not a multiple of node size");
-        self.gpus_per_node = Some(gpus_per_node);
-        self
-    }
-
     /// Selects the gradient compression scheme.
     pub fn with_compress(mut self, scheme: Scheme) -> Self {
         self.compress = scheme;
-        self
-    }
-
-    /// Disables averaging (plain sum).
-    pub fn with_sum(mut self) -> Self {
-        self.average = false;
         self
     }
 }
@@ -201,9 +173,9 @@ impl Perseus {
     /// Aggregates one iteration's gradients.
     ///
     /// `grads_per_worker[w][t]` is worker `w`'s gradient for registered
-    /// tensor `t`. Returns the aggregated (averaged, unless configured as a
-    /// sum) gradients — identical for every worker, so a single copy is
-    /// returned. A wrapper over [`Perseus::allreduce_flat`].
+    /// tensor `t`. Returns the averaged gradients — identical for every
+    /// worker, so a single copy is returned. A wrapper over
+    /// [`Perseus::allreduce_flat`].
     ///
     /// # Panics
     /// Panics if the outer length differs from the world size or any tensor
@@ -235,10 +207,9 @@ impl Perseus {
     ///
     /// `grads[w]` is worker `w`'s gradient with every registered tensor
     /// back to back in registration order (an `Mlp::params` layout). On
-    /// return `out` holds the aggregate (averaged, unless configured as a
-    /// sum) and each `grads[w]` holds what the wire delivered for that
-    /// worker: its values after compensated compression, which is what the
-    /// reduction consumed.
+    /// return `out` holds the average and each `grads[w]` holds what the
+    /// wire delivered for that worker: its values after compensated
+    /// compression, which is what the reduction consumed.
     ///
     /// # Panics
     /// Panics if `grads.len()` differs from the world size, or any buffer's
@@ -267,26 +238,10 @@ impl Perseus {
             });
         }
 
-        let scale = self.cfg.average.then(|| 1.0 / w as f32);
+        let scale = Some(1.0 / w as f32);
         for u in units {
-            let out = &mut out[u.clone()];
-            match self.cfg.gpus_per_node {
-                None => {
-                    let slices: Vec<&[f32]> = grads.iter().map(|g| &g[u.clone()]).collect();
-                    ring_fold(&slices, ReduceOp::Sum, scale, out);
-                }
-                Some(g) => {
-                    let mut bufs: Vec<Vec<f32>> =
-                        grads.iter().map(|b| b[u.clone()].to_vec()).collect();
-                    tree_allreduce(&mut bufs, g, ReduceOp::Sum);
-                    out.copy_from_slice(&bufs[0]);
-                    if let Some(k) = scale {
-                        for v in out.iter_mut() {
-                            *v *= k;
-                        }
-                    }
-                }
-            }
+            let slices: Vec<&[f32]> = grads.iter().map(|g| &g[u.clone()]).collect();
+            ring_fold(&slices, ReduceOp::Sum, scale, &mut out[u.clone()]);
         }
         self.last_wire_bytes.set(units.iter().map(|u| scheme.wire_bytes(u.len())).sum());
     }
@@ -332,14 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_mode_skips_averaging() {
-        let p = Perseus::new(&layout(&[2]), PerseusConfig::new(3).with_sum());
-        let grads = (0..3).map(|_| vec![vec![1.0, 2.0]]).collect();
-        let out = p.allreduce_step(grads);
-        assert_eq!(out[0], vec![3.0, 6.0]);
-    }
-
-    #[test]
     fn packing_granularity_does_not_change_results() {
         let sizes = [100usize, 7, 64, 3];
         let mk = |gran: f64| {
@@ -359,28 +306,6 @@ mod tests {
         for (a, b) in fine.iter().zip(&coarse) {
             for (x, y) in a.iter().zip(b) {
                 assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn tree_matches_ring_numerically() {
-        let sizes = [50usize, 13];
-        let grads: Vec<Vec<Vec<f32>>> = (0..8)
-            .map(|w| {
-                sizes
-                    .iter()
-                    .map(|&s| (0..s).map(|i| ((w + 1) * (i + 1)) as f32 * 1e-3).collect())
-                    .collect()
-            })
-            .collect();
-        let ring = Perseus::new(&layout(&sizes), PerseusConfig::new(8));
-        let tree = Perseus::new(&layout(&sizes), PerseusConfig::new(8).with_tree(4));
-        let a = ring.allreduce_step(grads.clone());
-        let b = tree.allreduce_step(grads);
-        for (x, y) in a.iter().zip(&b) {
-            for (u, v) in x.iter().zip(y) {
-                assert!((u - v).abs() < 1e-4, "{u} vs {v}");
             }
         }
     }

@@ -1,8 +1,8 @@
-//! Seeded synthetic datasets with per-worker sharding.
+//! Seeded synthetic datasets.
 //!
 //! Data parallelism partitions training samples across workers (§II-B); this
 //! module provides the deterministic synthetic classification data used by
-//! the real-MLP tests and examples, plus the strided sharding scheme.
+//! the real-MLP tests and examples.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -64,27 +64,6 @@ impl Dataset {
         (&self.features[i * self.dim..(i + 1) * self.dim], self.labels[i])
     }
 
-    /// The strided shard for `worker` of `world` workers: samples
-    /// `worker, worker+world, worker+2·world, …` — every sample belongs to
-    /// exactly one shard and shard sizes differ by at most one.
-    ///
-    /// # Panics
-    /// Panics if `world == 0` or `worker >= world`.
-    pub fn shard(&self, worker: usize, world: usize) -> Dataset {
-        assert!(world > 0, "world must be positive");
-        assert!(worker < world, "worker {worker} out of range for world {world}");
-        let mut features = Vec::new();
-        let mut labels = Vec::new();
-        let mut i = worker;
-        while i < self.len() {
-            let (f, l) = self.sample(i);
-            features.extend_from_slice(f);
-            labels.push(l);
-            i += world;
-        }
-        Dataset { features, labels, dim: self.dim }
-    }
-
     /// Iterates over minibatches of up to `batch` samples, in order.
     ///
     /// # Panics
@@ -139,19 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_dataset() {
-        let d = Dataset::gaussian_blobs(10, 2, 2, 3);
-        let s0 = d.shard(0, 3);
-        let s1 = d.shard(1, 3);
-        let s2 = d.shard(2, 3);
-        assert_eq!(s0.len() + s1.len() + s2.len(), d.len());
-        assert_eq!(s0.len(), 4);
-        assert_eq!(s1.len(), 3);
-        // Sample 4 of the original is sample 1 of shard 1.
-        assert_eq!(s1.sample(1), d.sample(4));
-    }
-
-    #[test]
     fn batches_cover_everything_once() {
         let d = Dataset::gaussian_blobs(10, 3, 2, 5);
         let sizes: Vec<usize> = d.batches(4).map(|(_, l)| l.len()).collect();
@@ -179,12 +145,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 2.5).abs() < 0.2, "mean {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_shard_rejected() {
-        let d = Dataset::gaussian_blobs(4, 2, 2, 1);
-        let _ = d.shard(3, 3);
     }
 }

@@ -14,7 +14,7 @@
 //!   synthetic production CTR model.
 //! * [`Mlp`] — a real multi-layer perceptron with manual backprop, so the
 //!   distributed machinery can be validated against actual gradient math.
-//! * [`data`] — seeded synthetic datasets with per-worker sharding.
+//! * [`data`] — seeded synthetic datasets.
 //!
 //! # Example
 //!

@@ -236,18 +236,6 @@ impl Mlp {
         loss
     }
 
-    /// Applies a flat gradient with plain SGD: `p -= lr * g` (convenience for
-    /// examples; the real optimizers live in `aiacc-optim`).
-    ///
-    /// # Panics
-    /// Panics if `flat_grads.len() != self.num_params()`.
-    pub fn apply_sgd(&mut self, flat_grads: &[f32], lr: f32) {
-        assert_eq!(flat_grads.len(), self.num_params());
-        for (p, g) in self.params.iter_mut().zip(flat_grads) {
-            *p -= lr * g;
-        }
-    }
-
     /// Fraction of samples classified correctly.
     pub fn accuracy(&self, x: &[f32], labels: &[usize]) -> f64 {
         let batch = labels.len();
@@ -736,8 +724,10 @@ mod tests {
         let (l0, _) = m.loss_and_grads(&x, &y);
         for _ in 0..300 {
             let (_, grads) = m.loss_and_grads(&x, &y);
-            let flat: Vec<f32> = grads.into_iter().flatten().collect();
-            m.apply_sgd(&flat, 0.5);
+            // Plain SGD, `p -= lr * g`, at lr 0.5.
+            for (p, g) in m.params_mut().iter_mut().zip(grads.iter().flatten()) {
+                *p -= 0.5 * g;
+            }
         }
         let (l1, _) = m.loss_and_grads(&x, &y);
         assert!(l1 < l0 * 0.2, "loss {l0} -> {l1}");

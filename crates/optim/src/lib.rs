@@ -5,7 +5,7 @@
 //! authors found to pair better with their communication optimizations than
 //! step decay). This crate implements:
 //!
-//! * [`Sgd`] — momentum / Nesterov / weight decay.
+//! * [`Sgd`] — plain SGD with optional momentum.
 //! * [`Adam`] — Kingma & Ba, bias-corrected.
 //! * [`AdamSgd`] — the Adam→SGD hybrid, realized as AdaBound-style dynamic
 //!   bounds on the per-parameter step size that converge to the SGD rate.

@@ -2,7 +2,7 @@
 
 use crate::Optimizer;
 
-/// SGD with optional momentum, Nesterov acceleration and L2 weight decay.
+/// SGD with optional momentum.
 ///
 /// # Example
 /// ```
@@ -15,8 +15,6 @@ use crate::Optimizer;
 pub struct Sgd {
     lr: f64,
     momentum: f64,
-    nesterov: bool,
-    weight_decay: f64,
     velocity: Vec<f32>,
 }
 
@@ -27,7 +25,7 @@ impl Sgd {
     /// Panics if `lr` is not strictly positive and finite.
     pub fn new(lr: f64) -> Self {
         assert!(lr.is_finite() && lr > 0.0, "invalid learning rate: {lr}");
-        Sgd { lr, momentum: 0.0, nesterov: false, weight_decay: 0.0, velocity: Vec::new() }
+        Sgd { lr, momentum: 0.0, velocity: Vec::new() }
     }
 
     /// Enables momentum with coefficient `m` in `[0, 1)`.
@@ -37,22 +35,6 @@ impl Sgd {
     pub fn with_momentum(mut self, m: f64) -> Self {
         assert!((0.0..1.0).contains(&m), "momentum out of range: {m}");
         self.momentum = m;
-        self
-    }
-
-    /// Enables Nesterov acceleration (requires momentum).
-    pub fn with_nesterov(mut self) -> Self {
-        self.nesterov = true;
-        self
-    }
-
-    /// Adds decoupled-free classic L2 weight decay `wd ≥ 0`.
-    ///
-    /// # Panics
-    /// Panics if `wd` is negative.
-    pub fn with_weight_decay(mut self, wd: f64) -> Self {
-        assert!(wd >= 0.0, "negative weight decay");
-        self.weight_decay = wd;
         self
     }
 }
@@ -67,15 +49,13 @@ impl Optimizer for Sgd {
             assert_eq!(self.velocity.len(), params.len(), "parameter count changed");
         }
         let lr = self.lr as f32;
-        let wd = self.weight_decay as f32;
         let mu = self.momentum as f32;
         for i in 0..params.len() {
-            let g = grads[i] + wd * params[i];
+            let g = grads[i];
             if mu > 0.0 {
                 let v = mu * self.velocity[i] + g;
                 self.velocity[i] = v;
-                let d = if self.nesterov { g + mu * v } else { v };
-                params[i] -= lr * d;
+                params[i] -= lr * v;
             } else {
                 params[i] -= lr * g;
             }
@@ -115,25 +95,6 @@ mod tests {
         opt.step(&mut p, &[1.0]); // v=1, p=-1
         opt.step(&mut p, &[1.0]); // v=1.5, p=-2.5
         assert!((p[0] + 2.5).abs() < 1e-6, "p={}", p[0]);
-    }
-
-    #[test]
-    fn nesterov_lookahead_differs_from_heavy_ball() {
-        let mut a = Sgd::new(1.0).with_momentum(0.5);
-        let mut b = Sgd::new(1.0).with_momentum(0.5).with_nesterov();
-        let mut pa = vec![0.0f32];
-        let mut pb = vec![0.0f32];
-        a.step(&mut pa, &[1.0]);
-        b.step(&mut pb, &[1.0]);
-        assert!(pb[0] < pa[0], "nesterov should take the larger first step");
-    }
-
-    #[test]
-    fn weight_decay_pulls_toward_zero() {
-        let mut opt = Sgd::new(0.1).with_weight_decay(1.0);
-        let mut p = vec![1.0f32];
-        opt.step(&mut p, &[0.0]);
-        assert!((p[0] - 0.9).abs() < 1e-6);
     }
 
     #[test]

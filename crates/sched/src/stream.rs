@@ -7,18 +7,18 @@
 //! Batch mode materializes every [`JobSpec`] and [`crate::JobOutcome`] up
 //! front; memory grows with the horizon. Streaming mode replaces both ends:
 //!
-//! - **Arrivals** come from an [`ArrivalSource`] — a seeded open-loop
+//! - **Arrivals** come from an `ArrivalSource` — a seeded open-loop
 //!   generator ([`ArrivalProcess::Poisson`], [`ArrivalProcess::Diurnal`],
 //!   [`ArrivalProcess::Bursty`]) or a saved workload TSV replayed line by
 //!   line ([`ArrivalProcess::Trace`]). Exactly one future arrival is staged
 //!   at a time; the source never materializes the horizon.
-//! - **Outcomes** fold into an [`Acc`]: cumulative counters, running
+//! - **Outcomes** fold into an `Acc`: cumulative counters, running
 //!   `Σjct`/`Σjct²` (mean and Jain fairness in O(1) memory), and a mergeable
 //!   [`QuantileSketch`] for tail percentiles, plus a per-window copy that is
 //!   flushed as one TSV row every `window` completions.
 //! - **Slots**: `jobs[i]` becomes a recycled slot. A finishing tenant bumps
 //!   the slot's generation (`epoch`), so token scopes — folded modulo
-//!   [`StreamState::gen_mod`] into the 16-bit scope space — from a previous
+//!   `StreamState::gen_mod` into the 16-bit scope space — from a previous
 //!   tenant are dropped on delivery, exactly like pre-crash events in batch
 //!   mode. Per-tag fabric byte accumulators are re-zeroed on slot reuse.
 //!

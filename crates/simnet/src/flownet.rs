@@ -733,7 +733,7 @@ impl FlowNet {
     ///
     /// Bytes already moved are unaffected; only the allocation that holds
     /// from `now` onward changes. This is the mutation hook used by the
-    /// fault-injection layer ([`crate::faults`]).
+    /// fault-injection layer ([`crate::FaultPlan`]).
     ///
     /// # Panics
     /// Panics if `capacity` is negative, NaN or infinite.

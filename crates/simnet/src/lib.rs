@@ -60,7 +60,6 @@ mod flownet;
 pub mod par;
 pub mod pool;
 mod sim;
-mod telemetry;
 mod time;
 pub mod trace;
 
@@ -69,6 +68,5 @@ pub use faults::{FaultEvent, FaultKind, FaultPhase, FaultPlan, FaultRecord, Faul
 pub use flow::{Flow, FlowId, FlowSpec};
 pub use flownet::{FlowNet, Resource, ResourceId, SolveBreakdown, SolveMode, SolverStats};
 pub use sim::{Event, RunOffsets, Simulator, Token, TOKEN_KIND_MASK, TOKEN_SCOPE_SHIFT};
-pub use telemetry::{AnnotatedSample, UtilizationProbe};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TracePhase, TraceSink, TraceSummary};

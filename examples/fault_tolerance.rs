@@ -69,8 +69,7 @@ fn main() {
         }
         println!();
     }
-    // The crash's pause is the replayed checkpoint restart — the same number
-    // the closed-form model predicts.
+    // The crash's pause is the replayed checkpoint restart.
     let replay = replay_failure_recovery(
         &ClusterSpec::tcp_v100(16),
         &zoo::resnet50(),

@@ -308,7 +308,13 @@ fn parse_sched_args(argv: &[String]) -> Result<SchedArgs, String> {
             "--jobs" => args.jobs = Some(count_value(argv, &mut i, "integer")?),
             "--chaos" => args.chaos = true,
             "--chaos-events" => args.chaos_events = flag_value(argv, &mut i)?,
-            "--chaos-horizon" => args.chaos_horizon_secs = flag_value(argv, &mut i)?,
+            "--chaos-horizon" => {
+                let secs: f64 = flag_value(argv, &mut i)?;
+                if !(secs.is_finite() && secs > 0.0) {
+                    return Err("--chaos-horizon needs a positive number of seconds".to_string());
+                }
+                args.chaos_horizon_secs = secs;
+            }
             "--recovery" => args.recovery = flag_value(argv, &mut i)?,
             "--stream" => args.stream = true,
             "--arrivals" => args.arrivals = flag_value(argv, &mut i)?,
@@ -581,14 +587,16 @@ fn cmd_schedule(argv: &[String]) -> Result<(), String> {
     let blocks = aiacc::simnet::par::map(&policies, |&policy| {
         let cfg = sched_cfg(&args, policy, workload.clone(), recovery, chaos_plan.as_ref())
             .with_trace(args.trace.is_some());
-        if args.trace.is_some() {
-            let (report, json) = MultiJobSim::new(cfg).run_with_trace();
+        let sim = MultiJobSim::try_new(cfg).map_err(|e| e.to_string())?;
+        Ok(if args.trace.is_some() {
+            let (report, json) = sim.run_with_trace();
             (sched_render(&report), report.solver.to_string(), json)
         } else {
-            let report = aiacc::sched::run_multijob(cfg);
+            let report = sim.run();
             (sched_render(&report), report.solver.to_string(), String::new())
-        }
+        })
     });
+    let blocks = blocks.into_iter().collect::<Result<Vec<_>, String>>()?;
     for (policy, (block, solver, json)) in policies.iter().zip(&blocks) {
         println!("# policy {}", policy.name());
         print!("{block}");
@@ -818,6 +826,21 @@ mod tests {
         }
         // The streaming replay validates its own arrival count.
         assert!(parse_sched_args(&strings(&["--stream", "--njobs", "0"])).is_ok());
+    }
+
+    #[test]
+    fn bad_schedule_inputs_are_usage_errors() {
+        for horizon in ["NaN", "-5", "0", "inf"] {
+            let args = strings(&["--chaos", "--chaos-horizon", horizon]);
+            assert_eq!(
+                parse_sched_args(&args).err().as_deref(),
+                Some("--chaos-horizon needs a positive number of seconds"),
+                "--chaos-horizon {horizon}"
+            );
+        }
+        // A generated job larger than the cluster is a typed error, not a panic.
+        let args = strings(&["--gpus", "1", "--mix", "tiny", "--njobs", "3"]);
+        assert_eq!(cmd_schedule(&args).err().as_deref(), Some("job 0 requests 8 of 1 GPUs"));
     }
 
     #[test]

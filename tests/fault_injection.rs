@@ -167,12 +167,11 @@ fn multi_stream_loses_less_throughput_than_single_stream_under_degradation() {
 
 #[test]
 fn fault_log_annotates_probe_windows() {
-    // The telemetry probe picks up exactly the fault records that landed in
-    // its sampling window.
-    use aiacc::simnet::UtilizationProbe;
+    // The fault log records exactly one apply and one restore for the
+    // degraded resource, and the restore returns it to its baseline.
+    use aiacc::simnet::FaultPhase;
     let mut sim = Simulator::new();
     let r = sim.net_mut().add_resource("nic", 1e9);
-    let mut probe = UtilizationProbe::new(sim.net_mut(), r);
     let plan = FaultPlan::new().degrade_link(
         r,
         0.25,
@@ -182,8 +181,15 @@ fn fault_log_annotates_probe_windows() {
     sim.install_faults(&plan);
     sim.schedule(SimDuration::from_secs_f64(3.0), Token::new(9, 0, 0));
     while sim.next_event().is_some() {}
-    let log = sim.fault_log().to_vec();
-    let sample = probe.sample_annotated(sim.net_mut(), &log);
-    assert_eq!(sample.faults.len(), 2, "expected apply + restore in window");
-    assert_eq!(sample.capacity_now, 1e9, "restore must return the baseline");
+    let log: Vec<_> = sim.fault_log().iter().filter(|(_, rec)| rec.resource == r).collect();
+    assert_eq!(log.len(), 2, "expected apply + restore: {log:?}");
+    let (t_apply, apply) = log[0];
+    let (t_restore, restore) = log[1];
+    assert_eq!(apply.phase, FaultPhase::Applied);
+    assert_eq!(*t_apply, SimTime::from_secs_f64(1.0));
+    assert_eq!((apply.capacity_before, apply.capacity_after), (1e9, 0.25e9));
+    assert_eq!(restore.phase, FaultPhase::Restored);
+    assert_eq!(*t_restore, SimTime::from_secs_f64(2.0));
+    assert_eq!((restore.capacity_before, restore.capacity_after), (0.25e9, 1e9));
+    assert_eq!(sim.net().resource(r).capacity, 1e9, "restore must return the baseline");
 }
