@@ -8,7 +8,7 @@
 //! concurrency, so the single-flow cap limits bandwidth exactly as for
 //! Horovod (§VIII-A: AIACC improves DDP by up to 2.68× at 256 GPUs).
 
-use aiacc_collectives::{Algo, CollectiveSpec, OpId, RingMode};
+use aiacc_collectives::{Algo, CollectiveSpec, OpId};
 use aiacc_core::ddl::{DdlCtx, DdlEngine};
 use aiacc_core::packing::{AllReduceUnit, ReduceTracker, Segment};
 use aiacc_core::GradientRegistry;
@@ -20,13 +20,11 @@ pub struct DdpConfig {
     /// Bucket capacity (`bucket_cap_mb`, default 25 MB). Tensors larger than
     /// the cap get their own bucket — DDP never splits a tensor.
     pub bucket_bytes: f64,
-    /// Ring timing fidelity.
-    pub mode: RingMode,
 }
 
 impl Default for DdpConfig {
     fn default() -> Self {
-        DdpConfig { bucket_bytes: 25.0 * 1024.0 * 1024.0, mode: RingMode::Auto }
+        DdpConfig { bucket_bytes: 25.0 * 1024.0 * 1024.0 }
     }
 }
 
@@ -90,8 +88,7 @@ impl DdpEngine {
             let idx = self.next_to_launch;
             self.next_to_launch += 1;
             let bytes = self.buckets[idx].unit.bytes;
-            let spec =
-                CollectiveSpec::allreduce(bytes).with_algo(Algo::Ring).with_mode(self.cfg.mode);
+            let spec = CollectiveSpec::allreduce(bytes).with_algo(Algo::Ring);
             let op = cx.coll.launch(cx.sim, cx.cluster, spec);
             self.inflight = Some((op, idx));
         }

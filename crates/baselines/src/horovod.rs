@@ -11,7 +11,7 @@
 //! 2. NCCL executes ONE all-reduce at a time on ONE stream, so a single
 //!    capped TCP flow per NIC carries all gradient traffic.
 
-use aiacc_collectives::{Algo, CollectiveSpec, OpId, RingMode};
+use aiacc_collectives::{Algo, CollectiveSpec, OpId};
 use aiacc_core::ddl::{DdlCtx, DdlEngine, ENGINE_TIMER_KIND};
 use aiacc_core::packing::{pack_units, AllReduceUnit, ReduceTracker};
 use aiacc_core::{GradientRegistry, SyncVector};
@@ -33,8 +33,6 @@ pub struct HorovodConfig {
     pub fusion_buffer: f64,
     /// Serial master cost per worker report / response message.
     pub per_message_cost: SimDuration,
-    /// Ring timing fidelity.
-    pub mode: RingMode,
 }
 
 impl Default for HorovodConfig {
@@ -45,7 +43,6 @@ impl Default for HorovodConfig {
             // MPI receive + coordinator bookkeeping + response construction
             // per tensor report, all serial on rank 0.
             per_message_cost: SimDuration::from_nanos(2_000),
-            mode: RingMode::Auto,
         }
     }
 }
@@ -105,9 +102,7 @@ impl HorovodEngine {
         // NCCL executes one fused all-reduce at a time on one stream.
         if self.inflight.is_none() {
             if let Some(unit) = self.queue.pop_front() {
-                let spec = CollectiveSpec::allreduce(unit.bytes)
-                    .with_algo(Algo::Ring)
-                    .with_mode(self.cfg.mode);
+                let spec = CollectiveSpec::allreduce(unit.bytes).with_algo(Algo::Ring);
                 let op = cx.coll.launch(cx.sim, cx.cluster, spec);
                 self.inflight = Some((op, unit));
             }

@@ -14,18 +14,15 @@ use aiacc_dnn::{DType, GradId, ModelProfile};
 use aiacc_simnet::FlowSpec;
 use std::collections::{HashMap, VecDeque};
 
-/// KVStore tunables.
+/// KVStore tunables: none. The engine's server assignment is fixed (one
+/// server per key, one per node), so the config exists only to keep
+/// [`crate::KvStoreEngine::new`] shaped like the other engines'.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KvStoreConfig {
-    /// Per-key server assignment stride (servers = one per node).
-    pub seed: u64,
-}
+pub struct KvStoreConfig;
 
 /// The MXNet KVStore baseline engine.
 #[derive(Debug)]
 pub struct KvStoreEngine {
-    #[allow(dead_code)]
-    cfg: KvStoreConfig,
     registry: GradientRegistry,
     world: usize,
     votes_missing: Vec<usize>,
@@ -38,19 +35,12 @@ impl KvStoreEngine {
     ///
     /// # Panics
     /// Panics if `world` is zero.
-    pub fn new(model: &ModelProfile, world: usize, cfg: KvStoreConfig) -> Self {
+    pub fn new(model: &ModelProfile, world: usize, _cfg: KvStoreConfig) -> Self {
         assert!(world > 0, "world must be positive");
         let registry = GradientRegistry::from_profile(model, DType::F32);
         let votes = registry.iter().map(|_| world).collect();
         let tracker = ReduceTracker::new(&registry);
-        KvStoreEngine {
-            cfg,
-            registry,
-            world,
-            votes_missing: votes,
-            tracker,
-            inflight: HashMap::new(),
-        }
+        KvStoreEngine { registry, world, votes_missing: votes, tracker, inflight: HashMap::new() }
     }
 
     fn launch_key(&mut self, cx: &mut DdlCtx<'_>, grad: GradId) {

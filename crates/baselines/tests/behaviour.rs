@@ -83,9 +83,8 @@ fn horovod_bigger_fusion_buffer_means_fewer_larger_allreduces() {
 #[test]
 fn ddp_bucket_count_follows_cap() {
     let model = zoo::resnet50();
-    let fine = DdpEngine::new(&model, 4, DdpConfig { bucket_bytes: 5e6, ..DdpConfig::default() });
-    let coarse =
-        DdpEngine::new(&model, 4, DdpConfig { bucket_bytes: 100e6, ..DdpConfig::default() });
+    let fine = DdpEngine::new(&model, 4, DdpConfig { bucket_bytes: 5e6 });
+    let coarse = DdpEngine::new(&model, 4, DdpConfig { bucket_bytes: 100e6 });
     assert!(fine.bucket_count() > coarse.bucket_count());
     let mut eng = DdpEngine::new(&model, 16, DdpConfig::default());
     let t = drive(&mut eng, &model, 16);
@@ -126,7 +125,7 @@ fn byteps_bottleneck_is_worker_nic_volume() {
 #[test]
 fn kvstore_completes_on_multi_node() {
     let model = zoo::resnet50();
-    let mut eng = KvStoreEngine::new(&model, 16, KvStoreConfig::default());
+    let mut eng = KvStoreEngine::new(&model, 16, KvStoreConfig);
     let t = drive(&mut eng, &model, 16);
     assert!(t > 0.0);
 }
@@ -138,7 +137,7 @@ fn all_baselines_handle_single_gpu() {
         Box::new(HorovodEngine::new(&model, 1, HorovodConfig::default())),
         Box::new(DdpEngine::new(&model, 1, DdpConfig::default())),
         Box::new(BytePsEngine::new(&model, 1, BytePsConfig::default())),
-        Box::new(KvStoreEngine::new(&model, 1, KvStoreConfig::default())),
+        Box::new(KvStoreEngine::new(&model, 1, KvStoreConfig)),
     ];
     for mut e in engines {
         let t = drive(e.as_mut(), &model, 1);

@@ -13,9 +13,9 @@
 //!
 //! Two oracles ride along. The equivalence cell runs one curve cell under
 //! the partitioned and the flat ([`SolveMode::Full`]) solver. The
-//! bulk-synchronous cell (uniform-byte rounds behind a barrier in the cell loop)
-//! runs at solver worker counts 1, 2 and 4 plus a flat oracle. Wall-clock readings go to stderr only; the table holds the
-//! deterministic fields.
+//! bulk-synchronous cell (uniform-byte rounds behind a barrier in the cell
+//! loop) runs under the same two solvers. Wall-clock readings go to stderr
+//! only; the table holds the deterministic fields.
 
 use crate::report::Table;
 use aiacc_cluster::{ClusterNet, ClusterSpec, GpuSpec, NicSpec, NodeSpec, RackSpec};
@@ -38,14 +38,9 @@ const LOCAL_RATE: f64 = 3.75e9 / STREAMS_PER_NODE as f64;
 /// bursts short keeps the spine-merged solver component intermittent.
 const CROSS_BYTES: f64 = 1.875e6;
 
-/// The bulk-synchronous cell's runs: (solver workers, mode). The first and
-/// third gate the parallel path; the last is the flat oracle.
-const SYNC_RUNS: [(usize, SolveMode); 4] = [
-    (1, SolveMode::Partitioned),
-    (2, SolveMode::Partitioned),
-    (4, SolveMode::Partitioned),
-    (4, SolveMode::Full),
-];
+/// The bulk-synchronous cell's runs: the partitioned solver, then the flat
+/// oracle.
+const SYNC_MODES: [SolveMode; 2] = [SolveMode::Partitioned, SolveMode::Full];
 
 /// Largest cell's wall-clock budget per simulated second: catches an
 /// order-of-magnitude slide of the event core (the quick 1024-node cell
@@ -114,8 +109,6 @@ struct CellResult {
     events: u64,
     completions: u64,
     hash: u64,
-    /// `par_solves` depends on the solver worker count and on whether the
-    /// pool was free, so only fixed-worker cells report it.
     stats: SolverStats,
     /// Machine-dependent.
     wall_s: f64,
@@ -250,20 +243,17 @@ const SYNC_STREAMS_PER_NODE: usize = 100;
 /// (`0.0` = uncapped). Capped tiers finish a round's uniform transfer at
 /// staggered instants, so each round produces four *simultaneous* bursts of
 /// ~a quarter of all flows — the bulk-synchronous shape a synchronized
-/// all-reduce round imposes, and the shape that exercises both parallel
-/// seams at once (batched settles + many-dirty-component solves).
+/// all-reduce round imposes: thousands of completions at one instant, each
+/// burst dirtying many components at once.
 const SYNC_TIERS: [f64; 4] = [0.4, 0.6, 0.8, 0.0];
 
 /// One bulk-synchronous cell: every node keeps `SYNC_STREAMS_PER_NODE`
 /// streams to its xor-pair neighbour; all streams of a round move the same
 /// byte count and the next round launches only when every stream of the
-/// current one has completed (a barrier in the cell loop, like sync-SGD). Runs
-/// with a *fixed* solver worker count so worker counts compare on
-/// identical work.
-fn run_sync_cell(nodes: usize, rounds: u64, mode: SolveMode, solve_workers: usize) -> CellResult {
+/// current one has completed (a barrier in the cell loop, like sync-SGD).
+fn run_sync_cell(nodes: usize, rounds: u64, mode: SolveMode) -> CellResult {
     let started = Instant::now();
     let (mut sim, cluster, racks) = racked_fabric(nodes, mode);
-    sim.net_mut().set_solve_workers(Some(solve_workers));
 
     let total = nodes * SYNC_STREAMS_PER_NODE;
     let fair = 3.75e9 / SYNC_STREAMS_PER_NODE as f64;
@@ -326,13 +316,12 @@ struct ScaleRuns {
     curve: Vec<CellResult>,
     /// The equivalence cell, partitioned then flat.
     equivalence: [CellResult; 2],
-    /// The bulk-synchronous cell, one run per `SYNC_RUNS` entry.
-    sync: Vec<CellResult>,
+    /// The bulk-synchronous cell, partitioned then flat.
+    sync: [CellResult; 2],
 }
 
 /// Runs every cell of `sizes`. The curve fans out over the pool; the
-/// equivalence and sync cells run after it returns, so the pool is free and
-/// a fixed-worker cell's `par_solves` does not depend on `--jobs`.
+/// equivalence and sync cells run after it returns.
 fn scale_runs(sizes: &ScaleSizes) -> ScaleRuns {
     let curve = par::map(sizes.curve, |&(nodes, sim_s)| {
         run_cell(nodes, SimDuration::from_secs_f64(sim_s), SolveMode::Partitioned)
@@ -341,16 +330,14 @@ fn scale_runs(sizes: &ScaleSizes) -> ScaleRuns {
     let equivalence = [SolveMode::Partitioned, SolveMode::Full]
         .map(|mode| run_cell(eq_nodes, SimDuration::from_secs_f64(eq_secs), mode));
     let (sync_nodes, rounds) = sizes.sync;
-    let sync = SYNC_RUNS.iter().map(|&(w, mode)| run_sync_cell(sync_nodes, rounds, mode, w));
-    ScaleRuns { curve, equivalence, sync: sync.collect() }
+    let sync = SYNC_MODES.map(|mode| run_sync_cell(sync_nodes, rounds, mode));
+    ScaleRuns { curve, equivalence, sync }
 }
 
 /// The fabric gates: the largest cell reaches 1024 nodes and 100k flows
 /// within the wall-clock budget; the partitioned solver matches the flat
-/// one while solving fewer components; the sync cell is identical across
-/// solver worker counts and the flat solver, and takes the parallel path
-/// at 4 workers only. Where the host has ≥4 CPUs, 4 solver workers must
-/// also be ≥2× faster than 1. Wall-clock readings go to stderr.
+/// one while solving fewer components on the equivalence cell, and matches
+/// it on the 1024-node sync cell. Wall-clock readings go to stderr.
 fn check_fabric_scale(r: &ScaleRuns) {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     for c in &r.curve {
@@ -391,40 +378,27 @@ fn check_fabric_scale(r: &ScaleRuns) {
         flat.stats.comps_solved
     );
 
-    let (one, four) = (&r.sync[0], &r.sync[2]);
-    assert!(
-        r.sync.iter().all(|c| c.deterministic() == one.deterministic()),
-        "sync-round cell diverged across solver worker counts or vs the flat solver"
+    let [sync, sync_flat] = &r.sync;
+    assert_eq!(
+        sync.deterministic(),
+        sync_flat.deterministic(),
+        "sync-round cell diverged between the partitioned and the flat solver"
     );
-    assert_eq!(one.stats.par_solves, 0, "1-worker sync cell took the parallel solve path");
-    assert!(four.stats.par_solves > 0, "4-worker sync cell never took the parallel solve path");
     assert!(
-        one.nodes >= 1024 && one.peak_flows >= 100_000,
+        sync.nodes >= 1024 && sync.peak_flows >= 100_000,
         "sync cell peaked at {} concurrent flows on {} nodes (< 100k on 1024)",
-        one.peak_flows,
-        one.nodes
+        sync.peak_flows,
+        sync.nodes
     );
-    let speedup = one.wall_s / four.wall_s;
     eprintln!(
-        "[fig_scale] sync cell wall-s at 1/2/4 solver workers: {:.3} / {:.3} / {:.3} \
-         ({speedup:.2}x, host_cpus {host_cpus})",
-        r.sync[0].wall_s, r.sync[1].wall_s, r.sync[2].wall_s
+        "[fig_scale] sync cell wall-s, partitioned / flat: {:.3} / {:.3} (host_cpus {host_cpus})",
+        sync.wall_s, sync_flat.wall_s
     );
-    if host_cpus >= 4 {
-        assert!(
-            speedup >= 2.0,
-            "4 solver workers gave only {speedup:.2}x over 1 on a {host_cpus}-CPU host \
-             (gate: >= 2.0x)"
-        );
-    } else {
-        eprintln!("[fig_scale] speedup gate skipped: host has {host_cpus} CPU(s) < 4");
-    }
 }
 
-/// The scale figure: the curve, the equivalence pair and the sync cell
-/// runs as one table. Panics if the cells fail the fabric gates (1024
-/// nodes, 100k flows, wall budget, solver equivalence, worker identity,
-/// and the multicore speedup on hosts with ≥4 CPUs).
+/// The scale figure: the curve, the equivalence pair and the sync pair as
+/// one table. Panics if the cells fail the fabric gates (1024 nodes, 100k
+/// flows, wall budget, solver equivalence).
 pub fn fig_scale(sizes: &ScaleSizes) -> Table {
     let runs = scale_runs(sizes);
     check_fabric_scale(&runs);
@@ -441,7 +415,6 @@ fn scale_table(r: &ScaleRuns) -> Table {
         &[
             "run",
             "solver",
-            "solver_workers",
             "nodes",
             "racks",
             "sim_s",
@@ -454,12 +427,9 @@ fn scale_table(r: &ScaleRuns) -> Table {
             "comps_existing",
             "comp_solve_ratio",
             "comp_parts_max",
-            "par_solves",
         ],
     );
-    // Only fixed-worker (sync) cells report a worker count and `par_solves`.
-    let dash = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
-    let mut row = |run: &str, mode: SolveMode, workers: Option<usize>, c: &CellResult| {
+    let mut row = |run: &str, mode: SolveMode, c: &CellResult| {
         let s = &c.stats;
         let ratio = if s.comps_existing == 0 {
             0.0
@@ -469,7 +439,6 @@ fn scale_table(r: &ScaleRuns) -> Table {
         t.push(vec![
             run.to_string(),
             if mode == SolveMode::Full { "full" } else { "partitioned" }.to_string(),
-            dash(workers.map(|w| w as u64)),
             c.nodes.to_string(),
             c.racks.to_string(),
             c.sim_s.to_string(),
@@ -482,17 +451,16 @@ fn scale_table(r: &ScaleRuns) -> Table {
             s.comps_existing.to_string(),
             format!("{ratio:.4}"),
             s.comp_parts_max.to_string(),
-            dash(workers.map(|_| s.par_solves)),
         ]);
     };
     for c in &r.curve {
-        row("curve", SolveMode::Partitioned, None, c);
+        row("curve", SolveMode::Partitioned, c);
     }
     for (mode, c) in [SolveMode::Partitioned, SolveMode::Full].into_iter().zip(&r.equivalence) {
-        row("equivalence", mode, None, c);
+        row("equivalence", mode, c);
     }
-    for (&(workers, mode), c) in SYNC_RUNS.iter().zip(&r.sync) {
-        row("sync", mode, Some(workers), c);
+    for (mode, c) in SYNC_MODES.into_iter().zip(&r.sync) {
+        row("sync", mode, c);
     }
     t
 }
@@ -507,7 +475,7 @@ mod tests {
     #[test]
     fn figure_is_deterministic() {
         let (a, b) = (scale_table(&scale_runs(&TINY)), scale_table(&scale_runs(&TINY)));
-        assert_eq!(a.rows.len(), TINY.curve.len() + 2 + SYNC_RUNS.len());
+        assert_eq!(a.rows.len(), TINY.curve.len() + 2 + SYNC_MODES.len());
         assert_eq!(a.rows, b.rows, "scale figure must be reproducible");
     }
 
@@ -523,12 +491,10 @@ mod tests {
     }
 
     #[test]
-    fn sync_cell_is_identical_across_workers_and_solvers() {
-        let runs: Vec<CellResult> =
-            [(1, SolveMode::Partitioned), (2, SolveMode::Partitioned), (2, SolveMode::Full)]
-                .map(|(w, mode)| run_sync_cell(16, 2, mode, w))
-                .into();
-        assert_eq!(runs[0].completions, 2 * 16 * SYNC_STREAMS_PER_NODE as u64);
-        assert!(runs.iter().all(|c| c.deterministic() == runs[0].deterministic()));
+    fn sync_cell_is_identical_across_solvers() {
+        let [part, flat] = SYNC_MODES.map(|mode| run_sync_cell(16, 2, mode));
+        assert_eq!(part.completions, 2 * 16 * SYNC_STREAMS_PER_NODE as u64);
+        assert_eq!(part.deterministic(), flat.deterministic());
+        assert!(part.stats.comps_solved < flat.stats.comps_solved);
     }
 }

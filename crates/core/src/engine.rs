@@ -20,7 +20,7 @@ use crate::packing::{pack_units, AllReduceUnit, ReduceTracker};
 use crate::registry::GradientRegistry;
 use crate::syncvec::SyncVector;
 use aiacc_collectives::timing::sync_round_latency;
-use aiacc_collectives::{Algo, CollectiveSpec, OpId, RingMode};
+use aiacc_collectives::{Algo, CollectiveSpec, OpId};
 use aiacc_compress::Scheme;
 use aiacc_dnn::{DType, GradId, ModelProfile};
 use aiacc_simnet::trace::track;
@@ -44,8 +44,6 @@ pub struct AiaccConfig {
     pub granularity: f64,
     /// All-reduce algorithm.
     pub algo: Algo,
-    /// Ring timing fidelity.
-    pub mode: RingMode,
     /// Gradient compression scheme (§X / RedSync): what actually travels
     /// on the wire. The engine charges the scheme's exact compressed wire
     /// size per unit and its compress/decompress kernels on compute.
@@ -72,7 +70,6 @@ impl Default for AiaccConfig {
             streams: 8,
             granularity: 16.0 * 1024.0 * 1024.0,
             algo: Algo::Ring,
-            mode: RingMode::Auto,
             compress: Scheme::None,
             stall_timeout: None,
             max_resubmissions: None,
@@ -107,12 +104,6 @@ impl AiaccConfig {
         self
     }
 
-    /// Sets the ring timing fidelity.
-    pub fn with_mode(mut self, mode: RingMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Selects the gradient compression scheme.
     pub fn with_compress(mut self, scheme: Scheme) -> Self {
         self.compress = scheme;
@@ -134,17 +125,6 @@ impl AiaccConfig {
     pub fn with_max_resubmissions(mut self, max: u32) -> Self {
         self.max_resubmissions = Some(max);
         self
-    }
-
-    /// The wire *dtype* implied by the compression scheme — what the frame
-    /// encoder tags payloads with. Only fp16 maps to a plain dtype; int8
-    /// and top-k payloads carry their own framing and stay `F32` here.
-    pub fn wire_dtype(self) -> DType {
-        if self.compress == Scheme::Fp16 {
-            DType::F16
-        } else {
-            DType::F32
-        }
     }
 }
 
@@ -368,10 +348,8 @@ impl AiaccEngine {
         let wire_bytes = self.cfg.compress.wire_bytes_for_f32_payload(unit.bytes);
         let overhead =
             SimDuration::from_nanos(self.cfg.compress.compute_cost_ns(unit.elems()).round() as u64);
-        let spec = CollectiveSpec::allreduce(wire_bytes)
-            .with_algo(self.cfg.algo)
-            .with_mode(self.cfg.mode)
-            .with_overhead(overhead);
+        let spec =
+            CollectiveSpec::allreduce(wire_bytes).with_algo(self.cfg.algo).with_overhead(overhead);
         let op = cx.coll.launch(cx.sim, cx.cluster, spec);
         let watched = self.cfg.max_resubmissions.is_none_or(|max| attempts < max);
         if let Some(base) = self.cfg.stall_timeout.filter(|_| watched) {
@@ -546,7 +524,7 @@ mod tests {
         let mut sim = Simulator::new();
         let cluster = ClusterNet::build(&spec, sim.net_mut());
         let cm = ComputeModel::v100();
-        let timing = cm.iteration_timing(model, model.default_batch_per_gpu(), cfg.wire_dtype());
+        let timing = cm.iteration_timing(model, model.default_batch_per_gpu(), DType::F32);
         let mut eng = AiaccEngine::new(model, spec.world_size(), cfg);
         let streams = (cm.max_comm_streams_during_compute(model), cm.max_comm_streams_idle());
         let mut router = DdlRouter::new(cluster, streams);

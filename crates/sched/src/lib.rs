@@ -53,4 +53,4 @@ pub use stream::{
     run_stream, window_tsv_header, ArrivalCfg, ArrivalProcess, StreamCfg, StreamReport, StreamSim,
     StreamStats,
 };
-pub use workload::{engine_by_label, JobMix, JobSpec, Workload, WorkloadCfg};
+pub use workload::{JobMix, JobSpec, Workload, WorkloadCfg};

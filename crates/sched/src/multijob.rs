@@ -311,8 +311,7 @@ pub struct MultiJobReport {
     /// Mean NIC transmit utilization over the makespan across all nodes.
     pub fabric_utilization: f64,
     /// Cumulative fluid-solver counters for the whole scenario. Diagnostic
-    /// only — not part of any TSV rendering, and the `par_*` fields vary
-    /// with the solver worker count.
+    /// only: not part of any TSV rendering.
     pub solver: SolverStats,
 }
 

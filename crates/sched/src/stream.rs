@@ -55,7 +55,7 @@ use crate::metrics::ClusterMetrics;
 use crate::multijob::{
     JobOutcome, JobRun, JobState, MultiJobCfg, MultiJobSim, ARRIVAL_KIND, CRASH_KIND, REPAIR_KIND,
 };
-use crate::workload::{engine_by_label, JobMix, JobSpec, SplitMix64};
+use crate::workload::{JobMix, JobSpec, SplitMix64};
 
 /// First line of every snapshot file; bumped on incompatible format changes.
 const SNAPSHOT_MAGIC: &str = "aiacc-stream-snapshot v1";
@@ -281,7 +281,7 @@ impl ArrivalSource {
         let engine = match &self.cfg.engine {
             Some(e) => *e,
             None if id.is_multiple_of(2) => EngineKind::aiacc_default(),
-            None => engine_by_label("horovod").expect("horovod engine registered"),
+            None => EngineKind::by_label("horovod").expect("horovod engine registered"),
         };
         Ok(Some(JobSpec {
             id: id as usize,

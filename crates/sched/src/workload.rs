@@ -7,7 +7,7 @@
 //! be regenerated anywhere — or frozen to a TSV trace and reloaded
 //! byte-for-byte.
 
-use aiacc_baselines::{BytePsConfig, DdpConfig, HorovodConfig, KvStoreConfig};
+use aiacc_baselines::HorovodConfig;
 use aiacc_dnn::zoo;
 use aiacc_trainer::EngineKind;
 
@@ -270,7 +270,7 @@ impl JobSpec {
             return Err(format!("unknown model {model:?}"));
         }
         let engine =
-            engine_by_label(cols[4]).ok_or_else(|| format!("unknown engine {:?}", cols[4]))?;
+            EngineKind::by_label(cols[4]).ok_or_else(|| format!("unknown engine {:?}", cols[4]))?;
         Ok(JobSpec {
             id: parse("id", cols[0])? as usize,
             arrival_secs: parse("arrival", cols[1])?,
@@ -295,19 +295,6 @@ impl JobSpec {
             self.iterations,
             self.seed
         )
-    }
-}
-
-/// Resolves an engine from its [`EngineKind::label`] (default
-/// configuration).
-pub fn engine_by_label(label: &str) -> Option<EngineKind> {
-    match label {
-        "aiacc" => Some(EngineKind::aiacc_default()),
-        "horovod" => Some(EngineKind::Horovod(HorovodConfig::default())),
-        "pytorch-ddp" => Some(EngineKind::PyTorchDdp(DdpConfig::default())),
-        "byteps" => Some(EngineKind::BytePs(BytePsConfig::default())),
-        "mxnet-kvstore" => Some(EngineKind::MxnetKvStore(KvStoreConfig::default())),
-        _ => None,
     }
 }
 
@@ -356,9 +343,11 @@ mod tests {
     #[test]
     fn engine_labels_round_trip() {
         for label in ["aiacc", "horovod", "pytorch-ddp", "byteps", "mxnet-kvstore"] {
-            assert_eq!(engine_by_label(label).expect("known").label(), label);
+            assert_eq!(EngineKind::by_label(label).expect("known").label(), label);
         }
-        assert!(engine_by_label("gloo").is_none());
+        assert_eq!(EngineKind::by_label("ddp").expect("alias").label(), "pytorch-ddp");
+        assert_eq!(EngineKind::by_label("kvstore").expect("alias").label(), "mxnet-kvstore");
+        assert!(EngineKind::by_label("gloo").is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! target (a network [`ResourceId`] or a logical node index), a kind, an
 //! onset time, and an optional duration. Plans can be built explicitly with
 //! the fluent constructors or generated pseudo-randomly from a seed with
-//! [`FaultPlan::randomized`] — in both cases the plan is plain data, so the
+//! [`FaultPlan::chaos`] — in both cases the plan is plain data, so the
 //! same plan fed into the same simulation always reproduces the same
 //! trajectory bit-for-bit.
 //!
@@ -249,78 +249,6 @@ impl FaultPlan {
         }
     }
 
-    /// Generates a reproducible pseudo-random plan of `count` link faults
-    /// (degrades and flaps) over `links`, with onsets in `[0, 0.8·horizon)`
-    /// and durations in `[0.05, 0.20]·horizon`. The same `(seed, links,
-    /// horizon, count)` always yields the identical plan.
-    pub fn randomized(seed: u64, links: &[ResourceId], horizon: SimDuration, count: usize) -> Self {
-        FaultPlan::randomized_mix(seed, links, &[], horizon, count, 0.0)
-    }
-
-    /// Like [`FaultPlan::randomized`], but a `node_fault_frac` fraction of
-    /// the events are *node* faults drawn from `nodes` — 60 % straggler
-    /// windows (compute 1.5–3× slower), 40 % crashes with a repair time —
-    /// so chaos sweeps exercise every [`FaultKind`]. With
-    /// `node_fault_frac == 0.0` the draw sequence (and therefore the plan)
-    /// is byte-identical to [`FaultPlan::randomized`].
-    ///
-    /// # Panics
-    /// Panics if `links` is empty, or if `node_fault_frac` is outside
-    /// `[0, 1]` or positive while `nodes` is empty.
-    pub fn randomized_mix(
-        seed: u64,
-        links: &[ResourceId],
-        nodes: &[u32],
-        horizon: SimDuration,
-        count: usize,
-        node_fault_frac: f64,
-    ) -> Self {
-        assert!(!links.is_empty(), "randomized plan needs candidate links");
-        assert!(
-            (0.0..=1.0).contains(&node_fault_frac),
-            "node fault fraction must be in [0, 1]: {node_fault_frac}"
-        );
-        assert!(
-            node_fault_frac == 0.0 || !nodes.is_empty(),
-            "node faults requested but no candidate nodes given"
-        );
-        let mut state = seed ^ 0xA1AC_C0DE_5EED_0001;
-        let mut plan = FaultPlan::new();
-        let horizon_ns = horizon.as_nanos() as f64;
-        for _ in 0..count {
-            // The extra draw only happens when node faults are enabled, so
-            // the frac == 0.0 stream matches the legacy generator exactly.
-            if node_fault_frac > 0.0 && unit_f64(&mut state) < node_fault_frac {
-                let node = nodes[(splitmix64(&mut state) % nodes.len() as u64) as usize];
-                let at = SimTime::from_nanos((unit_f64(&mut state) * 0.8 * horizon_ns) as u64);
-                let dur = SimDuration::from_nanos(
-                    ((0.05 + 0.15 * unit_f64(&mut state)) * horizon_ns) as u64,
-                );
-                plan = if unit_f64(&mut state) < 0.6 {
-                    let factor = 1.5 + 1.5 * unit_f64(&mut state);
-                    plan.straggle_node(node, factor, at, Some(dur))
-                } else {
-                    // Repair takes twice the straggler window: crashes are
-                    // rarer and costlier than soft degradation.
-                    plan.crash_node_for(node, at, dur + dur)
-                };
-                continue;
-            }
-            let link = links[(splitmix64(&mut state) % links.len() as u64) as usize];
-            let at = SimTime::from_nanos((unit_f64(&mut state) * 0.8 * horizon_ns) as u64);
-            let dur =
-                SimDuration::from_nanos(((0.05 + 0.15 * unit_f64(&mut state)) * horizon_ns) as u64);
-            // 70 % capacity degradation, 30 % full flap.
-            plan = if unit_f64(&mut state) < 0.7 {
-                let factor = 0.2 + 0.7 * unit_f64(&mut state);
-                plan.degrade_link(link, factor, at, Some(dur))
-            } else {
-                plan.flap_link(link, at, dur)
-            };
-        }
-        plan
-    }
-
     /// A seeded, fully node-targeted chaos plan for cluster scenarios that
     /// have no resource ids yet (the scheduler resolves node-targeted link
     /// faults to each node's NICs via [`FaultPlan::resolve_links`]).
@@ -328,9 +256,9 @@ impl FaultPlan {
     /// The plan always contains at least one straggler window and one
     /// crash-with-repair (so every chaos run exercises both recovery paths),
     /// plus `count` extra mixed events: 30 % node faults (straggler or
-    /// crash, as in [`FaultPlan::randomized_mix`]) and 70 % NIC-level
-    /// degrades/flaps. The same `(seed, nodes, horizon, count)` always
-    /// yields the identical plan.
+    /// crash with a repair time) and 70 % NIC-level degrades/flaps. The
+    /// same `(seed, nodes, horizon, count)` always yields the identical
+    /// plan.
     ///
     /// # Panics
     /// Panics if `nodes` is zero.
@@ -595,65 +523,6 @@ fn unit_f64(state: &mut u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn randomized_plans_are_seed_deterministic() {
-        let links = [ResourceId::from_index(0), ResourceId::from_index(1)];
-        let a = FaultPlan::randomized(42, &links, SimDuration::from_secs_f64(10.0), 8);
-        let b = FaultPlan::randomized(42, &links, SimDuration::from_secs_f64(10.0), 8);
-        let c = FaultPlan::randomized(43, &links, SimDuration::from_secs_f64(10.0), 8);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.events().len(), 8);
-    }
-
-    #[test]
-    fn randomized_mix_zero_frac_matches_legacy_stream() {
-        let links = [ResourceId::from_index(0), ResourceId::from_index(1)];
-        let legacy = FaultPlan::randomized(7, &links, SimDuration::from_secs_f64(20.0), 12);
-        let mixed = FaultPlan::randomized_mix(
-            7,
-            &links,
-            &[0, 1, 2],
-            SimDuration::from_secs_f64(20.0),
-            12,
-            0.0,
-        );
-        assert_eq!(legacy, mixed, "frac=0 must not perturb the draw sequence");
-    }
-
-    #[test]
-    fn randomized_mix_covers_every_fault_kind() {
-        let links = [ResourceId::from_index(0), ResourceId::from_index(1)];
-        let plan = FaultPlan::randomized_mix(
-            11,
-            &links,
-            &[0, 1, 2, 3],
-            SimDuration::from_secs_f64(30.0),
-            64,
-            0.5,
-        );
-        let plan2 = FaultPlan::randomized_mix(
-            11,
-            &links,
-            &[0, 1, 2, 3],
-            SimDuration::from_secs_f64(30.0),
-            64,
-            0.5,
-        );
-        assert_eq!(plan, plan2, "mixed plan must be seed-deterministic");
-        assert_eq!(plan.events().len(), 64);
-        let has = |pred: &dyn Fn(&FaultEvent) -> bool| plan.events().iter().any(pred);
-        assert!(has(&|e| matches!(e.kind, FaultKind::Degrade { .. })), "no degrade");
-        assert!(has(&|e| matches!(e.kind, FaultKind::Flap)), "no flap");
-        assert!(has(&|e| matches!(e.kind, FaultKind::Straggler { .. })), "no straggler");
-        assert!(has(&|e| matches!(e.kind, FaultKind::Crash)), "no crash");
-        // Mixed-in crashes always carry a repair time.
-        for (_, at, repair) in plan.crash_spans() {
-            let r = repair.expect("randomized_mix crashes are always repaired");
-            assert!(r > at);
-        }
-    }
 
     #[test]
     fn crash_spans_report_repair_instants() {

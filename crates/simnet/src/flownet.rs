@@ -88,12 +88,6 @@ pub enum SolveMode {
 /// `comps_solved / comps_existing` measures how much work partitioned
 /// dirty-tracking avoids: `1.0` in [`SolveMode::Full`], well below that on a
 /// racked topology where most events stay inside one rack.
-///
-/// Every field except the `par_*` pair is independent of the solver worker
-/// count (the parallel path computes the same components, participants and
-/// fill rounds as the serial one); `par_solves`/`par_workers` record how the
-/// work was *scheduled* and legitimately differ across worker counts — keep
-/// them out of any cross-worker-count byte comparison.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of times a dirty network was re-solved.
@@ -109,16 +103,9 @@ pub struct SolverStats {
     pub fill_rounds: u64,
     /// Largest single component (in participant flows) ever solved.
     pub comp_parts_max: u64,
-    /// Per-recompute largest component size, summed over all recomputes
-    /// (`solve_parts_max / recomputes` is the mean critical-path size; see
-    /// [`SolverStats::imbalance_ratio`]).
-    pub solve_parts_max: u64,
-    /// Recomputes that took the multi-worker path (scheduling detail:
-    /// differs across worker counts).
+    /// Always `0`: the solver runs on one thread. Kept because the
+    /// benchmark still reports it as `simnet.par_solves`.
     pub par_solves: u64,
-    /// Workers used, summed over parallel recomputes (scheduling detail:
-    /// differs across worker counts).
-    pub par_workers: u64,
 }
 
 impl SolverStats {
@@ -129,51 +116,20 @@ impl SolverStats {
         }
         self.parts_solved as f64 / self.comps_solved as f64
     }
-
-    /// Mean workers used per parallel recompute (`0.0` if the parallel path
-    /// never ran).
-    pub fn mean_par_workers(&self) -> f64 {
-        if self.par_solves == 0 {
-            return 0.0;
-        }
-        self.par_workers as f64 / self.par_solves as f64
-    }
-
-    /// Mean-largest over mean-mean component size: how much bigger the
-    /// critical-path component of a typical recompute is than the average
-    /// component it solves. `1.0` = perfectly balanced shards; large values
-    /// mean one component dominates each solve and caps the parallel
-    /// speedup (Amdahl on the biggest shard).
-    pub fn imbalance_ratio(&self) -> f64 {
-        if self.recomputes == 0 || self.parts_solved == 0 {
-            return 1.0;
-        }
-        let mean_max = self.solve_parts_max as f64 / self.recomputes as f64;
-        let mean_mean = self.mean_comp_parts();
-        if mean_mean <= 0.0 {
-            return 1.0;
-        }
-        mean_max / mean_mean
-    }
 }
 
 impl std::fmt::Display for SolverStats {
-    /// One diagnostic line, the shape the CLIs print to stderr. Includes
-    /// the `par_*` counters, so don't byte-compare rendered stats across
-    /// worker counts — compare the fields the solver guarantees instead.
+    /// One diagnostic line, the shape the CLIs print to stderr.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} recomputes | {}/{} comps solved | {} parts, {} fill rounds | \
-             largest comp {} | {} parallel fan-outs (mean {:.1} workers)",
+            "{} recomputes | {}/{} comps solved | {} parts, {} fill rounds | largest comp {}",
             self.recomputes,
             self.comps_solved,
             self.comps_existing,
             self.parts_solved,
             self.fill_rounds,
             self.comp_parts_max,
-            self.par_solves,
-            self.mean_par_workers(),
         )
     }
 }
@@ -186,10 +142,10 @@ impl std::fmt::Display for SolverStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveBreakdown {
     /// Seconds computing max-min rates + completion predictions (the
-    /// per-component, read-only phase the worker pool parallelizes).
+    /// per-component, read-only phase).
     pub solve_s: f64,
     /// Seconds committing results: settling bytes, re-stamping rates,
-    /// pushing completion entries (serial, canonical component order).
+    /// pushing completion entries (canonical component order).
     pub apply_s: f64,
     /// Seconds draining due events and compacting the event queue.
     pub queue_s: f64,
@@ -364,77 +320,6 @@ struct Scratch {
     stat_comp_max: u64,
 }
 
-/// Results of one worker's component solves, appended in claim order:
-/// flat `parts`/`rates`/`pred_at` (and `zombies`) buffers plus one
-/// `(dirty-list index, parts offset, zombies offset)` record per solved
-/// component. The serial apply phase reads components back in canonical
-/// dirty-list order via [`SolvedBuf::comp_slices`].
-#[derive(Debug, Clone, Default)]
-struct SolvedBuf {
-    comps: Vec<(u32, u32, u32)>,
-    parts: Vec<u32>,
-    rates: Vec<f64>,
-    pred_at: Vec<u64>,
-    zombies: Vec<u32>,
-}
-
-impl SolvedBuf {
-    fn clear(&mut self) {
-        self.comps.clear();
-        self.parts.clear();
-        self.rates.clear();
-        self.pred_at.clear();
-        self.zombies.clear();
-    }
-
-    /// Appends the component the scratch just solved, identified by its
-    /// index in the sorted dirty list.
-    fn push_comp(&mut self, idx: u32, sc: &Scratch) {
-        self.comps.push((idx, self.parts.len() as u32, self.zombies.len() as u32));
-        let n = sc.parts.len();
-        self.parts.extend_from_slice(&sc.parts);
-        // `sc.rates` may hold stale capacity beyond `parts` for an empty
-        // component (it is only resized when there are participants), so
-        // slice all three parallel arrays to the participant count.
-        self.rates.extend_from_slice(&sc.rates[..n]);
-        self.pred_at.extend_from_slice(&sc.pred_at[..n]);
-        self.zombies.extend_from_slice(&sc.zombies);
-    }
-
-    /// The `k`-th solved component's `(parts, rates, pred_at, zombies)`.
-    fn comp_slices(&self, k: usize) -> (&[u32], &[f64], &[u64], &[u32]) {
-        let (_, p0, z0) = self.comps[k];
-        let (p0, z0) = (p0 as usize, z0 as usize);
-        let (p1, z1) = match self.comps.get(k + 1) {
-            Some(&(_, p, z)) => (p as usize, z as usize),
-            None => (self.parts.len(), self.zombies.len()),
-        };
-        (&self.parts[p0..p1], &self.rates[p0..p1], &self.pred_at[p0..p1], &self.zombies[z0..z1])
-    }
-}
-
-/// One worker's private working set for the parallel solve path: solver
-/// scratch plus the result buffer its solves append to.
-#[derive(Debug, Default)]
-struct WorkerSlot {
-    scratch: Scratch,
-    out: SolvedBuf,
-}
-
-/// Per-worker working sets for the parallel solve path. Worker `w` locks
-/// slot `w` uncontended for the duration of one fan-out. Slots carry no
-/// state between solves (every buffer is cleared or epoch-guarded before
-/// use, and the `stat_*` accumulators are folded after every recompute), so
-/// a cloned network simply starts with an empty pool.
-#[derive(Debug, Default)]
-struct WorkerScratches(Vec<std::sync::Mutex<WorkerSlot>>);
-
-impl Clone for WorkerScratches {
-    fn clone(&self) -> Self {
-        WorkerScratches(Vec::new())
-    }
-}
-
 /// [`Scratch::pred_at`] sentinel: participant's rate is bitwise unchanged.
 const PRED_UNCHANGED: u64 = u64::MAX;
 /// [`Scratch::pred_at`] sentinel: rate changed to 0 with bytes left — no
@@ -443,18 +328,6 @@ const PRED_STARVED: u64 = u64::MAX - 1;
 
 /// Minimum leftover bytes treated as "transfer complete" (guards float drift).
 const EPS_BYTES: f64 = 1e-3;
-
-/// Fewest dirty components worth fanning out: below this the pool's
-/// dispatch latency exceeds the solve work (steady-state event handling
-/// dirties exactly one component, and that must stay on the zero-overhead
-/// serial path).
-const PAR_SOLVE_MIN_COMPS: usize = 4;
-
-/// Fewest batched completion settlements worth fanning out in
-/// [`FlowNet::advance_to`]'s drain (per-entry settle arithmetic is tens of
-/// nanoseconds, so only bulk-synchronous completion bursts pay for
-/// dispatch).
-const PAR_SETTLE_MIN: usize = 1024;
 
 /// Packs a slab slot index and its generation into a raw flow id.
 const fn pack_id(slot: u32, gen: u32) -> u64 {
@@ -555,25 +428,8 @@ pub struct FlowNet {
     breakdown: SolveBreakdown,
     /// Persistent solver working set (see [`Scratch`]).
     scratch: Scratch,
-    /// Per-network override of the solver worker count (`None` = follow the
-    /// process-wide [`crate::par::jobs`] setting).
-    solve_workers: Option<usize>,
-    /// Per-worker solver working sets for the parallel path (lazily grown;
-    /// worker `w` owns `worker_scratches.0[w]` for the duration of one
-    /// fan-out, so no scratch is ever shared between threads).
-    worker_scratches: WorkerScratches,
     /// Reusable buffer for a flow's path groups during link/unlink.
     tmp_groups: Vec<u32>,
-    /// Consecutive completion settlements deferred during one drain:
-    /// `(slot, at_ns)` in pop order (see [`Self::flush_settles`]).
-    settle_batch: Vec<(u32, u64)>,
-    /// Bytes moved per deferred settlement (parallel to `settle_batch`).
-    settle_moved: Vec<f64>,
-    /// Per-slot mark (`== seen_epoch` when the slot already has a deferred
-    /// settlement in the current batch): a second completion entry for the
-    /// same slot must observe the first one's settle, so it flushes.
-    slot_seen: Vec<u32>,
-    seen_epoch: u32,
 }
 
 impl Default for FlowNet {
@@ -606,13 +462,7 @@ impl Default for FlowNet {
             stats: SolverStats::default(),
             breakdown: SolveBreakdown::default(),
             scratch: Scratch::default(),
-            solve_workers: None,
-            worker_scratches: WorkerScratches::default(),
             tmp_groups: Vec::new(),
-            settle_batch: Vec::new(),
-            settle_moved: Vec::new(),
-            slot_seen: Vec::new(),
-            seen_epoch: 0,
         }
     }
 }
@@ -648,22 +498,6 @@ impl FlowNet {
     /// Cumulative wall-clock spent per solver phase (see [`SolveBreakdown`]).
     pub fn solve_breakdown(&self) -> SolveBreakdown {
         self.breakdown
-    }
-
-    /// Overrides how many workers the partitioned solver fans dirty
-    /// components out across (`None` restores the default: the process-wide
-    /// [`crate::par::jobs`] count). `Some(1)` forces the serial path. The
-    /// worker count never changes results — the parallel path applies every
-    /// component's rates in canonical ascending-representative order, so
-    /// output is bit-identical to serial for any value (property-tested).
-    pub fn set_solve_workers(&mut self, workers: Option<usize>) {
-        self.solve_workers = workers;
-    }
-
-    /// The solver worker count currently in effect (resolved against
-    /// [`crate::par::jobs`] when no override is installed).
-    pub fn solve_workers(&self) -> usize {
-        self.solve_workers.unwrap_or_else(crate::par::jobs).max(1)
     }
 
     /// Adds a resource with the given capacity in bytes/second to group 0.
@@ -1010,132 +844,27 @@ impl FlowNet {
     /// order: activations flip the flow on; valid completions settle at
     /// their predicted instant and land in `ripe`.
     ///
-    /// Completion settlements are *batched*: runs of consecutive completion
-    /// entries defer their settles into `settle_batch` and commit together
-    /// in [`Self::flush_settles`] — which, for bulk-synchronous bursts
-    /// (thousands of flows completing at one instant, the shape of a
-    /// synchronized training round), computes the per-flow byte movement on
-    /// the worker pool. The batch flushes whenever an activation surfaces
-    /// (it mutates a flow mid-run) or a slot re-appears (its second settle
-    /// must observe its first), so each deferred settle still sees exactly
-    /// the state it would have seen serially.
-    ///
     /// Most calls find nothing due (every timer pop advances the network),
     /// so the first entry is popped before the wall clock starts.
     fn drain_due(&mut self, t: SimTime) {
-        let Some(first) = self.events.pop_due(t.as_nanos()) else { return };
-        let t0 = std::time::Instant::now();
-        let mut batch = std::mem::take(&mut self.settle_batch);
-        debug_assert!(batch.is_empty());
-        if self.slot_seen.len() < self.slots.len() {
-            self.slot_seen.resize(self.slots.len(), 0);
-        }
-        self.bump_seen_epoch();
-        let mut first = Some(first);
-        while let Some((at_ns, ev)) = first.take().or_else(|| self.events.pop_due(t.as_nanos())) {
-            if !event_valid(&self.slots, &ev) {
-                continue;
-            }
-            if ev.pred == ACTIVATION {
-                self.flush_settles(&mut batch);
-                self.activate(ev.slot, SimTime::from_nanos(at_ns));
-            } else {
-                if self.slot_seen[ev.slot as usize] == self.seen_epoch {
-                    self.flush_settles(&mut batch);
-                }
-                self.slot_seen[ev.slot as usize] = self.seen_epoch;
-                batch.push((ev.slot, at_ns));
-                self.ripe.push((ev.slot, ev.gen));
-            }
-        }
-        self.flush_settles(&mut batch);
-        self.settle_batch = batch;
-        self.breakdown.queue_s += t0.elapsed().as_secs_f64();
-    }
-
-    /// Commits the deferred completion settlements of one batch, in pop
-    /// order. Small batches settle serially; large ones compute each
-    /// entry's byte movement read-only on the worker pool first (`moved` is
-    /// a pure function of the flow's pre-batch state — batch slots are
-    /// distinct, so no entry's settle changes another's inputs) and then
-    /// apply serially, keeping the byte-counter accumulation order — and
-    /// thus every output bit — identical to the serial path.
-    fn flush_settles(&mut self, batch: &mut Vec<(u32, u64)>) {
-        if batch.is_empty() {
+        let mut due = self.events.pop_due(t.as_nanos());
+        if due.is_none() {
             return;
         }
-        let workers = self.solve_workers();
-        if batch.len() >= PAR_SETTLE_MIN && workers >= 2 && !crate::pool::is_busy() {
-            let mut moved = std::mem::take(&mut self.settle_moved);
-            moved.clear();
-            moved.resize(batch.len(), 0.0);
-            let chunk_len = batch.len().div_ceil(workers);
-            {
-                let chunks: Vec<std::sync::Mutex<&mut [f64]>> =
-                    moved.chunks_mut(chunk_len).map(std::sync::Mutex::new).collect();
-                let this: &FlowNet = self;
-                let entries: &[(u32, u64)] = batch;
-                crate::pool::run(chunks.len(), &|w| {
-                    let mut out = chunks[w].lock().expect("settle chunk poisoned");
-                    let base = w * chunk_len;
-                    for (j, m) in out.iter_mut().enumerate() {
-                        let (slot, at_ns) = entries[base + j];
-                        let st = this.slots[slot as usize]
-                            .state
-                            .as_ref()
-                            .expect("batched slot occupied");
-                        *m = in_flight(st, SimTime::from_nanos(at_ns));
-                    }
-                });
+        let t0 = std::time::Instant::now();
+        while let Some((at_ns, ev)) = due {
+            if event_valid(&self.slots, &ev) {
+                let at = SimTime::from_nanos(at_ns);
+                if ev.pred == ACTIVATION {
+                    self.activate(ev.slot, at);
+                } else {
+                    self.settle(ev.slot, at);
+                    self.ripe.push((ev.slot, ev.gen));
+                }
             }
-            for (k, &(slot, at_ns)) in batch.iter().enumerate() {
-                self.settle_with_moved(slot, SimTime::from_nanos(at_ns), moved[k]);
-            }
-            self.settle_moved = moved;
-        } else {
-            for &(slot, at_ns) in batch.iter() {
-                self.settle(slot, SimTime::from_nanos(at_ns));
-            }
+            due = self.events.pop_due(t.as_nanos());
         }
-        batch.clear();
-        self.bump_seen_epoch();
-    }
-
-    /// Advances the duplicate-slot epoch, clearing stale marks on wrap.
-    fn bump_seen_epoch(&mut self) {
-        self.seen_epoch = self.seen_epoch.wrapping_add(1);
-        if self.seen_epoch == 0 {
-            self.slot_seen.iter_mut().for_each(|m| *m = 0);
-            self.seen_epoch = 1;
-        }
-    }
-
-    /// [`Self::settle`] with the byte movement already computed (the
-    /// parallel half of [`Self::flush_settles`]). The arithmetic mirrors
-    /// `settle` exactly — `moved` is the same `(rate·dt).min(remaining)`
-    /// float expression, so `remaining -= moved` produces the same bits.
-    fn settle_with_moved(&mut self, slot: u32, to: SimTime, moved: f64) {
-        let st = self.slots[slot as usize].state.as_mut().expect("settling an empty slot");
-        debug_assert_eq!(
-            moved.to_bits(),
-            in_flight(st, to).to_bits(),
-            "pool-computed byte movement diverged from serial settle"
-        );
-        if st.active && st.rate.is_infinite() && (to - st.anchor).as_nanos() > 0 {
-            st.remaining = 0.0;
-        } else {
-            // `x - 0.0 == x` bitwise for every non-NaN `x`, so inactive,
-            // zero-rate and zero-dt entries leave `remaining` untouched
-            // exactly as `settle` does.
-            st.remaining -= moved;
-        }
-        st.anchor = to;
-        if moved > 0.0 {
-            for r in &st.spec.path {
-                self.carried[r.0 as usize] += moved;
-            }
-            Self::bump_tag(&mut self.delivered_by_tag, st.spec.tag, moved);
-        }
+        self.breakdown.queue_s += t0.elapsed().as_secs_f64();
     }
 
     /// Latency elapsed: the flow begins moving data at `at`.
@@ -1496,17 +1225,13 @@ impl FlowNet {
                 let mut list = std::mem::take(&mut self.dirty_list);
                 list.sort_unstable();
                 self.stats.comps_solved += list.len() as u64;
-                if !self.solve_dirty_parallel(&list) {
-                    let mut sc = std::mem::take(&mut self.scratch);
-                    for &rep in &list {
-                        debug_assert_eq!(self.comp_of_group[rep as usize], rep);
-                        self.solve_apply_one(rep, &mut sc);
-                    }
-                    self.scratch = sc;
-                }
+                let mut sc = std::mem::take(&mut self.scratch);
                 for &rep in &list {
+                    debug_assert_eq!(self.comp_of_group[rep as usize], rep);
+                    self.solve_apply_one(rep, &mut sc);
                     self.dirty[rep as usize] = false;
                 }
+                self.scratch = sc;
                 list.clear();
                 self.dirty_list = list;
             }
@@ -1515,91 +1240,8 @@ impl FlowNet {
         self.any_dirty = false;
     }
 
-    /// Attempts the multi-worker solve of the sorted dirty-component list,
-    /// returning `false` when the solve should run serially instead (one
-    /// worker, too few dirty components to pay the dispatch, or the pool
-    /// already owned by an enclosing fan-out such as a `par::map` sweep).
-    ///
-    /// Workers claim components off an atomic cursor and solve each into
-    /// their private [`WorkerSlot`] ([`Self::solve_comp_rates`] reads only
-    /// the component's own flows and resources, which are disjoint between
-    /// components by construction). The commit then replays every solved
-    /// component through [`Self::apply_solved`] in ascending dirty-list
-    /// (= ascending representative) order — the same order the serial path
-    /// uses — so byte counters, queue insertion order and every rate bit
-    /// match the serial solve for any worker count.
-    fn solve_dirty_parallel(&mut self, list: &[u32]) -> bool {
-        let workers = self.solve_workers().min(list.len());
-        if workers < 2 || list.len() < PAR_SOLVE_MIN_COMPS || crate::pool::is_busy() {
-            return false;
-        }
-        let t0 = std::time::Instant::now();
-        let mut slots = std::mem::take(&mut self.worker_scratches.0);
-        while slots.len() < workers {
-            slots.push(std::sync::Mutex::new(WorkerSlot::default()));
-        }
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        {
-            let this: &FlowNet = self;
-            crate::pool::run(workers, &|w| {
-                let mut slot = slots[w].lock().expect("worker slot poisoned");
-                let slot = &mut *slot;
-                slot.out.clear();
-                loop {
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= list.len() {
-                        break;
-                    }
-                    let rep = list[i];
-                    debug_assert_eq!(this.comp_of_group[rep as usize], rep);
-                    this.solve_comp_rates(rep, &mut slot.scratch);
-                    slot.out.push_comp(i as u32, &slot.scratch);
-                }
-            });
-        }
-        let t1 = std::time::Instant::now();
-        // Canonical commit: move the result buffers out of their mutexes
-        // (the fan-out is over; this is plain single-threaded code again),
-        // locate each dirty-list index in whichever worker's buffer solved
-        // it, then apply in ascending index order.
-        let mut outs: Vec<SolvedBuf> = slots
-            .iter_mut()
-            .take(workers)
-            .map(|m| std::mem::take(&mut m.get_mut().expect("worker slot poisoned").out))
-            .collect();
-        let mut where_of = vec![(u32::MAX, u32::MAX); list.len()];
-        for (w, out) in outs.iter().enumerate() {
-            for (k, &(idx, _, _)) in out.comps.iter().enumerate() {
-                where_of[idx as usize] = (w as u32, k as u32);
-            }
-        }
-        for &(w, k) in &where_of {
-            debug_assert_ne!(w, u32::MAX, "a dirty component was never solved");
-            let (parts, rates, pred_at, zombies) = outs[w as usize].comp_slices(k as usize);
-            self.apply_solved(parts, rates, pred_at, zombies);
-        }
-        for (m, out) in slots.iter_mut().zip(outs.drain(..)) {
-            m.get_mut().expect("worker slot poisoned").out = out;
-        }
-        for m in slots.iter_mut().take(workers) {
-            let sc = &mut m.get_mut().expect("worker slot poisoned").scratch;
-            self.scratch.stat_parts += sc.stat_parts;
-            self.scratch.stat_rounds += sc.stat_rounds;
-            self.scratch.stat_comp_max = self.scratch.stat_comp_max.max(sc.stat_comp_max);
-            sc.stat_parts = 0;
-            sc.stat_rounds = 0;
-            sc.stat_comp_max = 0;
-        }
-        self.worker_scratches.0 = slots;
-        self.stats.par_solves += 1;
-        self.stats.par_workers += workers as u64;
-        self.breakdown.solve_s += (t1 - t0).as_secs_f64();
-        self.breakdown.apply_s += t1.elapsed().as_secs_f64();
-        true
-    }
-
-    /// Serial solve + immediate apply of one component (the [`SolveMode::Full`]
-    /// oracle path and the small-solve fast path).
+    /// Solve + immediate apply of one component: the compute phase reads
+    /// the network, then the commit phase mutates it.
     fn solve_apply_one(&mut self, rep: u32, sc: &mut Scratch) {
         let t0 = std::time::Instant::now();
         self.solve_comp_rates(rep, sc);
@@ -1609,16 +1251,13 @@ impl FlowNet {
         self.breakdown.apply_s += t1.elapsed().as_secs_f64();
     }
 
-    /// Moves the scratch-accumulated work counters into [`SolverStats`] and
-    /// charges this recompute's largest component to the imbalance
-    /// accumulators. Called once per recompute, after every scratch
-    /// (persistent or per-worker) has been folded back.
+    /// Moves the scratch-accumulated work counters into [`SolverStats`].
+    /// Called once per recompute.
     fn fold_scratch_stats(&mut self) {
         let sc = &mut self.scratch;
         self.stats.parts_solved += sc.stat_parts;
         self.stats.fill_rounds += sc.stat_rounds;
         self.stats.comp_parts_max = self.stats.comp_parts_max.max(sc.stat_comp_max);
-        self.stats.solve_parts_max += sc.stat_comp_max;
         sc.stat_parts = 0;
         sc.stat_rounds = 0;
         sc.stat_comp_max = 0;
@@ -1627,10 +1266,7 @@ impl FlowNet {
     /// Pure solve phase for one component: collects its active
     /// participants, computes their max-min rates, and precomputes each
     /// changed participant's completion prediction into `sc`. Takes `&self`
-    /// only — components partition the resource groups and their flows, so
-    /// disjoint components run this concurrently on the worker pool; all
-    /// mutation is deferred to [`Self::apply_comp`], which commits in
-    /// canonical component order.
+    /// only: all mutation is deferred to [`Self::apply_comp`].
     fn solve_comp_rates(&self, rep: u32, sc: &mut Scratch) {
         sc.parts.clear();
         sc.zombies.clear();
@@ -1699,7 +1335,7 @@ impl FlowNet {
         // Prediction rebuild: each changed participant's completion instant
         // is a pure function of its new rate and post-settle remaining
         // bytes (`live_remaining` mirrors the settle arithmetic exactly),
-        // so it can be computed here, off the serial apply path.
+        // so it can be computed here, before the apply phase.
         sc.pred_at.clear();
         for (k, &slot) in sc.parts.iter().enumerate() {
             let st = self.slots[slot as usize].state.as_ref().expect("occupied");
@@ -1720,19 +1356,13 @@ impl FlowNet {
     /// participant whose rate changed bitwise (an unchanged participant
     /// keeps its anchor and queue entry untouched, which is what makes
     /// re-solving a clean component a no-op), then parks zombies. Runs in
-    /// ascending-representative order across components — byte-counter
+    /// ascending-representative order across components: byte-counter
     /// accumulation and event-queue insertion order are part of the
-    /// deterministic output, so this phase is never fanned out.
+    /// deterministic output.
     fn apply_comp(&mut self, sc: &Scratch) {
-        self.apply_solved(&sc.parts, &sc.rates, &sc.pred_at, &sc.zombies);
-    }
-
-    /// Slice-based body of [`Self::apply_comp`]: the parallel path replays
-    /// each worker's [`SolvedBuf`] through this in canonical order.
-    fn apply_solved(&mut self, parts: &[u32], rates: &[f64], pred_at: &[u64], zombies: &[u32]) {
         let now = self.now;
-        for (k, &slot) in parts.iter().enumerate() {
-            let at = pred_at[k];
+        for (k, &slot) in sc.parts.iter().enumerate() {
+            let at = sc.pred_at[k];
             if at == PRED_UNCHANGED {
                 continue;
             }
@@ -1740,7 +1370,7 @@ impl FlowNet {
             let s = &mut self.slots[slot as usize];
             let gen = s.gen;
             let st = s.state.as_mut().expect("occupied");
-            st.rate = rates[k];
+            st.rate = sc.rates[k];
             st.pred = st.pred.wrapping_add(1);
             debug_assert_eq!(
                 predict_completion_ns(st.rate, st.remaining, now),
@@ -1752,7 +1382,7 @@ impl FlowNet {
                 self.events.push(at, NetEvent { slot, gen, pred });
             }
         }
-        for &slot in zombies {
+        for &slot in &sc.zombies {
             // A flow whose bytes ran out but that was not collected yet
             // (e.g. a fault preempted its completion event): settle the last
             // bytes, park the rate at 0 and queue a complete-now entry so it
@@ -1896,9 +1526,9 @@ impl FlowNet {
 
 /// The completion instant implied by `rate` and (settled) `remaining` bytes
 /// from `from`, in nanoseconds — `None` for a starved flow (rate 0, bytes
-/// left). The single source of the prediction arithmetic: both the serial
-/// [`FlowNet::push_completion_at`] and the read-only parallel solve phase
-/// call it, so the two paths agree bit-for-bit by construction.
+/// left). The single source of the prediction arithmetic: both
+/// [`FlowNet::push_completion_at`] and the read-only solve phase call it,
+/// so the two agree bit-for-bit by construction.
 fn predict_completion_ns(rate: f64, remaining: f64, from: SimTime) -> Option<u64> {
     if rate.is_infinite() || remaining <= completion_eps(rate) {
         Some(from.as_nanos())
@@ -2213,6 +1843,70 @@ mod tests {
         drain(&mut net);
         assert_eq!(net.flow_count(), 0);
         assert_eq!(net.active_flow_count(), 0);
+    }
+
+    #[test]
+    fn bulk_completion_drain_matches_closed_form() {
+        // 64 single-link groups with 32 equal flows each. Even links run at
+        // 32 MiB/s with no latency; odd links at 64 MiB/s behind a 0.5 s hop
+        // latency, so all 2,048 flows finish at 1 s in one drain. One more
+        // flow per even link starts after the first solve with a 1 s
+        // latency: its activation entry queues between the two halves'
+        // completion entries, so that drain interleaves activations with
+        // completions. Every quantity is dyadic, so the closed forms are
+        // exact to the nanosecond.
+        const MIB: f64 = 1_048_576.0;
+        const PER_LINK: usize = 32;
+        let bytes = MIB;
+        let mut net = FlowNet::new();
+        let mut links = Vec::new();
+        // (id, link, activation instant) in start order.
+        let mut started: Vec<(FlowId, usize, f64)> = Vec::new();
+        for l in 0..64usize {
+            let (cap, latency) = if l % 2 == 0 { (32.0 * MIB, 0.0) } else { (64.0 * MIB, 0.5) };
+            links.push(net.add_resource_in_group(format!("link{l}"), cap, l as u32));
+            for _ in 0..PER_LINK {
+                let spec = FlowSpec::new(vec![links[l]], bytes)
+                    .with_latency(SimDuration::from_secs_f64(latency))
+                    .with_tag(l as u32);
+                started.push((net.start_flow(spec), l, latency));
+            }
+        }
+        assert_eq!(net.next_change(), Some(SimTime::from_secs_f64(0.5)));
+        for l in (0..64).step_by(2) {
+            let spec = FlowSpec::new(vec![links[l]], bytes)
+                .with_latency(SimDuration::from_secs_f64(1.0))
+                .with_tag(l as u32);
+            started.push((net.start_flow(spec), l, 1.0));
+        }
+
+        let mut done: Vec<(u64, FlowId)> = Vec::new();
+        while let Some(t) = net.next_change() {
+            net.advance_to(t);
+            done.extend(net.take_completed().into_iter().map(|id| (t.as_nanos(), id)));
+        }
+        let at_one_s = done.iter().filter(|&&(t, _)| t == 1_000_000_000).count();
+        assert_eq!(at_one_s, 64 * PER_LINK, "the bulk burst must land in one instant");
+        let ids: Vec<FlowId> = done.iter().map(|&(_, id)| id).collect();
+        let start_ids: Vec<FlowId> = started.iter().map(|&(id, _, _)| id).collect();
+        assert_eq!(ids, start_ids, "completions must arrive in start order");
+
+        // Each flow shares its link equally with the others active beside it:
+        // it finishes `bytes · n / capacity` after its activation.
+        for (&(t_ns, _), &(_, l, activated)) in done.iter().zip(&started) {
+            let n = if activated == 1.0 { 1.0 } else { PER_LINK as f64 };
+            let cap = net.resource(links[l]).capacity;
+            let expect = SimTime::from_secs_f64(activated + bytes * n / cap);
+            assert_eq!(t_ns, expect.as_nanos(), "link {l} activated at {activated} s");
+        }
+
+        for (l, &r) in links.iter().enumerate() {
+            let flows = if l % 2 == 0 { PER_LINK + 1 } else { PER_LINK };
+            let launched = net.launched_bytes_by_tag(l as u32);
+            assert_eq!(launched, bytes * flows as f64, "link {l}");
+            assert_eq!(net.delivered_bytes_by_tag(l as u32).to_bits(), launched.to_bits());
+            assert_eq!(net.carried_bytes(r).to_bits(), launched.to_bits());
+        }
     }
 
     #[test]

@@ -68,9 +68,8 @@ pub fn jobs() -> usize {
 /// `chunk` indices at a time), so stragglers don't serialize the batch and
 /// tiny jobs don't thrash the cursor; determinism is unaffected because
 /// execution order never feeds back into any result. If the pool is
-/// already owned by an enclosing fan-out, the whole map runs inline — a
-/// sweep of simulations each solving on the pool never oversubscribes the
-/// machine.
+/// already owned by an enclosing fan-out, the whole map runs inline, so
+/// nested fan-outs never oversubscribe the machine.
 ///
 /// # Panics
 /// Panics if `f` panics for any index (worker panics propagate to the

@@ -1,23 +1,21 @@
 //! `simnet::pool` — the process-wide persistent worker pool.
 //!
-//! Every fan-out in this repository — sweep-level parallelism
-//! ([`crate::par::map`]) and solve-level parallelism (the partitioned
-//! max-min solver fanning dirty components out) — runs on this one pool.
-//! Threads are spawned lazily the first time a width is requested and then
-//! parked on a condvar, so dispatching a fan-out costs a mutex lock and a
-//! wake-up (microseconds), not a `thread::spawn` per call — cheap enough to
-//! sit on the per-event solver hot path.
+//! Every fan-out in this repository runs on this one pool: sweeps of
+//! independent simulations ([`crate::par::map`]) and the data-parallel
+//! training step (worker shards, codecs and the ring fold, through
+//! [`crate::par::map_mut`]). Threads are spawned lazily the first time a
+//! width is requested and then parked on a condvar, so dispatching a
+//! fan-out costs a mutex lock and a wake-up (microseconds), not a
+//! `thread::spawn` per call.
 //!
 //! # Exclusivity: one fan-out at a time, by design
 //!
 //! The pool is deliberately *non-reentrant*: [`run`] hands the pool to one
 //! fan-out at a time, and any [`run`] call that finds the pool busy (a
 //! nested call from inside a worker, or a concurrent call from another
-//! thread) executes its closure inline on the caller's thread instead. This
-//! is what lets sweep-level and solve-level parallelism coexist without
-//! oversubscription: when `par::map` is fanning simulation cells across N
-//! workers, each cell's solver sees a busy pool and solves serially — N
-//! busy threads total, never N×M.
+//! thread) executes its closure inline on the caller's thread instead. So
+//! when `par::map` is fanning simulation cells across N workers, a training
+//! step inside one cell runs serially: N busy threads total, never N×M.
 //!
 //! # Determinism contract
 //!
@@ -233,13 +231,6 @@ pub fn run(workers: usize, f: &(dyn Fn(usize) + Sync)) {
     if let Some(payload) = payload {
         std::panic::resume_unwind(payload);
     }
-}
-
-/// Whether a fan-out currently owns the pool. Callers with optional
-/// parallel paths (the solver) can skip result-buffer setup when the
-/// answer is `false` — though [`run`] itself is always safe to call.
-pub fn is_busy() -> bool {
-    BUSY.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -532,16 +532,6 @@ impl Simulator {
     pub fn completed_flow_tag(&self) -> u32 {
         self.completed_tag
     }
-
-    /// Runs the simulator until quiescent, invoking `handler` for every event.
-    ///
-    /// The handler receives the simulator itself so it can schedule follow-up
-    /// timers and flows.
-    pub fn run(&mut self, mut handler: impl FnMut(&mut Simulator, SimTime, Event)) {
-        while let Some((t, ev)) = self.next_event() {
-            handler(self, t, ev);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -598,15 +588,25 @@ mod tests {
         let mut sim = Simulator::new();
         let r = sim.net_mut().add_resource("l", 100.0);
         sim.schedule(SimDuration::from_nanos(1), Token::new(1, 0, 0));
-        let mut completions = 0;
-        sim.run(|s, _, ev| match ev {
-            Event::Timer(tok) if tok.kind == 1 => {
-                s.start_flow(FlowSpec::new(vec![r], 50.0));
+        let mut completions = Vec::new();
+        while let Some((t, ev)) = sim.next_event() {
+            match ev {
+                // A timer chains a flow, and that flow's completion chains
+                // one more timer.
+                Event::Timer(tok) if tok.kind == 1 => {
+                    sim.start_flow(FlowSpec::new(vec![r], 50.0));
+                }
+                Event::FlowCompleted(_) => {
+                    completions.push(t.as_nanos());
+                    if completions.len() == 1 {
+                        sim.schedule(SimDuration::from_nanos(1), Token::new(1, 0, 0));
+                    }
+                }
+                _ => {}
             }
-            Event::FlowCompleted(_) => completions += 1,
-            _ => {}
-        });
-        assert_eq!(completions, 1);
+        }
+        // 50 B at 100 B/s: each flow takes 0.5 s after its 1 ns timer.
+        assert_eq!(completions, vec![500_000_001, 1_000_000_002]);
     }
 
     #[test]

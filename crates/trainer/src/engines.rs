@@ -52,6 +52,19 @@ impl EngineKind {
             EngineKind::MxnetKvStore(_) => "mxnet-kvstore",
         }
     }
+
+    /// The engine with default configuration whose [`EngineKind::label`] is
+    /// `label`, also accepting the CLI aliases `ddp` and `kvstore`.
+    pub fn by_label(label: &str) -> Option<EngineKind> {
+        match label {
+            "aiacc" => Some(EngineKind::aiacc_default()),
+            "horovod" => Some(EngineKind::Horovod(HorovodConfig::default())),
+            "pytorch-ddp" | "ddp" => Some(EngineKind::PyTorchDdp(DdpConfig::default())),
+            "byteps" => Some(EngineKind::BytePs(BytePsConfig::default())),
+            "mxnet-kvstore" | "kvstore" => Some(EngineKind::MxnetKvStore(KvStoreConfig)),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for EngineKind {
@@ -99,7 +112,7 @@ impl Framework {
         match self {
             Framework::PyTorch => EngineKind::PyTorchDdp(DdpConfig::default()),
             Framework::TensorFlow => EngineKind::Horovod(HorovodConfig::default()),
-            Framework::Mxnet => EngineKind::MxnetKvStore(KvStoreConfig::default()),
+            Framework::Mxnet => EngineKind::MxnetKvStore(KvStoreConfig),
         }
     }
 
@@ -132,7 +145,7 @@ mod tests {
             EngineKind::Horovod(HorovodConfig::default()),
             EngineKind::PyTorchDdp(DdpConfig::default()),
             EngineKind::BytePs(BytePsConfig::default()),
-            EngineKind::MxnetKvStore(KvStoreConfig::default()),
+            EngineKind::MxnetKvStore(KvStoreConfig),
         ] {
             let engine = kind.build(&model, 4);
             assert!(!engine.name().is_empty());

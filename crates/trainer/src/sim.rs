@@ -337,8 +337,8 @@ impl TrainingSim {
     }
 
     /// Cumulative fluid-solver work counters of the underlying network
-    /// (recomputes, component sizes, parallel fan-outs). Diagnostic only —
-    /// the `par_*` fields vary with the solver worker count.
+    /// (recomputes, solved components and their sizes, fill rounds).
+    /// Diagnostic only.
     pub fn solver_stats(&self) -> aiacc_simnet::SolverStats {
         self.sim.net().solver_stats()
     }
@@ -559,7 +559,7 @@ mod tests {
             EngineKind::Horovod(HorovodConfig::default()),
             EngineKind::PyTorchDdp(DdpConfig::default()),
             EngineKind::BytePs(BytePsConfig::default()),
-            EngineKind::MxnetKvStore(KvStoreConfig::default()),
+            EngineKind::MxnetKvStore(KvStoreConfig),
         ] {
             let r = quick(zoo::resnet50(), 16, engine);
             assert!(r.samples_per_sec > 100.0, "{}: {} img/s", engine.label(), r.samples_per_sec);

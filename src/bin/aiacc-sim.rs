@@ -24,13 +24,12 @@
 //! deterministic TSV.
 //!
 //! `--jobs N` (or the `AIACC_JOBS` environment variable) sets how many
-//! worker threads the shared persistent pool may use. It accelerates both
+//! worker threads the shared persistent pool may use. It accelerates
 //! parallel sweeps — e.g. the `--tune` batch evaluations, or `schedule
-//! --policy all`'s per-policy fan-out — and a *single* `train`/`schedule`
-//! run, whose fluid solver fans dirty network components across the same
-//! pool (sweeps take priority: while a sweep owns the pool, each member's
-//! solver runs serially, so the machine is never oversubscribed). Results
-//! are bit-identical regardless of the worker count.
+//! --policy all`'s per-policy fan-out — and the real data-parallel step of
+//! a `train --compress` run (worker shards, codecs and the ring fold). The
+//! simulated network runs on one thread. Results are bit-identical
+//! regardless of the worker count.
 //!
 //! `--racks N` packs nodes into racks of `N` behind 2:1-oversubscribed ToR
 //! uplinks and a shared spine, so cross-rack gradient traffic contends the
@@ -519,7 +518,7 @@ fn cmd_schedule(argv: &[String]) -> Result<(), String> {
         format!("unknown recovery policy {}; use restart|shrink|fail", args.recovery)
     })?;
     let engine = args.engine.as_deref().map(|label| {
-        aiacc::sched::engine_by_label(label).ok_or_else(|| {
+        EngineKind::by_label(label).ok_or_else(|| {
             format!("unknown engine {label}; use aiacc|horovod|pytorch-ddp|byteps|mxnet-kvstore")
         })
     });
@@ -694,14 +693,11 @@ fn main() {
         }
     }
 
-    let engine = match args.engine.as_str() {
-        "aiacc" => EngineKind::Aiacc(aiacc_cfg),
-        "horovod" => EngineKind::Horovod(Default::default()),
-        "ddp" | "pytorch-ddp" => EngineKind::PyTorchDdp(Default::default()),
-        "byteps" => EngineKind::BytePs(Default::default()),
-        "kvstore" | "mxnet-kvstore" => EngineKind::MxnetKvStore(Default::default()),
-        other => {
-            eprintln!("unknown engine {other}; use aiacc|horovod|ddp|byteps|kvstore");
+    let engine = match EngineKind::by_label(&args.engine) {
+        Some(EngineKind::Aiacc(_)) => EngineKind::Aiacc(aiacc_cfg),
+        Some(engine) => engine,
+        None => {
+            eprintln!("unknown engine {}; use aiacc|horovod|ddp|byteps|kvstore", args.engine);
             std::process::exit(2);
         }
     };
