@@ -18,6 +18,11 @@
 //! parked in an overflow list and migrated into the wheel as the cursor
 //! approaches them, so a single far-future watchdog timer cannot degrade
 //! the common case.
+//!
+//! Memory follows occupancy. A layout change (growth, compaction, shrink)
+//! releases the storage a bucket kept from an earlier, fuller layout, and
+//! the wheel shrinks once occupancy falls far below its bucket count, so a
+//! burst does not pin its high-water memory for the rest of the run.
 
 /// One queued entry: an absolute time in nanoseconds, the insertion stamp
 /// used for deterministic tie-breaks, and the caller's payload.
@@ -86,6 +91,10 @@ pub struct CalendarQueue<T> {
     len: usize,
     /// Monotone insertion stamp for deterministic ties.
     seq: u64,
+    /// Pops since the last layout change: a shrink waits for at least one
+    /// per bucket, which pays for the rebuild and keeps bursty loads from
+    /// rebuilding every phase.
+    pops: usize,
 }
 
 const MIN_BUCKETS: usize = 16;
@@ -103,6 +112,7 @@ impl<T> Default for CalendarQueue<T> {
             near: 0,
             len: 0,
             seq: 0,
+            pops: 0,
         }
     }
 }
@@ -287,24 +297,44 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Removes and returns the earliest entry.
+    #[inline]
     pub fn pop(&mut self) -> Option<(u64, T)> {
         let b = self.find_min()?;
-        let e = self.buckets[b].pop().expect("winning bucket non-empty");
-        self.near -= 1;
-        self.len -= 1;
-        Some((e.at, e.item))
+        Some(self.take(b))
     }
 
     /// Removes and returns the earliest entry iff its time is `<= t`.
+    #[inline]
     pub fn pop_due(&mut self, t: u64) -> Option<(u64, T)> {
         let b = self.find_min()?;
         if self.buckets[b].peek().expect("winning bucket non-empty").at > t {
             return None;
         }
+        Some(self.take(b))
+    }
+
+    /// Removes the top of bucket `b` (the minimum), then shrinks the wheel
+    /// if occupancy has fallen below a quarter of its buckets for at least
+    /// one pop per bucket.
+    #[inline]
+    fn take(&mut self, b: usize) -> (u64, T) {
         let e = self.buckets[b].pop().expect("winning bucket non-empty");
         self.near -= 1;
         self.len -= 1;
-        Some((e.at, e.item))
+        self.pops += 1;
+        let nb = self.buckets.len();
+        if self.len * 4 < nb && self.pops >= nb && nb > MIN_BUCKETS {
+            self.shrink();
+        }
+        (e.at, e.item)
+    }
+
+    /// Out of line and cold: keeping the rebuild out of [`Self::take`]
+    /// keeps every pop small enough to inline into the event loops.
+    #[cold]
+    #[inline(never)]
+    fn shrink(&mut self) {
+        self.rebuild();
     }
 
     /// Keeps only entries whose payload satisfies `f`, preserving each
@@ -331,15 +361,17 @@ impl<T> CalendarQueue<T> {
         self.reload(all);
     }
 
-    /// Rebuilds the wheel around `all` (parameters chosen from its spread).
+    /// Rebuilds the wheel around `all` (parameters chosen from its spread),
+    /// sized to `all.len()`, and releases the storage a heap kept from an
+    /// earlier, fuller layout.
     fn reload(&mut self, all: Vec<Entry<T>>) {
         self.len = all.len();
         self.near = 0;
+        self.pops = 0;
         self.far.clear();
         if all.is_empty() {
-            for b in &mut self.buckets {
-                b.clear();
-            }
+            *self =
+                CalendarQueue { shift: self.shift, day: self.day, seq: self.seq, ..Self::new() };
             return;
         }
         // Bucket width ~ the typical inter-event gap, from a sorted sample
@@ -363,12 +395,13 @@ impl<T> CalendarQueue<T> {
             shift += 1;
         }
         self.shift = shift;
-        if self.buckets.len() != want {
-            self.buckets = (0..want).map(|_| std::collections::BinaryHeap::new()).collect();
-        } else {
-            for b in &mut self.buckets {
-                b.clear();
-            }
+        // Heaps that stay in the wheel keep their storage for the
+        // redistribution below; `release_slack` then trims what is left.
+        self.buckets.truncate(want);
+        self.buckets.resize_with(want, std::collections::BinaryHeap::new);
+        self.buckets.shrink_to_fit();
+        for b in &mut self.buckets {
+            b.clear();
         }
         self.day = lo >> self.shift;
         let horizon = self.horizon();
@@ -381,6 +414,21 @@ impl<T> CalendarQueue<T> {
             } else {
                 self.far.push(e);
             }
+        }
+        release_slack(&mut self.buckets);
+        release_slack(std::slice::from_mut(&mut self.far));
+    }
+}
+
+/// Shrinks every heap holding more than twice its entries plus a small
+/// constant back to its entries, so the summed capacity stays within
+/// `2·len + 4·heaps`. Heaps already inside that bound keep their storage:
+/// reallocating them would buy no memory and cost a `malloc` on the next
+/// push.
+fn release_slack<T>(heaps: &mut [std::collections::BinaryHeap<Entry<T>>]) {
+    for h in heaps {
+        if h.capacity() > 2 * h.len() + 4 {
+            h.shrink_to(h.len());
         }
     }
 }
@@ -549,6 +597,103 @@ mod tests {
         }
         let want: Vec<_> = std::iter::from_fn(|| eager.pop()).collect();
         assert_eq!(got, want);
+    }
+
+    /// Summed storage of every heap, in entries.
+    fn capacity<T>(q: &CalendarQueue<T>) -> usize {
+        q.buckets.iter().map(|b| b.capacity()).sum::<usize>() + q.far.capacity()
+    }
+
+    #[test]
+    fn retain_releases_bucket_storage() {
+        // A burst at one instant grows one bucket to 20k entries; after
+        // `retain` keeps a hundred, no heap may hold on to that storage.
+        let mut q = CalendarQueue::new();
+        for i in 0..20_000u64 {
+            q.push(1_000 + (i % 7), i);
+        }
+        for i in 0..2_000u64 {
+            q.push(1 << 40 | i, i); // far-future entries
+        }
+        assert!(capacity(&q) >= 22_000);
+        q.retain(|&i| i % 200 == 0);
+        assert_eq!(q.len(), 110);
+        let bound = 2 * q.len() + 4 * (q.buckets.len() + 1);
+        assert!(capacity(&q) <= bound, "capacity {} > {bound}", capacity(&q));
+    }
+
+    #[test]
+    fn wheel_shrinks_after_a_drain_down() {
+        let mut q = CalendarQueue::new();
+        for i in 0..50_000u64 {
+            q.push(i * 10, i);
+        }
+        let grown = q.buckets.len();
+        assert!(grown >= 32_768, "no growth: {grown} buckets");
+        for i in 0..49_990u64 {
+            assert_eq!(q.pop(), Some((i * 10, i)));
+        }
+        // Steady state at 10 entries, each pop replaced by a push, until
+        // the wheel has seen one pop per bucket and shrinks.
+        let mut i = 50_000u64;
+        while q.buckets.len() == grown {
+            assert!(i < 50_000 + grown as u64, "no shrink after {grown} pops");
+            assert_eq!(q.pop(), Some(((i - 10) * 10, i - 10)));
+            q.push(i * 10, i);
+            i += 1;
+        }
+        assert!(q.buckets.len() <= 64, "wheel kept {} buckets for 10 entries", q.buckets.len());
+        assert!(capacity(&q) <= 2 * q.len() + 4 * (q.buckets.len() + 1));
+        while let Some((at, k)) = q.pop() {
+            assert_eq!((at, k), ((i - 10) * 10, i - 10));
+            i += 1;
+        }
+    }
+
+    #[test]
+    fn grow_drain_grow_cycles_match_a_reference_heap() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut q = CalendarQueue::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        let (mut seq, mut now) = (0u64, 0u64);
+        // Bursts of up to 30k pushes (some tied at one instant, some far
+        // ahead), each drained down to a handful before the next: the
+        // wheel grows and shrinks every cycle.
+        for cycle in 0..6u64 {
+            let burst = 3_000 + cycle * 5_000;
+            for k in 0..burst {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let at = match k % 5 {
+                    0 => now + 77,
+                    1 => now + (x >> 20),
+                    _ => now + (x >> 44),
+                };
+                seq += 1;
+                q.push(at, seq);
+                heap.push(Reverse((at, seq)));
+            }
+            while heap.len() > 5 {
+                let got = q.pop();
+                assert_eq!(got, heap.pop().map(|Reverse(p)| p), "cycle {cycle}");
+                now = got.expect("non-empty").0;
+            }
+            // Idle at five entries long enough for the wheel to shrink.
+            for _ in 0..q.buckets.len() {
+                let (at, s) = q.pop().expect("non-empty");
+                assert_eq!(Some((at, s)), heap.pop().map(|Reverse(p)| p), "cycle {cycle}");
+                now = at;
+                seq += 1;
+                q.push(now + 1_000, seq);
+                heap.push(Reverse((now + 1_000, seq)));
+            }
+            assert!(q.buckets.len() <= 64, "cycle {cycle}: {} buckets", q.buckets.len());
+        }
+        while let Some(Reverse(p)) = heap.pop() {
+            assert_eq!(q.pop(), Some(p));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

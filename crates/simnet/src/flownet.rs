@@ -22,6 +22,14 @@
 //! invalidated lazily (a rate change bumps the flow's prediction counter, a
 //! vacated slot bumps its generation) and discarded when popped, so the next
 //! event is found in amortized O(1) regardless of how many flows are live.
+//!
+//! A solve that re-rates several flows does not push one entry per flow.
+//! It reserves the insertion stamps those pushes would have taken, keeps
+//! its predictions as one *run* sorted by `(time, stamp)`, and queues only
+//! the run's head; popping the head queues the run's next valid element
+//! under its own stamp. Every element sorts after the head, so the queue's
+//! `(time, stamp)` minimum is the one an eager queue would pop, and the pop
+//! order is unchanged.
 
 use crate::calq::CalendarQueue;
 use crate::flow::{Flow, FlowId, FlowSpec};
@@ -106,6 +114,12 @@ pub struct SolverStats {
     /// Always `0`: the solver runs on one thread. Kept because the
     /// benchmark still reports it as `simnet.par_solves`.
     pub par_solves: u64,
+    /// Entries pushed onto the event queue: activations, plain completion
+    /// predictions, and the queued element of each prediction run.
+    pub queue_pushes: u64,
+    /// Predictions (and activations) dropped without being delivered:
+    /// popped stale, skipped inside a run, or removed by compaction.
+    pub queue_discards: u64,
 }
 
 impl SolverStats {
@@ -123,13 +137,16 @@ impl std::fmt::Display for SolverStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} recomputes | {}/{} comps solved | {} parts, {} fill rounds | largest comp {}",
+            "{} recomputes | {}/{} comps solved | {} parts, {} fill rounds | largest comp {} \
+             | {} queue pushes, {} discarded",
             self.recomputes,
             self.comps_solved,
             self.comps_existing,
             self.parts_solved,
             self.fill_rounds,
             self.comp_parts_max,
+            self.queue_pushes,
+            self.queue_discards,
         )
     }
 }
@@ -144,8 +161,9 @@ pub struct SolveBreakdown {
     /// Seconds computing max-min rates + completion predictions (the
     /// per-component, read-only phase).
     pub solve_s: f64,
-    /// Seconds committing results: settling bytes, re-stamping rates,
-    /// pushing completion entries (canonical component order).
+    /// Seconds committing results: settling bytes, re-stamping rates, and
+    /// building each solve's prediction run and queueing its head
+    /// (canonical component order).
     pub apply_s: f64,
     /// Seconds draining due events and compacting the event queue.
     pub queue_s: f64,
@@ -183,14 +201,50 @@ struct Slot {
 /// entry rather than a completion prediction.
 const ACTIVATION: u32 = u32::MAX;
 
-/// An entry in the indexed event queue. Validity is re-checked lazily when
-/// the entry surfaces: the slot generation must still match, and completion
+/// An activation or a completion prediction. Validity is re-checked lazily
+/// when it surfaces: the slot generation must still match, and completion
 /// entries additionally require the flow's current prediction counter.
+/// Both only ever grow, so a stale prediction never becomes valid again.
 #[derive(Debug, Clone, Copy)]
 struct NetEvent {
     slot: u32,
     gen: u32,
     pred: u32,
+}
+
+/// An entry in the indexed event queue: one event, or the queued element of
+/// a prediction run (an index into [`FlowNet`]'s run slab).
+#[derive(Debug, Clone, Copy)]
+enum QueueEntry {
+    One(NetEvent),
+    Run(u32),
+}
+
+/// One prediction of a run: its instant, its stamp as an offset from the
+/// run's first reserved stamp, and the event.
+#[derive(Debug, Clone, Copy)]
+struct RunElem {
+    at: u64,
+    off: u32,
+    ev: NetEvent,
+}
+
+/// The completion predictions of one solve, sorted by `(at, stamp)`.
+/// Element `next` is queued under stamp `first + off`; the elements before
+/// it have popped or been skipped. A free slab slot has no elements and
+/// keeps its storage for the next solve.
+#[derive(Debug, Clone, Default)]
+struct PredRun {
+    first: u64,
+    elems: Vec<RunElem>,
+    next: usize,
+}
+
+impl PredRun {
+    /// Elements after the queued one: not in the event queue yet.
+    fn unqueued(&self) -> usize {
+        self.elems.len().saturating_sub(self.next + 1)
+    }
 }
 
 /// Whether a queue entry still refers to live, current state.
@@ -412,7 +466,13 @@ pub struct FlowNet {
     /// until [`Self::rebuild_topology`] runs at the next solve.
     topo_stale: bool,
     /// Indexed activation/completion entries (see module docs).
-    events: CalendarQueue<NetEvent>,
+    events: CalendarQueue<QueueEntry>,
+    /// Prediction runs, indexed by [`QueueEntry::Run`]. Exactly one queue
+    /// entry refers to each live run; free slots are listed in `free_runs`.
+    runs: Vec<PredRun>,
+    free_runs: Vec<u32>,
+    /// Run elements not in the event queue yet, over all live runs.
+    run_backlog: usize,
     /// Completion entries that fired during the last advance: `(slot, gen)`
     /// pairs awaiting [`FlowNet::take_completed`].
     ripe: Vec<(u32, u32)>,
@@ -455,6 +515,9 @@ impl Default for FlowNet {
             edge_count: std::collections::HashMap::new(),
             topo_stale: false,
             events: CalendarQueue::new(),
+            runs: Vec::new(),
+            free_runs: Vec::new(),
+            run_backlog: 0,
             ripe: Vec::new(),
             carried: Vec::new(),
             delivered_by_tag: Vec::new(),
@@ -714,12 +777,12 @@ impl FlowNet {
                 st.rate = st.spec.rate_cap.unwrap_or(f64::INFINITY);
                 self.push_completion_at(slot, self.now);
             } else {
-                self.events.push(activates_at.as_nanos(), NetEvent { slot, gen, pred: ACTIVATION });
+                self.push_one(activates_at.as_nanos(), NetEvent { slot, gen, pred: ACTIVATION });
             }
         } else {
             self.link_flow(slot);
             if !active {
-                self.events.push(activates_at.as_nanos(), NetEvent { slot, gen, pred: ACTIVATION });
+                self.push_one(activates_at.as_nanos(), NetEvent { slot, gen, pred: ACTIVATION });
             }
         }
         id
@@ -803,25 +866,148 @@ impl FlowNet {
         self.maybe_compact();
         loop {
             let (at, ev) = match self.events.peek() {
-                Some((at, ev)) => (at, *ev),
+                Some((at, &entry)) => (at, self.resolve(entry)),
                 None => return None,
             };
             if event_valid(&self.slots, &ev) {
                 return Some(SimTime::from_nanos(at));
             }
-            self.events.pop();
+            self.pop_due(u64::MAX);
+            self.stats.queue_discards += 1;
         }
     }
 
-    /// Drops lazily-invalidated queue entries once they outnumber live
-    /// flows by a wide margin, bounding queue memory for long runs.
-    fn maybe_compact(&mut self) {
-        if self.events.len() > self.live * 4 + 64 {
-            let t0 = std::time::Instant::now();
-            let slots = &self.slots;
-            self.events.retain(|ev| event_valid(slots, ev));
-            self.breakdown.queue_s += t0.elapsed().as_secs_f64();
+    /// The event a queue entry stands for.
+    fn resolve(&self, entry: QueueEntry) -> NetEvent {
+        match entry {
+            QueueEntry::One(ev) => ev,
+            QueueEntry::Run(id) => {
+                let run = &self.runs[id as usize];
+                run.elems[run.next].ev
+            }
         }
+    }
+
+    /// Queues one plain event.
+    fn push_one(&mut self, at: u64, ev: NetEvent) {
+        self.events.push(at, QueueEntry::One(ev));
+        self.stats.queue_pushes += 1;
+    }
+
+    /// Pops the earliest queue entry if it is due at or before `t`. A run's
+    /// element queues the run's next valid element under its reserved
+    /// stamp, skipping elements that are stale already: staleness never
+    /// reverts, so the eager queue would have discarded them too.
+    fn pop_due(&mut self, t: u64) -> Option<(u64, NetEvent)> {
+        let (at, entry) = self.events.pop_due(t)?;
+        let ev = match entry {
+            QueueEntry::One(ev) => ev,
+            QueueEntry::Run(id) => self.advance_run(id),
+        };
+        Some((at, ev))
+    }
+
+    /// The event of run `id`'s queued element, which just popped; queues
+    /// the run's next valid element or frees the run.
+    fn advance_run(&mut self, id: u32) -> NetEvent {
+        let run = &mut self.runs[id as usize];
+        let ev = run.elems[run.next].ev;
+        let before = run.unqueued();
+        run.next += 1;
+        while run.next < run.elems.len() && !event_valid(&self.slots, &run.elems[run.next].ev) {
+            run.next += 1;
+        }
+        let queued = run.next < run.elems.len();
+        let left = before - run.unqueued();
+        self.run_backlog -= left;
+        self.stats.queue_discards += (left - usize::from(queued)) as u64;
+        if queued {
+            self.queue_run(id);
+        } else {
+            self.free_run(id);
+        }
+        ev
+    }
+
+    /// Queues run `id`'s element `next` under its reserved stamp.
+    fn queue_run(&mut self, id: u32) {
+        let run = &self.runs[id as usize];
+        let e = run.elems[run.next];
+        self.events.push_stamped(e.at, run.first + u64::from(e.off), QueueEntry::Run(id));
+        self.stats.queue_pushes += 1;
+    }
+
+    /// A run slot with no elements, reusing a freed one (and its storage)
+    /// when there is one.
+    fn alloc_run(&mut self) -> u32 {
+        match self.free_runs.pop() {
+            Some(id) => id,
+            None => {
+                self.runs.push(PredRun::default());
+                u32::try_from(self.runs.len() - 1).expect("too many prediction runs")
+            }
+        }
+    }
+
+    fn free_run(&mut self, id: u32) {
+        let run = &mut self.runs[id as usize];
+        run.elems.clear();
+        run.next = 0;
+        self.free_runs.push(id);
+    }
+
+    /// Drops stale predictions once queue entries and unqueued run elements
+    /// together outnumber live flows by a wide margin, bounding queue
+    /// memory for long runs. Every run keeps only its valid elements; a run
+    /// whose queued element went stale re-queues its first valid one under
+    /// that element's own stamp, or is freed when none is left.
+    fn maybe_compact(&mut self) {
+        if self.events.len() + self.run_backlog <= self.live * 4 + 64 {
+            return;
+        }
+        let t0 = std::time::Instant::now();
+        let before = self.events.len() + self.run_backlog;
+        // Keep each live run's queued element for the queue pass below,
+        // and only the valid elements after it.
+        let slots = &self.slots;
+        for run in self.runs.iter_mut().filter(|r| !r.elems.is_empty()) {
+            let start = run.next + 1;
+            let mut k = start;
+            for j in start..run.elems.len() {
+                if event_valid(slots, &run.elems[j].ev) {
+                    run.elems[k] = run.elems[j];
+                    k += 1;
+                }
+            }
+            run.elems.truncate(k);
+        }
+        let runs = &self.runs;
+        let mut stale_heads = Vec::new();
+        self.events.retain(|&entry| match entry {
+            QueueEntry::One(ev) => event_valid(slots, &ev),
+            QueueEntry::Run(id) => {
+                let run = &runs[id as usize];
+                let valid = event_valid(slots, &run.elems[run.next].ev);
+                if !valid {
+                    stale_heads.push(id);
+                }
+                valid
+            }
+        });
+        // Every element after a stale head is valid now.
+        for id in stale_heads {
+            let run = &mut self.runs[id as usize];
+            run.next += 1;
+            if run.next < run.elems.len() {
+                self.queue_run(id);
+            } else {
+                self.free_run(id);
+            }
+        }
+        self.run_backlog = self.runs.iter().map(PredRun::unqueued).sum();
+        let after = self.events.len() + self.run_backlog;
+        self.stats.queue_discards += (before - after) as u64;
+        self.breakdown.queue_s += t0.elapsed().as_secs_f64();
     }
 
     /// Advances virtual time to `t`, firing every activation and predicted
@@ -847,7 +1033,7 @@ impl FlowNet {
     /// Most calls find nothing due (every timer pop advances the network),
     /// so the first entry is popped before the wall clock starts.
     fn drain_due(&mut self, t: SimTime) {
-        let mut due = self.events.pop_due(t.as_nanos());
+        let mut due = self.pop_due(t.as_nanos());
         if due.is_none() {
             return;
         }
@@ -861,8 +1047,10 @@ impl FlowNet {
                     self.settle(ev.slot, at);
                     self.ripe.push((ev.slot, ev.gen));
                 }
+            } else {
+                self.stats.queue_discards += 1;
             }
-            due = self.events.pop_due(t.as_nanos());
+            due = self.pop_due(t.as_nanos());
         }
         self.breakdown.queue_s += t0.elapsed().as_secs_f64();
     }
@@ -927,7 +1115,7 @@ impl FlowNet {
             return;
         };
         let ev = NetEvent { slot, gen: s.gen, pred: st.pred };
-        self.events.push(at_ns, ev);
+        self.push_one(at_ns, ev);
     }
 
     /// Removes and returns all flows that have finished transferring, in
@@ -1359,8 +1547,20 @@ impl FlowNet {
     /// ascending-representative order across components: byte-counter
     /// accumulation and event-queue insertion order are part of the
     /// deterministic output.
+    ///
+    /// The new predictions take the stamps eager pushes in participant
+    /// order would have taken. Two or more become one prediction run with
+    /// only its head queued; a single one is pushed plainly.
     fn apply_comp(&mut self, sc: &Scratch) {
         let now = self.now;
+        let n = sc.pred_at.iter().filter(|&&at| at != PRED_UNCHANGED && at != PRED_STARVED).count();
+        let run = if n > 1 {
+            let id = self.alloc_run();
+            self.runs[id as usize].first = self.events.reserve_stamps(n as u64);
+            Some(id)
+        } else {
+            None
+        };
         for (k, &slot) in sc.parts.iter().enumerate() {
             let at = sc.pred_at[k];
             if at == PRED_UNCHANGED {
@@ -1378,9 +1578,21 @@ impl FlowNet {
                 "solve-phase prediction diverged from post-settle state"
             );
             if at != PRED_STARVED {
-                let pred = st.pred;
-                self.events.push(at, NetEvent { slot, gen, pred });
+                let ev = NetEvent { slot, gen, pred: st.pred };
+                match run {
+                    Some(id) => {
+                        let elems = &mut self.runs[id as usize].elems;
+                        let off = elems.len() as u32;
+                        elems.push(RunElem { at, off, ev });
+                    }
+                    None => self.push_one(at, ev),
+                }
             }
+        }
+        if let Some(id) = run {
+            self.runs[id as usize].elems.sort_unstable_by_key(|e| (e.at, e.off));
+            self.queue_run(id);
+            self.run_backlog += n - 1;
         }
         for &slot in &sc.zombies {
             // A flow whose bytes ran out but that was not collected yet
@@ -1923,5 +2135,177 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1, f2);
         assert!((done[0].0 - 100.0).abs() < 1e-6, "t={}", done[0].0);
+    }
+
+    const MIB: f64 = 1_048_576.0;
+
+    fn drain_ns(net: &mut FlowNet) -> Vec<(u64, FlowId)> {
+        drain(net).into_iter().map(|(t, id)| (SimTime::from_secs_f64(t).as_nanos(), id)).collect()
+    }
+
+    fn slot_of(id: FlowId) -> u32 {
+        unpack_id(id.as_u64()).0
+    }
+
+    /// After a full drain no run may outlive its queue entry.
+    fn assert_runs_released(net: &FlowNet) {
+        assert!(net.events.is_empty());
+        assert_eq!(net.run_backlog, 0);
+        assert_eq!(net.free_runs.len(), net.runs.len(), "a run leaked");
+    }
+
+    #[test]
+    fn run_element_and_tied_activation_pop_in_stamp_order() {
+        // Two flows share a 2 MiB/s link: one solve predicts both as one
+        // run, A (1 MiB) at 1 s and B (3 MiB) at 3 s. An activation lands
+        // on B's nanosecond, pushed before the solve or after it. B's
+        // element is queued only when A pops, yet it must keep the stamp
+        // reserved at the solve.
+        for activation_first in [true, false] {
+            let mut net = FlowNet::new();
+            let link = net.add_resource("link", 2.0 * MIB);
+            let other = net.add_resource("other", MIB);
+            let a = net.start_flow(FlowSpec::new(vec![link], MIB));
+            let b = net.start_flow(FlowSpec::new(vec![link], 3.0 * MIB));
+            let late = FlowSpec::new(vec![other], MIB).with_latency(SimDuration::from_millis(3000));
+            let early = activation_first.then(|| net.start_flow(late.clone()));
+            net.next_change();
+            assert_eq!(net.runs.len(), 1, "the two predictions form one run");
+            let c = early.unwrap_or_else(|| net.start_flow(late));
+            let mut order = Vec::new();
+            while let Some((at, ev)) = net.pop_due(3_000_000_000) {
+                order.push((at, ev.slot, ev.pred == ACTIVATION));
+            }
+            let act = (3_000_000_000, slot_of(c), true);
+            let done = (3_000_000_000, slot_of(b), false);
+            let mut want = vec![(1_000_000_000, slot_of(a), false)];
+            want.extend(if activation_first { [act, done] } else { [done, act] });
+            assert_eq!(order, want, "activation pushed first: {activation_first}");
+        }
+    }
+
+    #[test]
+    fn resolve_mid_run_leaves_completions_at_closed_form_times() {
+        // A (1 MiB) and B (3 MiB) share a 4 MiB/s link: one run predicts
+        // 0.5 s and 1.5 s. At 0.25 s two 1 MiB/s-capped flows join, every
+        // rate halves and that run goes stale; the new run predicts
+        // A at 0.75 s, C and D at 2.25 s and B at 2.75 s. When A leaves, B
+        // alone is re-rated (to 2 MiB/s, done at 1.75 s): C and D keep
+        // their elements in the middle run, behind B's stale one.
+        let mut net = FlowNet::new();
+        let link = net.add_resource("link", 4.0 * MIB);
+        let a = net.start_flow(FlowSpec::new(vec![link], MIB));
+        let b = net.start_flow(FlowSpec::new(vec![link], 3.0 * MIB));
+        assert_eq!(net.next_change(), Some(SimTime::from_nanos(500_000_000)));
+        net.advance_to(SimTime::from_nanos(250_000_000));
+        let capped = FlowSpec::new(vec![link], 2.0 * MIB).with_rate_cap(MIB);
+        let c = net.start_flow(capped.clone());
+        let d = net.start_flow(capped);
+        assert_eq!(net.next_change(), Some(SimTime::from_nanos(750_000_000)));
+        assert_eq!(net.runs.len(), 2);
+        let first = &net.runs[0];
+        assert!(
+            first.elems[first.next..].iter().all(|e| !event_valid(&net.slots, &e.ev)),
+            "the first run must be stale after the re-solve"
+        );
+        let want =
+            vec![(750_000_000, a), (1_750_000_000, b), (2_250_000_000, c), (2_250_000_000, d)];
+        assert_eq!(drain_ns(&mut net), want);
+        assert!(net.solver_stats().queue_discards >= 3);
+        assert_runs_released(&net);
+    }
+
+    #[test]
+    fn cancelling_a_runs_head_or_an_inner_element_keeps_the_rest() {
+        // Four flows capped at 1 MiB/s on a 16 MiB/s link never contend:
+        // one run predicts 1, 2, 3 and 4 s, and a cancel re-rates nobody.
+        // Cancelling the head (f1) and an inner element (f3) leaves f2 and
+        // f4 on their predictions; f5 reuses f3's slot, so the run's stale
+        // element for that slot must not complete it.
+        let mut net = FlowNet::new();
+        let link = net.add_resource("link", 16.0 * MIB);
+        let spec = |mib: f64| FlowSpec::new(vec![link], mib * MIB).with_rate_cap(MIB);
+        let f: Vec<FlowId> = (1..=4).map(|k| net.start_flow(spec(k as f64))).collect();
+        net.next_change();
+        assert_eq!(net.runs.len(), 1);
+        net.advance_to(SimTime::from_nanos(500_000_000));
+        assert!(net.cancel_flow(f[0]));
+        assert!(net.cancel_flow(f[2]));
+        let f5 = net.start_flow(spec(1.0));
+        assert_eq!(slot_of(f5), slot_of(f[2]), "the new flow reuses the cancelled slot");
+        let want = vec![(1_500_000_000, f5), (2_000_000_000, f[1]), (4_000_000_000, f[3])];
+        assert_eq!(drain_ns(&mut net), want);
+        assert_runs_released(&net);
+    }
+
+    #[test]
+    fn compaction_drops_fully_stale_runs() {
+        // Eight flows share a link; a ninth starts and is cancelled at the
+        // same instant, forty times. Every solve re-rates everyone, so each
+        // leaves a run that the next one makes wholly stale. Time never
+        // advances, so nothing pops: only compaction can free those runs.
+        let mut net = FlowNet::new();
+        let link = net.add_resource("link", MIB);
+        let long = FlowSpec::new(vec![link], 1000.0 * MIB);
+        let flows: Vec<FlowId> = (0..8).map(|_| net.start_flow(long.clone())).collect();
+        net.next_change();
+        for _ in 0..40 {
+            let x = net.start_flow(long.clone());
+            net.next_change();
+            assert!(net.cancel_flow(x));
+            net.next_change();
+            assert!(net.events.len() + net.run_backlog <= net.live * 4 + 64);
+        }
+        assert!(net.runs.len() < 20, "{} run slots for 81 solves", net.runs.len());
+        assert!(net.solver_stats().queue_discards > 0);
+        let live = net.runs.len() - net.free_runs.len();
+        let valid = |r: &PredRun| r.elems[r.next..].iter().any(|e| event_valid(&net.slots, &e.ev));
+        assert!(live >= 1 && net.runs.iter().filter(|r| !r.elems.is_empty()).any(valid));
+        // Eight flows at 1/8 MiB/s move 1000 MiB each in 8000 s.
+        let done = drain_ns(&mut net);
+        let want: Vec<(u64, FlowId)> = flows.iter().map(|&id| (8_000_000_000_000, id)).collect();
+        assert_eq!(done, want);
+        assert_runs_released(&net);
+    }
+
+    #[test]
+    fn compaction_requeues_a_run_whose_head_went_stale() {
+        // Rack 0 holds four non-contending capped flows (one run: 1, 2, 3,
+        // 4 s); cancelling f1 leaves that run's queued head stale with
+        // valid elements behind it. Churn on rack 1 then forces a
+        // compaction, which must requeue f2's element under its own stamp.
+        let mut net = FlowNet::new();
+        let r0 = net.add_resource_in_group("r0", 16.0 * MIB, 0);
+        let r1 = net.add_resource_in_group("r1", MIB, 1);
+        let spec = |mib: f64| FlowSpec::new(vec![r0], mib * MIB).with_rate_cap(MIB);
+        let f: Vec<FlowId> = (1..=4).map(|k| net.start_flow(spec(k as f64))).collect();
+        let long = FlowSpec::new(vec![r1], 1000.0 * MIB);
+        let bg: Vec<FlowId> = (0..2).map(|_| net.start_flow(long.clone())).collect();
+        // An activation at 0.5 s stays the queue's minimum, so peeking
+        // never reaches the stale head; the flow then runs 1 MiB in 1 s.
+        let r2 = net.add_resource_in_group("r2", MIB, 2);
+        let lat = SimDuration::from_millis(500);
+        let g = net.start_flow(FlowSpec::new(vec![r2], MIB).with_latency(lat));
+        net.next_change();
+        assert!(net.cancel_flow(f[0]));
+        net.next_change();
+        assert_eq!(net.runs[0].next, 0, "rack 0's run still queues its stale head");
+        let discards = net.solver_stats().queue_discards;
+        for _ in 0..40 {
+            let x = net.start_flow(long.clone());
+            net.next_change();
+            assert!(net.cancel_flow(x));
+            net.next_change();
+        }
+        assert!(net.solver_stats().queue_discards > discards, "no compaction ran");
+        let run = &net.runs[0];
+        assert_eq!(run.next, 1, "the stale head was not replaced");
+        assert_eq!(run.elems[1].ev.slot, slot_of(f[1]));
+        let mut want = vec![(1_500_000_000, g)];
+        want.extend((1..4).map(|k| ((k as u64 + 1) * 1_000_000_000, f[k])));
+        // The two rack-1 flows share 1 MiB/s: 2000 s each.
+        want.extend(bg.iter().map(|&id| (2_000_000_000_000, id)));
+        assert_eq!(drain_ns(&mut net), want);
+        assert_runs_released(&net);
     }
 }
