@@ -9,8 +9,8 @@
 //!             ablation_* compress_*), a group (ablations compress) or all
 //! --quick     reduced sweeps (fewer GPU counts, seeds, jobs and budget)
 //! --out DIR   write each table as TSV under DIR (default: results/)
-//! --jobs N    fan sweep points out over N worker threads (default:
-//!             AIACC_JOBS or all cores; output is bit-identical to --jobs 1)
+//! --jobs N    fan sweep points out over N worker threads (default: all
+//!             cores; output is bit-identical to --jobs 1)
 //! ```
 //!
 //! The chaos, streaming, fabric-scale and compression tables panic when

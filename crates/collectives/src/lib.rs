@@ -30,4 +30,4 @@ pub mod dataplane;
 pub mod timing;
 
 pub use dataplane::ReduceOp;
-pub use timing::{Algo, CollectiveEngine, CollectiveSpec, OpId, RingMode};
+pub use timing::{Algo, CollectiveEngine, CollectiveSpec, OpId};

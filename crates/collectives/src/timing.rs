@@ -35,21 +35,6 @@ pub enum Algo {
     Tree,
 }
 
-/// Fidelity of the ring timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RingMode {
-    /// Simulate every lock-step ring step as its own set of flows. Exact but
-    /// O(W²) flows per operation.
-    Stepwise,
-    /// Fold the whole ring into one flow per edge carrying the aggregate
-    /// `2(W−1)/W · B` bytes, with the `2(W−1)·α` latency term folded into
-    /// flow start-up latency. O(W) flows; the default for large worlds.
-    Coarse,
-    /// Stepwise for worlds of ≤ 16 workers, coarse above.
-    #[default]
-    Auto,
-}
-
 /// What to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveSpec {
@@ -58,8 +43,6 @@ pub struct CollectiveSpec {
     pub bytes: f64,
     /// Algorithm.
     pub algo: Algo,
-    /// Ring fidelity.
-    pub mode: RingMode,
     /// Compute-side cost charged once per operation (e.g. gradient
     /// compress + decompress kernels). Folded into the start-up latency of
     /// the operation's first phase, so completion shifts by exactly this
@@ -68,29 +51,18 @@ pub struct CollectiveSpec {
 }
 
 impl CollectiveSpec {
-    /// A ring all-reduce of `bytes` per worker in `Auto` mode.
+    /// A ring all-reduce of `bytes` per worker.
     ///
     /// # Panics
     /// Panics if `bytes` is negative or not finite.
     pub fn allreduce(bytes: f64) -> Self {
         assert!(bytes.is_finite() && bytes >= 0.0, "invalid payload: {bytes}");
-        CollectiveSpec {
-            bytes,
-            algo: Algo::Ring,
-            mode: RingMode::Auto,
-            overhead: SimDuration::ZERO,
-        }
+        CollectiveSpec { bytes, algo: Algo::Ring, overhead: SimDuration::ZERO }
     }
 
     /// Selects the algorithm.
     pub fn with_algo(mut self, algo: Algo) -> Self {
         self.algo = algo;
-        self
-    }
-
-    /// Selects the ring fidelity.
-    pub fn with_mode(mut self, mode: RingMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -107,8 +79,6 @@ struct OpState {
     phases: VecDeque<Vec<FlowSpec>>,
     /// Index of the phase currently in flight (for trace span naming).
     phase_idx: usize,
-    /// Whether any phase has been started (i.e. `phase_idx` is meaningful).
-    started: bool,
 }
 
 /// Trace span name of one phase of an operation.
@@ -149,8 +119,11 @@ pub struct CollectiveEngine {
     next_id: u64,
 }
 
-/// World-size threshold below which `RingMode::Auto` simulates every step.
-const AUTO_STEPWISE_MAX_WORLD: usize = 16;
+/// Largest world whose ring simulates every lock-step step (exact, but
+/// O(W²) flows per operation). Larger rings fold into one flow per edge
+/// carrying the aggregate `2(W−1)/W · B` bytes, with the `2(W−1)·α` latency
+/// term folded into flow start-up latency: O(W) flows.
+const STEPWISE_MAX_WORLD: usize = 16;
 
 /// Per-hop latency of an NVLink transfer.
 const NVLINK_HOP: SimDuration = SimDuration::from_micros(1);
@@ -188,13 +161,7 @@ impl CollectiveEngine {
         cluster: &ClusterNet,
         spec: CollectiveSpec,
     ) -> OpId {
-        let phases = build_phases(cluster, spec);
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut state = OpState { pending: 0, phases, phase_idx: 0, started: false };
-        self.start_next_phase(sim, id, &mut state);
-        self.ops.insert(id, state);
-        OpId(id)
+        self.launch_custom(sim, build_phases(cluster, spec))
     }
 
     /// Starts a custom phase-structured operation: each inner vector of
@@ -210,7 +177,7 @@ impl CollectiveEngine {
         assert!(phases.iter().all(|p| !p.is_empty()), "empty phase in custom op");
         let id = self.next_id;
         self.next_id += 1;
-        let mut state = OpState { pending: 0, phases, phase_idx: 0, started: false };
+        let mut state = OpState { pending: 0, phases, phase_idx: 0 };
         self.start_next_phase(sim, id, &mut state);
         self.ops.insert(id, state);
         OpId(id)
@@ -224,7 +191,7 @@ impl CollectiveEngine {
         let Some(state) = self.ops.remove(&op.0) else {
             return false;
         };
-        if sim.tracing_enabled() && state.started && state.pending > 0 {
+        if sim.tracing_enabled() && state.pending > 0 {
             sim.trace_span_end(
                 track::COLLECTIVES,
                 op.0,
@@ -257,7 +224,7 @@ impl CollectiveEngine {
             let mut open: Vec<(u64, usize)> = self
                 .ops
                 .iter()
-                .filter(|(_, s)| s.started && s.pending > 0)
+                .filter(|(_, s)| s.pending > 0)
                 .map(|(&id, s)| (id, s.phase_idx))
                 .collect();
             open.sort_unstable();
@@ -300,6 +267,7 @@ impl CollectiveEngine {
                     "collective",
                 );
             }
+            state.phase_idx += 1;
             self.start_next_phase(sim, op_id, &mut state);
             if state.pending == 0 {
                 return Some(OpId(op_id)); // no more phases: done
@@ -310,29 +278,21 @@ impl CollectiveEngine {
     }
 
     fn start_next_phase(&mut self, sim: &mut Simulator, op_id: u64, state: &mut OpState) {
-        while let Some(flows) = state.phases.pop_front() {
-            if flows.is_empty() {
-                continue;
-            }
-            if state.started {
-                state.phase_idx += 1;
-            } else {
-                state.started = true;
-            }
-            if sim.tracing_enabled() {
-                sim.trace_span_begin(
-                    track::COLLECTIVES,
-                    op_id,
-                    &phase_span_name(op_id, state.phase_idx),
-                    "collective",
-                );
-            }
-            state.pending = flows.len();
-            for f in flows {
-                let fid = sim.start_flow(f);
-                self.flow_to_op.insert(fid, op_id);
-            }
-            return;
+        let Some(flows) = state.phases.pop_front() else {
+            return; // no more phases: the operation is done
+        };
+        if sim.tracing_enabled() {
+            sim.trace_span_begin(
+                track::COLLECTIVES,
+                op_id,
+                &phase_span_name(op_id, state.phase_idx),
+                "collective",
+            );
+        }
+        state.pending = flows.len();
+        for f in flows {
+            let fid = sim.start_flow(f);
+            self.flow_to_op.insert(fid, op_id);
         }
     }
 }
@@ -346,13 +306,8 @@ fn build_phases(cluster: &ClusterNet, spec: CollectiveSpec) -> VecDeque<Vec<Flow
         // keeps the completion path uniform.
         return VecDeque::from(vec![vec![FlowSpec::new(vec![], 0.0)]]);
     }
-    let stepwise = match spec.mode {
-        RingMode::Stepwise => true,
-        RingMode::Coarse => false,
-        RingMode::Auto => w <= AUTO_STEPWISE_MAX_WORLD,
-    };
     let mut phases = match spec.algo {
-        Algo::Ring if stepwise => ring_stepwise(cluster, spec.bytes),
+        Algo::Ring if w <= STEPWISE_MAX_WORLD => ring_stepwise(cluster, spec.bytes),
         Algo::Ring => ring_coarse(cluster, spec.bytes),
         // The hierarchical algorithm is phase-structured by nature; its
         // intra-node and leader rings use the coarse aggregation.
@@ -547,11 +502,7 @@ mod tests {
     #[test]
     fn ring_handles_partial_tail_node() {
         let (mut sim, cluster, mut eng) = setup(12);
-        eng.launch(
-            &mut sim,
-            &cluster,
-            CollectiveSpec::allreduce(4e7).with_mode(RingMode::Stepwise),
-        );
+        eng.launch_custom(&mut sim, ring_stepwise(&cluster, 4e7));
         let done = run_to_completion(&mut sim, &mut eng);
         assert_eq!(done.len(), 1);
         assert_eq!(eng.active_ops(), 0);
@@ -568,33 +519,40 @@ mod tests {
 
     #[test]
     fn coarse_cross_node_time_matches_formula() {
-        // 2 nodes × 8 GPUs, 100 MB per worker, single stream:
-        // per-NIC bytes = 2·15/16 · 1e8 = 1.875e8 at the 1.125 GB/s cap.
-        let (mut sim, cluster, mut eng) = setup(16);
-        eng.launch(&mut sim, &cluster, CollectiveSpec::allreduce(1e8).with_mode(RingMode::Coarse));
-        let done = run_to_completion(&mut sim, &mut eng);
-        let t = done[0].0;
-        let expect = 2.0 * 15.0 / 16.0 * 1e8 / 1.125e9 + 30.0 * 25e-6;
-        assert!((t - expect).abs() / expect < 0.01, "t={t} expect={expect}");
+        // 100 MB per worker on 8-GPU nodes, single stream: every NIC carries
+        // 2(W−1)/W · B bytes at the per-flow cap (1.875e8 B at 1.125 GB/s
+        // for W = 16) and the ring pays 2(W−1) NIC latencies, whether each
+        // lock-step step is its own phase or the ring is one coarse phase.
+        // `launch` simulates every step up to W = 16 and folds larger rings.
+        // Completion rounds to the nanosecond once per phase.
+        let bytes = 1e8;
+        for (w, forced_coarse, phases) in [(16, true, 1), (16, false, 30), (32, false, 1)] {
+            let (mut sim, cluster, mut eng) = setup(w);
+            if forced_coarse {
+                eng.launch_custom(&mut sim, ring_coarse(&cluster, bytes));
+            } else {
+                let spec = CollectiveSpec::allreduce(bytes);
+                assert_eq!(build_phases(&cluster, spec).len(), phases, "W={w}");
+                eng.launch(&mut sim, &cluster, spec);
+            }
+            let t = run_to_completion(&mut sim, &mut eng)[0].0;
+            let nic = &cluster.spec().node.nic;
+            let steps = 2.0 * (w - 1) as f64;
+            let expect = steps / w as f64 * bytes / nic.flow_cap_bytes_per_sec()
+                + steps * nic.latency.as_secs_f64();
+            assert!((t - expect).abs() <= phases as f64 * 1e-9, "W={w}: t={t} expect={expect}");
+        }
     }
 
     #[test]
     fn stepwise_and_coarse_agree_for_small_world() {
         let bytes = 4e7;
         let (mut sim_a, cluster_a, mut eng_a) = setup(16);
-        eng_a.launch(
-            &mut sim_a,
-            &cluster_a,
-            CollectiveSpec::allreduce(bytes).with_mode(RingMode::Stepwise),
-        );
+        eng_a.launch_custom(&mut sim_a, ring_stepwise(&cluster_a, bytes));
         let ta = run_to_completion(&mut sim_a, &mut eng_a)[0].0;
 
         let (mut sim_b, cluster_b, mut eng_b) = setup(16);
-        eng_b.launch(
-            &mut sim_b,
-            &cluster_b,
-            CollectiveSpec::allreduce(bytes).with_mode(RingMode::Coarse),
-        );
+        eng_b.launch_custom(&mut sim_b, ring_coarse(&cluster_b, bytes));
         let tb = run_to_completion(&mut sim_b, &mut eng_b)[0].0;
         assert!((ta - tb).abs() / ta < 0.15, "stepwise {ta} vs coarse {tb} diverge");
     }
@@ -606,20 +564,12 @@ mod tests {
         // so three streams move ~3× the data per unit time.
         let bytes = 1e8;
         let (mut sim_a, cluster_a, mut eng_a) = setup(16);
-        eng_a.launch(
-            &mut sim_a,
-            &cluster_a,
-            CollectiveSpec::allreduce(bytes).with_mode(RingMode::Coarse),
-        );
+        eng_a.launch_custom(&mut sim_a, ring_coarse(&cluster_a, bytes));
         let t_one = run_to_completion(&mut sim_a, &mut eng_a)[0].0;
 
         let (mut sim_b, cluster_b, mut eng_b) = setup(16);
         for _ in 0..3 {
-            eng_b.launch(
-                &mut sim_b,
-                &cluster_b,
-                CollectiveSpec::allreduce(bytes).with_mode(RingMode::Coarse),
-            );
+            eng_b.launch_custom(&mut sim_b, ring_coarse(&cluster_b, bytes));
         }
         let done = run_to_completion(&mut sim_b, &mut eng_b);
         let t_three = done.last().unwrap().0;
@@ -636,11 +586,7 @@ mod tests {
         let bytes = 1e8;
         let (mut sim, cluster, mut eng) = setup(16);
         for _ in 0..6 {
-            eng.launch(
-                &mut sim,
-                &cluster,
-                CollectiveSpec::allreduce(bytes).with_mode(RingMode::Coarse),
-            );
+            eng.launch_custom(&mut sim, ring_coarse(&cluster, bytes));
         }
         let done = run_to_completion(&mut sim, &mut eng);
         let t_six = done.last().unwrap().0;
@@ -656,11 +602,7 @@ mod tests {
         // the hierarchical version pays 2(M−1) NIC hops + NVLink hops.
         let bytes = 1e4;
         let (mut sim_a, cluster_a, mut eng_a) = setup(64);
-        eng_a.launch(
-            &mut sim_a,
-            &cluster_a,
-            CollectiveSpec::allreduce(bytes).with_mode(RingMode::Coarse),
-        );
+        eng_a.launch_custom(&mut sim_a, ring_coarse(&cluster_a, bytes));
         let t_ring = run_to_completion(&mut sim_a, &mut eng_a)[0].0;
 
         let (mut sim_b, cluster_b, mut eng_b) = setup(64);
@@ -676,7 +618,7 @@ mod tests {
     #[test]
     fn intra_node_ring_uses_nvlink_speed() {
         let (mut sim, cluster, mut eng) = setup(8);
-        eng.launch(&mut sim, &cluster, CollectiveSpec::allreduce(1e9).with_mode(RingMode::Coarse));
+        eng.launch_custom(&mut sim, ring_coarse(&cluster, 1e9));
         let done = run_to_completion(&mut sim, &mut eng);
         // 2·7/8·1e9 = 1.75e9 bytes at 150 GB/s ≈ 11.7 ms.
         let t = done[0].0;
@@ -717,7 +659,7 @@ mod tests {
         let mut sim = Simulator::new();
         let cluster = ClusterNet::build(&ClusterSpec::rdma_v100(16), sim.net_mut());
         let mut eng = CollectiveEngine::new();
-        eng.launch(&mut sim, &cluster, CollectiveSpec::allreduce(1e8).with_mode(RingMode::Coarse));
+        eng.launch_custom(&mut sim, ring_coarse(&cluster, 1e8));
         let done = run_to_completion(&mut sim, &mut eng);
         let t = done[0].0;
         // Single stream on RDMA: 10 % of 12.5 GB/s = 1.25 GB/s.

@@ -3,13 +3,12 @@
 //! AIACC-Training ships its own parameter optimizer (§IV): a combination of
 //! Adam and SGD, driven by a **linear** learning-rate decay (which the
 //! authors found to pair better with their communication optimizations than
-//! step decay). This crate implements:
+//! step decay). No figure of the paper measures convergence under that
+//! hybrid, and the data plane's numerical oracle — data-parallel training
+//! equals large-batch training — needs only SGD, so this crate implements:
 //!
 //! * [`Sgd`] — plain SGD with optional momentum.
-//! * [`Adam`] — Kingma & Ba, bias-corrected.
-//! * [`AdamSgd`] — the Adam→SGD hybrid, realized as AdaBound-style dynamic
-//!   bounds on the per-parameter step size that converge to the SGD rate.
-//! * [`schedule`] — linear decay, step decay, warmup.
+//! * [`schedule`] — the linear learning-rate decay.
 //! * [`debug`] — NaN/Inf gradient inspection (§IV "debugging support").
 //!
 //! # Example
@@ -24,20 +23,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adam;
 pub mod debug;
-mod hybrid;
 pub mod schedule;
 mod sgd;
 
-pub use adam::Adam;
-pub use hybrid::AdamSgd;
 pub use sgd::Sgd;
 
 /// A first-order optimizer updating a flat parameter vector in place.
 ///
-/// Implementations keep per-parameter state (momentum, moments) sized on the
-/// first call; later calls must use the same length.
+/// Implementations keep per-parameter state (momentum) sized on the first
+/// call; later calls must use the same length.
 pub trait Optimizer {
     /// Applies one update: mutates `params` using `grads`.
     ///
@@ -46,12 +41,6 @@ pub trait Optimizer {
     /// from earlier calls.
     fn step(&mut self, params: &mut [f32], grads: &[f32]);
 
-    /// Current learning rate.
-    fn lr(&self) -> f64;
-
-    /// Overrides the learning rate (used by the schedules).
+    /// Overrides the learning rate (a decay schedule calls this every step).
     fn set_lr(&mut self, lr: f64);
-
-    /// Human-readable optimizer name.
-    fn name(&self) -> &str;
 }

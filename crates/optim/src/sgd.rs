@@ -62,17 +62,9 @@ impl Optimizer for Sgd {
         }
     }
 
-    fn lr(&self) -> f64 {
-        self.lr
-    }
-
     fn set_lr(&mut self, lr: f64) {
         assert!(lr.is_finite() && lr >= 0.0, "invalid learning rate: {lr}");
         self.lr = lr;
-    }
-
-    fn name(&self) -> &str {
-        "sgd"
     }
 }
 

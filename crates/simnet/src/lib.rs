@@ -22,7 +22,7 @@
 //! * [`par`] — a deterministic fan-out runner: independent seeded
 //!   simulations execute on N worker threads with results collected in
 //!   submission order, so parallel sweeps are bit-identical to serial runs
-//!   (`--jobs N` / `AIACC_JOBS`).
+//!   (`--jobs N`).
 //!
 //! # Example
 //!

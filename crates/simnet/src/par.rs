@@ -10,12 +10,9 @@
 //! concurrent gradient streams, applied to our own harness (see
 //! `DESIGN.md`, "Deterministic parallel execution").
 //!
-//! Worker count resolution, in priority order:
-//!
-//! 1. an explicit process-wide override installed with [`set_jobs`]
-//!    (the `--jobs N` flag of `aiacc-sim` and `repro`),
-//! 2. the `AIACC_JOBS` environment variable,
-//! 3. [`std::thread::available_parallelism`].
+//! The worker count is the process-wide override installed with
+//! [`set_jobs`] (the `--jobs N` flag of `aiacc-sim` and `repro`), else
+//! [`std::thread::available_parallelism`].
 //!
 //! # Example
 //! ```
@@ -32,30 +29,24 @@ use std::sync::{Mutex, OnceLock};
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Installs (or with `0` clears) a process-wide worker-count override that
-/// takes precedence over `AIACC_JOBS` and the detected CPU count.
+/// takes precedence over the detected CPU count.
 ///
 /// Calling this is optional: it exists so CLI `--jobs N` flags and tests can
-/// steer the fan-out without touching the environment. Changing the worker
-/// count never changes results — only how long they take.
+/// steer the fan-out. Changing the worker count never changes results —
+/// only how long they take.
 pub fn set_jobs(n: usize) {
     JOBS_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
 /// The worker count [`map`] uses: the [`set_jobs`] override if installed,
-/// else `AIACC_JOBS`, else the machine's available parallelism (at least 1).
+/// else the machine's available parallelism (at least 1).
 pub fn jobs() -> usize {
     let over = JOBS_OVERRIDE.load(Ordering::SeqCst);
     if over > 0 {
         return over;
     }
-    static ENV_DEFAULT: OnceLock<usize> = OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| {
-        std::env::var("AIACC_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-    })
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Runs `f(0..n)` on up to `jobs` workers of the shared persistent pool

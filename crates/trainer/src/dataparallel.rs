@@ -5,7 +5,7 @@ use aiacc_compress::{ErrorFeedback, Scheme};
 use aiacc_core::{Perseus, PerseusConfig};
 use aiacc_dnn::data::Dataset;
 use aiacc_dnn::{Mlp, MlpConfig};
-use aiacc_optim::schedule::{LinearDecay, LrSchedule};
+use aiacc_optim::schedule::LinearDecay;
 use aiacc_optim::{Optimizer, Sgd};
 use aiacc_simnet::par;
 

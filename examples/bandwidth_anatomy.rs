@@ -30,11 +30,7 @@ fn main() {
         // n concurrent rings each carrying 1/n of the data (AIACC's unit
         // packing splits the volume across streams).
         for _ in 0..n {
-            eng.launch(
-                &mut sim,
-                &cluster,
-                CollectiveSpec::allreduce(1e8 / n as f64).with_mode(RingMode::Coarse),
-            );
+            eng.launch(&mut sim, &cluster, CollectiveSpec::allreduce(1e8 / n as f64));
         }
         let mut t_done = 0.0;
         while let Some((t, ev)) = sim.next_event() {

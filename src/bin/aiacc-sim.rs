@@ -5,7 +5,7 @@
 //! aiacc-sim [train] [--model NAME] [--gpus N] [--engine aiacc|horovod|ddp|byteps|kvstore]
 //!           [--streams N] [--granularity MIB] [--batch N] [--rdma]
 //!           [--racks NODES_PER_RACK] [--flat-solver]
-//!           [--compress none|fp16|int8|topk:K] [--compression] [--tree]
+//!           [--compress none|fp16|int8|topk:K] [--tree]
 //!           [--tune BUDGET] [--iters N] [--verbose]
 //!           [--faults degrade|flap|straggler|crash] [--trace OUT.json]
 //!           [--jobs N]
@@ -23,13 +23,12 @@
 //! and prints per-job completion times plus cluster tail-JCT metrics as
 //! deterministic TSV.
 //!
-//! `--jobs N` (or the `AIACC_JOBS` environment variable) sets how many
-//! worker threads the shared persistent pool may use. It accelerates
-//! parallel sweeps — e.g. the `--tune` batch evaluations, or `schedule
-//! --policy all`'s per-policy fan-out — and the real data-parallel step of
-//! a `train --compress` run (worker shards, codecs and the ring fold). The
-//! simulated network runs on one thread. Results are bit-identical
-//! regardless of the worker count.
+//! `--jobs N` (default: all cores) sets how many worker threads the shared
+//! persistent pool may use. It accelerates parallel sweeps — e.g. the
+//! `--tune` batch evaluations, or `schedule --policy all`'s per-policy
+//! fan-out — and the real data-parallel step of a `train --compress` run
+//! (worker shards, codecs and the ring fold). The simulated network runs on
+//! one thread. Results are bit-identical regardless of the worker count.
 //!
 //! `--racks N` packs nodes into racks of `N` behind 2:1-oversubscribed ToR
 //! uplinks and a shared spine, so cross-rack gradient traffic contends the
@@ -51,7 +50,6 @@
 //! compute cost; with a lossy scheme the train command also trains a real
 //! MLP through the exact data plane twice — uncompressed and compressed —
 //! and prints the measured loss delta and per-step wire bytes.
-//! `--compression` is kept as an alias for `--compress fp16`.
 //!
 //! `--verbose` prints solver diagnostics — per-run statistics and the
 //! solve/apply/queue wall-time breakdown — to stderr; by default they are
@@ -76,7 +74,7 @@ struct Args {
     gpus: usize,
     engine: String,
     streams: Option<usize>,
-    granularity_mib: Option<f64>,
+    granularity_bytes: Option<f64>,
     batch: Option<usize>,
     rdma: bool,
     racks: Option<usize>,
@@ -153,7 +151,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         gpus: 32,
         engine: "aiacc".to_string(),
         streams: None,
-        granularity_mib: None,
+        granularity_bytes: None,
         batch: None,
         rdma: false,
         racks: None,
@@ -175,18 +173,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--engine" => args.engine = flag_value(argv, &mut i)?,
             "--streams" => args.streams = Some(count_value(argv, &mut i, "stream count")?),
             "--granularity" => {
-                let mib: f64 = flag_value(argv, &mut i)?;
-                if mib.is_nan() || mib <= 0.0 {
+                let bytes = flag_value::<f64>(argv, &mut i)? * 1024.0 * 1024.0;
+                if !bytes.is_finite() || bytes <= 0.0 {
                     return Err("--granularity needs a positive size in MiB".to_string());
                 }
-                args.granularity_mib = Some(mib);
+                args.granularity_bytes = Some(bytes);
             }
             "--batch" => args.batch = Some(count_value(argv, &mut i, "batch size")?),
             "--rdma" => args.rdma = true,
             "--racks" => args.racks = Some(count_value(argv, &mut i, "nodes-per-rack count")?),
             "--flat-solver" => args.solve_mode = SolveMode::Full,
             "--compress" => args.compress = flag_value(argv, &mut i)?,
-            "--compression" => args.compress = Scheme::Fp16,
             "--tree" => args.tree = true,
             "--tune" => args.tune = Some(count_value(argv, &mut i, "warm-up budget")?),
             "--iters" => args.iters = count_value(argv, &mut i, "iteration count")?,
@@ -198,14 +195,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 return Err("usage: aiacc-sim [train] [--model NAME] [--gpus N] [--engine E] \
                             [--streams N] [--granularity MIB] [--batch N] [--rdma] \
                             [--racks NODES_PER_RACK] [--flat-solver] \
-                            [--compress none|fp16|int8|topk:K] [--compression] [--tree] \
+                            [--compress none|fp16|int8|topk:K] [--tree] \
                             [--tune BUDGET] [--iters N] [--verbose] \
                             [--faults degrade|flap|straggler|crash] [--trace OUT.json] \
                             [--jobs N]\n       aiacc-sim schedule ... \
                             (multi-job scheduler; see `aiacc-sim schedule --help`)\n\
                             --compress puts a gradient compressor on the AIACC wire \
-                            (topk:K keeps 1/K coordinates, with error feedback); \
-                            --compression is an alias for --compress fp16.\n\
+                            (topk:K keeps 1/K coordinates, with error feedback).\n\
                             --verbose prints solver diagnostics to stderr.\n\
                             --flat-solver solves the whole network on every change \
                             instead of only the dirty components (same output)."
@@ -668,8 +664,8 @@ fn main() {
     if let Some(s) = args.streams {
         aiacc_cfg = aiacc_cfg.with_streams(s);
     }
-    if let Some(g) = args.granularity_mib {
-        aiacc_cfg = aiacc_cfg.with_granularity(g * 1024.0 * 1024.0);
+    if let Some(g) = args.granularity_bytes {
+        aiacc_cfg = aiacc_cfg.with_granularity(g);
     }
     if args.compress != Scheme::None {
         aiacc_cfg = aiacc_cfg.with_compress(args.compress);
@@ -809,6 +805,8 @@ mod tests {
             (&["--tune", "0"], "--tune needs a positive warm-up budget"),
             (&["--granularity", "0"], "--granularity needs a positive size in MiB"),
             (&["--granularity", "NaN"], "--granularity needs a positive size in MiB"),
+            (&["--granularity", "inf"], "--granularity needs a positive size in MiB"),
+            (&["--granularity", "1e303"], "--granularity needs a positive size in MiB"),
         ] {
             assert_eq!(parse_args(&strings(args)).err().as_deref(), Some(err), "{args:?}");
         }

@@ -38,7 +38,7 @@
 //! | [`dnn`] | wire dtypes, fp16, the Table I model zoo, a real MLP, datasets |
 //! | [`cluster`] | GPU/node/cluster specs, topology, compute timing |
 //! | [`collectives`] | exact + timed ring/tree all-reduce |
-//! | [`optim`] | SGD, Adam, the Adam/SGD hybrid, LR decay, fp16 compression |
+//! | [`optim`] | SGD, linear LR decay, NaN/Inf gradient debugging |
 //! | [`compress`] | gradient compressors: top-k + error feedback, fp16, int8, exact wire accounting |
 //! | [`core`] | **the paper's contribution**: sync vectors, packing, the multi-streamed engine, Perseus |
 //! | [`baselines`] | Horovod, PyTorch-DDP, BytePS, MXNet-KVStore |
@@ -66,13 +66,13 @@ pub mod prelude {
     pub use aiacc_autotune::{Tuner, TuningConfig, TuningSpace};
     pub use aiacc_cluster::{ClusterNet, ClusterSpec, ComputeModel};
     pub use aiacc_collectives::dataplane::{ring_allreduce, tree_allreduce, ReduceOp};
-    pub use aiacc_collectives::{Algo, CollectiveEngine, CollectiveSpec, RingMode};
+    pub use aiacc_collectives::{Algo, CollectiveEngine, CollectiveSpec};
     pub use aiacc_compress::{Compressor, ErrorFeedback, Scheme};
     pub use aiacc_core::{
         AiaccConfig, AiaccEngine, GradientRegistry, Perseus, PerseusConfig, SyncVector,
     };
     pub use aiacc_dnn::{data::Dataset, zoo, DType, Mlp, MlpConfig, ModelProfile};
-    pub use aiacc_optim::{Adam, AdamSgd, Optimizer, Sgd};
+    pub use aiacc_optim::{Optimizer, Sgd};
     pub use aiacc_sched::{
         run_multijob, summarize, ClusterMetrics, MultiJobCfg, MultiJobReport, PlacePolicy,
         Workload, WorkloadCfg,

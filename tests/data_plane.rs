@@ -1,7 +1,7 @@
 //! Cross-crate numerical integration: real gradients through the exact
 //! collectives, optimizers, and compression.
 
-use aiacc::optim::schedule::{LinearDecay, LrSchedule, StepDecay};
+use aiacc::optim::schedule::LinearDecay;
 use aiacc::prelude::*;
 
 #[test]
@@ -39,46 +39,41 @@ fn dataplane_ring_matches_perseus_for_whole_tensors() {
 }
 
 #[test]
-fn all_optimizers_train_the_distributed_mlp() {
-    // Swap each optimizer into a manual data-parallel loop built from public
-    // parts: MLP grads -> Perseus -> optimizer.
+fn sgd_trains_the_distributed_mlp() {
+    // A manual data-parallel loop built from public parts: MLP grads ->
+    // Perseus -> optimizer.
     let world = 4;
     let data = Dataset::gaussian_blobs(512, 4, 3, 77);
-    for (name, mut opt) in [
-        ("sgd", Box::new(Sgd::new(0.1).with_momentum(0.9)) as Box<dyn Optimizer>),
-        ("adam", Box::new(Adam::new(0.01))),
-        ("adam_sgd", Box::new(AdamSgd::new(0.01, 0.05))),
-    ] {
-        let mut model = Mlp::new(&MlpConfig::new(vec![4, 24, 3], 5));
-        let perseus = Perseus::new(&model.param_layout(), PerseusConfig::new(world));
-        let mut first_loss = None;
-        let mut last_loss = 0.0;
-        for step in 0..80 {
-            let mut grads_per_worker = Vec::new();
-            let mut loss_sum = 0.0;
-            for w in 0..world {
-                let mut xs = Vec::new();
-                let mut ys = Vec::new();
-                for i in 0..8 {
-                    let (f, l) = data.sample((step * world * 8 + w * 8 + i) % data.len());
-                    xs.extend_from_slice(f);
-                    ys.push(l);
-                }
-                let (loss, grads) = model.loss_and_grads(&xs, &ys);
-                loss_sum += loss;
-                grads_per_worker.push(grads);
+    let mut opt = Sgd::new(0.1).with_momentum(0.9);
+    let mut model = Mlp::new(&MlpConfig::new(vec![4, 24, 3], 5));
+    let perseus = Perseus::new(&model.param_layout(), PerseusConfig::new(world));
+    let mut first_loss = None;
+    let mut last_loss = 0.0;
+    for step in 0..80 {
+        let mut grads_per_worker = Vec::new();
+        let mut loss_sum = 0.0;
+        for w in 0..world {
+            let mut xs = Vec::new();
+            let mut ys = Vec::new();
+            for i in 0..8 {
+                let (f, l) = data.sample((step * world * 8 + w * 8 + i) % data.len());
+                xs.extend_from_slice(f);
+                ys.push(l);
             }
-            let reduced = perseus.allreduce_step(grads_per_worker);
-            let flat: Vec<f32> = reduced.into_iter().flatten().collect();
-            let mut params = model.params_flat();
-            opt.step(&mut params, &flat);
-            model.set_params_flat(&params);
-            last_loss = loss_sum / world as f64;
-            first_loss.get_or_insert(last_loss);
+            let (loss, grads) = model.loss_and_grads(&xs, &ys);
+            loss_sum += loss;
+            grads_per_worker.push(grads);
         }
-        let first = first_loss.unwrap();
-        assert!(last_loss < first * 0.6, "{name}: loss did not improve ({first} -> {last_loss})");
+        let reduced = perseus.allreduce_step(grads_per_worker);
+        let flat: Vec<f32> = reduced.into_iter().flatten().collect();
+        let mut params = model.params_flat();
+        opt.step(&mut params, &flat);
+        model.set_params_flat(&params);
+        last_loss = loss_sum / world as f64;
+        first_loss.get_or_insert(last_loss);
     }
+    let first = first_loss.unwrap();
+    assert!(last_loss < first * 0.6, "loss did not improve ({first} -> {last_loss})");
 }
 
 #[test]
@@ -96,13 +91,13 @@ fn fp16_wire_compression_precision_is_adequate_for_training() {
 }
 
 #[test]
-fn linear_decay_trains_at_least_as_well_as_step_decay_here() {
-    // §IV: AIACC uses linear decay. On this smooth problem both work; the
-    // linear schedule must not be worse — and the schedules themselves must
-    // decay as specified.
+fn linear_decay_trains_at_least_as_well_as_a_constant_rate() {
+    // §IV: AIACC uses linear decay. On this smooth problem a constant rate
+    // works too; the decayed run must not be worse — and the schedule
+    // itself must decay smoothly to its floor.
     let linear = LinearDecay::new(0.1, 0.001, 200);
-    let step = StepDecay::new(0.1, 0.1, 70);
-    assert!(linear.lr_at(100) > step.lr_at(100)); // linear decays smoothly
+    assert!((linear.lr_at(100) - 0.0505).abs() < 1e-12);
+    assert!((linear.lr_at(200) - 0.001).abs() < 1e-12);
     let run = |use_linear: bool| {
         let mut cfg = DataParallelConfig::new(vec![4, 16, 3], 2, 16);
         cfg.decay_steps = if use_linear { Some(200) } else { None };
