@@ -320,7 +320,7 @@ struct ScaleRuns {
     sync: [CellResult; 2],
 }
 
-/// Runs every cell of `sizes`. The curve fans out over the pool; the
+/// Runs every cell of `sizes`. The curve fans out through `par::map`; the
 /// equivalence and sync cells run after it returns.
 fn scale_runs(sizes: &ScaleSizes) -> ScaleRuns {
     let curve = par::map(sizes.curve, |&(nodes, sim_s)| {

@@ -89,8 +89,8 @@ fn chunk_in_block(len: usize, w: usize, c: usize, lo: usize, hi: usize) -> Range
 ///
 /// Every element is folded in exactly the order the ring's reduce-scatter
 /// folds it (see the module docs), so the result is bit-identical to the
-/// lock-step ring's. Output blocks run on the shared pool, `par::jobs()`
-/// wide; each element's fold is independent of the blocking, so the
+/// lock-step ring's. Output blocks fan out over `par::jobs()` threads;
+/// each element's fold is independent of the blocking, so the
 /// result does not depend on the thread count.
 ///
 /// # Panics
@@ -128,7 +128,7 @@ pub fn ring_fold<B: AsRef<[f32]> + Sync>(
 /// On return every buffer holds the element-wise reduction of all inputs,
 /// folded in the ring's order (as [`ring_fold`]), and every worker's copy
 /// is **bit-identical**: each block is folded once and then copied to
-/// every buffer, with blocks spread over the shared pool.
+/// every buffer, with blocks spread over `par::jobs()` threads.
 ///
 /// # Panics
 /// Panics if buffers are empty or have differing lengths.

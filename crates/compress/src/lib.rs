@@ -25,6 +25,8 @@
 //! closed form, the data plane produces the payload, and a proptest pins
 //! them together.
 
+#![forbid(unsafe_code)]
+
 use aiacc_dnn::f16;
 use std::fmt;
 use std::str::FromStr;

@@ -19,12 +19,13 @@
 //!
 //! # Threading
 //!
-//! A call fans out on the shared pool (`aiacc_simnet::pool`,
-//! `par::jobs()` wide): one pool index per worker for the codecs, each
-//! touching only that worker's buffer and residuals, then blocks of the
-//! output for the fold. Every output element is computed by one thread in
-//! a fixed order, so results are identical for any pool width, and inline
-//! when the pool is busy. The session itself is `Send` but not `Sync`.
+//! A call fans out through `aiacc_simnet::par` (`par::jobs()` threads):
+//! one index per worker for the codecs, each touching only that worker's
+//! buffer and residuals, then blocks of the output for the fold. Every
+//! output element is computed by one thread in a fixed order, so results
+//! are identical for any thread count, and when another fan-out is
+//! running and this one runs inline. The session itself is `Send` but not
+//! `Sync`.
 
 use crate::packing::pack_units;
 use crate::registry::GradientRegistry;
@@ -224,7 +225,7 @@ impl Perseus {
         let units = &self.units;
 
         if scheme.is_lossy() {
-            // Compensated compression, one worker per pool index: the
+            // Compensated compression, one worker per fan-out index: the
             // reduction consumes exactly what the wire would deliver; what
             // the codec drops lands in this worker's residual and rides
             // along next iteration.

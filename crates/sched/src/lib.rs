@@ -36,6 +36,8 @@
 //! assert!(m.jct_p99_secs >= m.jct_p50_secs);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod metrics;
 pub mod multijob;

@@ -9,6 +9,7 @@
 
 use aiacc_baselines::HorovodConfig;
 use aiacc_dnn::zoo;
+use aiacc_simnet::SimTime;
 use aiacc_trainer::EngineKind;
 
 /// One job of a multi-job workload.
@@ -255,16 +256,29 @@ impl JobSpec {
     /// line by line without materializing the whole workload.
     ///
     /// # Errors
-    /// Returns a description of the defect (wrong column count, unparsable
-    /// number, unknown model or engine).
+    /// Returns a description of the defect: wrong column count, a count or
+    /// seed that is not a non-negative integer, an arrival that is negative,
+    /// not finite or past [`SimTime::MAX`], an unknown model or engine.
     pub fn parse_tsv_row(line: &str) -> Result<JobSpec, String> {
+        fn int<T: std::str::FromStr>(what: &str, s: &str) -> Result<T, String> {
+            s.parse().map_err(|_| format!("bad {what}: {s:?} (want a non-negative integer)"))
+        }
         let cols: Vec<&str> = line.split('\t').collect();
         if cols.len() != 7 {
             return Err(format!("expected 7 columns, got {}", cols.len()));
         }
-        let parse = |what: &str, s: &str| -> Result<f64, String> {
-            s.parse::<f64>().map_err(|_| format!("bad {what}: {s:?}"))
-        };
+        let arrival_secs = cols[1]
+            .parse::<f64>()
+            .ok()
+            // Both comparisons fail for NaN; the second also for infinity.
+            .filter(|&s| s >= 0.0 && s * 1e9 < SimTime::MAX.as_nanos() as f64)
+            .ok_or_else(|| {
+                format!(
+                    "bad arrival: {:?} (want finite, non-negative seconds below 2^64 ns, \
+                     about 1.8447e10)",
+                    cols[1]
+                )
+            })?;
         let model = cols[2].to_string();
         if zoo::by_name(&model).is_none() {
             return Err(format!("unknown model {model:?}"));
@@ -272,13 +286,13 @@ impl JobSpec {
         let engine =
             EngineKind::by_label(cols[4]).ok_or_else(|| format!("unknown engine {:?}", cols[4]))?;
         Ok(JobSpec {
-            id: parse("id", cols[0])? as usize,
-            arrival_secs: parse("arrival", cols[1])?,
+            id: int("id", cols[0])?,
+            arrival_secs,
             model,
-            gpus: parse("gpus", cols[3])? as usize,
+            gpus: int("gpus", cols[3])?,
             engine,
-            iterations: parse("iterations", cols[5])? as usize,
-            seed: parse("seed", cols[6])? as u64,
+            iterations: int("iterations", cols[5])?,
+            seed: int("seed", cols[6])?,
         })
     }
 
@@ -338,6 +352,30 @@ mod tests {
         let bad = "id\tarrival_secs\tmodel\tgpus\tengine\titerations\tseed\n\
                    0\t0.0\tnope\t8\taiacc\t5\t1\n";
         assert!(Workload::from_tsv(bad).unwrap_err().contains("unknown model"));
+    }
+
+    #[test]
+    fn tsv_rejects_out_of_range_and_fractional_numbers() {
+        // Each row is refused with the defect named: no panic, no endless
+        // run, no silently truncated column.
+        for (row, err) in [
+            ("0\t-1\ttiny_cnn\t8\taiacc\t5\t1", "bad arrival: \"-1\""),
+            ("0\tnan\ttiny_cnn\t8\taiacc\t5\t1", "bad arrival: \"nan\""),
+            ("0\tinf\ttiny_cnn\t8\taiacc\t5\t1", "bad arrival: \"inf\""),
+            ("0\t1.85e10\ttiny_cnn\t8\taiacc\t5\t1", "bad arrival: \"1.85e10\""),
+            ("0\t1e30\ttiny_cnn\t8\taiacc\t5\t1", "bad arrival: \"1e30\""),
+            ("0\t0\ttiny_cnn\t8\taiacc\tinf\t1", "bad iterations: \"inf\""),
+            ("0\t0\ttiny_cnn\t8\taiacc\t1e30\t1", "bad iterations: \"1e30\""),
+            ("0\t0\ttiny_cnn\t2.9\taiacc\t5\t1", "bad gpus: \"2.9\""),
+            ("1.5\t0\ttiny_cnn\t8\taiacc\t5\t1", "bad id: \"1.5\""),
+            ("0\t0\ttiny_cnn\t8\taiacc\t5\t-1", "bad seed: \"-1\""),
+        ] {
+            let got = JobSpec::parse_tsv_row(row).expect_err(row);
+            assert!(got.starts_with(err), "{row:?}: {got}");
+        }
+        // An arrival far in the future that still fits in simulated time parses.
+        let row = "0\t1.8e10\ttiny_cnn\t8\taiacc\t5\t1";
+        assert_eq!(JobSpec::parse_tsv_row(row).map(|j| j.arrival_secs), Ok(1.8e10));
     }
 
     #[test]

@@ -47,10 +47,7 @@
 //! assert!((done[1].0 - 8.0).abs() < 1e-6);
 //! ```
 
-// `deny` rather than `forbid`: the worker pool's lifetime erasure is the
-// one sanctioned use of `unsafe` in this crate (see `pool::ErasedFn`);
-// every other module stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod calq;
@@ -58,7 +55,6 @@ mod faults;
 mod flow;
 mod flownet;
 pub mod par;
-pub mod pool;
 mod sim;
 mod time;
 pub mod trace;

@@ -14,6 +14,19 @@
 //! [`set_jobs`] (the `--jobs N` flag of `aiacc-sim` and `repro`), else
 //! [`std::thread::available_parallelism`].
 //!
+//! # One fan-out at a time
+//!
+//! A fan-out spawns `workers − 1` scoped threads and the caller's thread
+//! joins them in claiming work, so no thread outlives the call. Only one
+//! fan-out runs at a time in the process: a fan-out that finds another one
+//! running — a nested call from inside a worker, or a concurrent call from
+//! another thread — runs inline on its caller's thread instead. So when
+//! [`map`] fans simulation cells across N workers, a training step inside
+//! one cell runs serially: N busy threads in total, never N×M. Which thread
+//! runs which index is unspecified, so every caller claims work through an
+//! atomic cursor and writes results into per-index slots; that is why the
+//! worker count changes wall-clock time and not a single output byte.
+//!
 //! # Example
 //! ```
 //! use aiacc_simnet::par;
@@ -22,7 +35,8 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Process-wide worker-count override; 0 = unset.
@@ -49,17 +63,17 @@ pub fn jobs() -> usize {
     *DETECTED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Runs `f(0..n)` on up to `jobs` workers of the shared persistent pool
-/// ([`crate::pool`]) and returns the results **in index order**. With
-/// `jobs <= 1` (or fewer than two items) everything runs inline on the
-/// caller's thread — the parallel and serial paths produce identical output
-/// by construction, because each slot `i` holds exactly `f(i)` either way.
+/// Runs `f(0..n)` on up to `jobs` threads and returns the results **in
+/// index order**. With `jobs <= 1` (or fewer than two items) everything
+/// runs inline on the caller's thread — the parallel and serial paths
+/// produce identical output by construction, because each slot `i` holds
+/// exactly `f(i)` either way.
 ///
 /// Work is claimed dynamically in chunks (an atomic cursor advanced
 /// `chunk` indices at a time), so stragglers don't serialize the batch and
 /// tiny jobs don't thrash the cursor; determinism is unaffected because
-/// execution order never feeds back into any result. If the pool is
-/// already owned by an enclosing fan-out, the whole map runs inline, so
+/// execution order never feeds back into any result. If another fan-out is
+/// already running (see the module docs), the whole map runs inline, so
 /// nested fan-outs never oversubscribe the machine.
 ///
 /// # Panics
@@ -79,7 +93,7 @@ where
     let chunk = (n / (workers * 8)).max(1);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crate::pool::run(workers, &|_w| loop {
+    fan_out(workers, &|_w| loop {
         let lo = next.fetch_add(chunk, Ordering::Relaxed);
         if lo >= n {
             break;
@@ -96,13 +110,14 @@ where
         .collect()
 }
 
-/// Runs `f(i, &mut items[i])` for every item on up to `jobs` workers of the
-/// shared pool and returns the results **in index order** — the in-place
-/// counterpart of [`map_indexed`] for coarse items that own their output
-/// (one gradient buffer per training worker, one block of a reduction).
+/// Runs `f(i, &mut items[i])` for every item on up to `jobs` threads and
+/// returns the results **in index order** — the in-place counterpart of
+/// [`map_indexed`] for coarse items that own their output (one gradient
+/// buffer per training worker, one block of a reduction).
 /// Each item is visited exactly once, by one thread, so results depend on
 /// neither the worker count nor the interleaving. Runs inline when
-/// `jobs <= 1`, for fewer than two items, or when the pool is busy.
+/// `jobs <= 1`, for fewer than two items, or when another fan-out is
+/// running.
 ///
 /// # Panics
 /// Panics if `f` panics for any index, once every other index has run.
@@ -118,11 +133,11 @@ where
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     // The cursor only hands out indices; each lane's data passes between
-    // threads through its mutex and the pool's completion wait.
+    // threads through its mutex and the fan-out's thread joins.
     let next = AtomicUsize::new(0);
     let lanes: Vec<Mutex<(&mut T, Option<R>)>> =
         items.iter_mut().map(|t| Mutex::new((t, None))).collect();
-    crate::pool::run(workers, &|_w| loop {
+    fan_out(workers, &|_w| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
@@ -148,6 +163,53 @@ where
     F: Fn(&T) -> R + Sync,
 {
     map_indexed(items.len(), jobs(), |i| f(&items[i]))
+}
+
+/// Whether a fan-out is running somewhere in the process (the lease that
+/// makes nested and concurrent fan-outs run inline; see the module docs).
+static BUSY: AtomicBool = AtomicBool::new(false);
+
+/// Calls `f(w)` exactly once for every `w in 0..workers` and returns after
+/// every call has. Holding the [`BUSY`] lease, it spawns `workers − 1`
+/// scoped threads and drives indices on the caller's thread too; without
+/// the lease it runs every index inline.
+///
+/// # Panics
+/// If any `f(w)` panics, the first panic is resumed on the caller's thread
+/// once every other index has finished.
+fn fan_out(workers: usize, f: &(dyn Fn(usize) + Sync)) {
+    /// Releases the lease even if the fan-out unwinds.
+    struct Lease;
+    impl Drop for Lease {
+        fn drop(&mut self) {
+            BUSY.store(false, Ordering::Release);
+        }
+    }
+    let next = AtomicUsize::new(0);
+    let first_panic = Mutex::new(None);
+    let drive = || loop {
+        let w = next.fetch_add(1, Ordering::Relaxed);
+        if w >= workers {
+            return;
+        }
+        if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| f(w))) {
+            first_panic.lock().expect("panic slot poisoned").get_or_insert(payload);
+        }
+    };
+    if BUSY.swap(true, Ordering::Acquire) {
+        drive();
+    } else {
+        let _lease = Lease;
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(drive);
+            }
+            drive();
+        });
+    }
+    if let Some(payload) = first_panic.into_inner().expect("panic slot poisoned") {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 #[cfg(test)]
@@ -223,12 +285,57 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            map_indexed(8, 4, |i| {
-                assert!(i != 5, "boom");
-                i
-            })
+        // Every other index still runs before the panic reaches the caller,
+        // on the threads of a fan-out and inline inside another fan-out.
+        let survivors = |inline: bool| {
+            let count = AtomicU32::new(0);
+            let run = || {
+                let indexed = std::panic::catch_unwind(|| {
+                    map_indexed(8, 4, |i| {
+                        assert!(i != 5, "boom");
+                        count.fetch_add(1, Ordering::Relaxed);
+                    })
+                });
+                let mut items = [0u8; 8];
+                let in_place = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    map_mut(&mut items, 4, |i, _| {
+                        assert!(i != 2, "boom");
+                        count.fetch_add(1, Ordering::Relaxed);
+                    })
+                }));
+                assert!(indexed.is_err() && in_place.is_err());
+            };
+            if inline {
+                map_indexed(2, 2, |i| {
+                    if i == 0 {
+                        run()
+                    }
+                });
+            } else {
+                run();
+            }
+            count.load(Ordering::Relaxed)
+        };
+        assert_eq!(survivors(false), 14, "fanned out");
+        assert_eq!(survivors(true), 14, "inline");
+    }
+
+    #[test]
+    fn nested_fanout_runs_inline() {
+        // The outer fan-out holds the lease, so each inner map runs inline
+        // on the thread that runs its outer item: no deadlock, no extra
+        // threads, same call count. The sleep gives spawned threads time to
+        // claim inner items, were any spawned.
+        let inner_calls = AtomicU32::new(0);
+        map_indexed(4, 4, |_| {
+            let outer = std::thread::current().id();
+            let inner = map_indexed(3, 3, |_| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                inner_calls.fetch_add(1, Ordering::Relaxed);
+                std::thread::current().id()
+            });
+            assert!(inner.iter().all(|&id| id == outer), "inner call left its outer thread");
         });
-        assert!(result.is_err());
+        assert_eq!(inner_calls.load(Ordering::Relaxed), 12);
     }
 }

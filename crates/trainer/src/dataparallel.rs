@@ -85,10 +85,10 @@ pub struct Checkpoint {
 /// equals single-worker training on the combined batch — is enforced by
 /// tests.
 ///
-/// Workers' shards run on the shared pool, one per pool index, each
-/// writing only its own gradient buffer and loss lane; the losses are
+/// Workers' shards fan out through `par::map_mut`, one index per worker,
+/// each writing only its own gradient buffer and loss lane; the losses are
 /// summed in worker order afterwards, so a step's output does not depend
-/// on the pool width.
+/// on the thread count.
 #[derive(Debug, Clone)]
 pub struct DataParallelTrainer {
     config: DataParallelConfig,

@@ -835,6 +835,25 @@ mod tests {
         // A generated job larger than the cluster is a typed error, not a panic.
         let args = strings(&["--gpus", "1", "--mix", "tiny", "--njobs", "3"]);
         assert_eq!(cmd_schedule(&args).err().as_deref(), Some("job 0 requests 8 of 1 GPUs"));
+        // A malformed trace row is a usage error, not a panic, a hang or a
+        // truncated column, whether the trace is loaded or streamed.
+        let trace =
+            std::env::temp_dir().join(format!("aiacc_sim_bad_row_{}.tsv", std::process::id()));
+        let trace = trace.to_string_lossy().into_owned();
+        for (row, err) in [
+            ("0\t-1\ttiny_cnn\t8\taiacc\t2\t1", "bad arrival: \"-1\""),
+            ("0\t1.85e10\ttiny_cnn\t8\taiacc\t2\t1", "bad arrival: \"1.85e10\""),
+            ("0\t0\ttiny_cnn\t8\taiacc\tinf\t1", "bad iterations: \"inf\""),
+            ("0\t0\ttiny_cnn\t2.9\taiacc\t2\t1", "bad gpus: \"2.9\""),
+        ] {
+            let text = format!("id\tarrival_secs\tmodel\tgpus\tengine\titerations\tseed\n{row}\n");
+            std::fs::write(&trace, text).expect("writing the trace");
+            for args in [&["--load", &trace][..], &["--stream", "--arrivals", &trace]] {
+                let got = cmd_schedule(&strings(args)).expect_err(row);
+                assert!(got.contains(err), "{args:?} {row:?}: {got}");
+            }
+        }
+        std::fs::remove_file(&trace).expect("removing the trace");
     }
 
     #[test]

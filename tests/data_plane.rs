@@ -330,9 +330,9 @@ fn perseus_output_bits_are_pinned() {
 #[test]
 fn trainer_output_does_not_depend_on_the_pool() {
     // Run directly, a step fans the workers' shards, their codecs and the
-    // fold's output blocks (this model's gradient spans three) across the
-    // pool. Inside a two-wide fan-out the pool is busy, so every step runs
-    // inline on one thread. Both must produce the same bits.
+    // fold's output blocks (this model's gradient spans three) across four
+    // threads. Inside a two-wide fan-out another fan-out is running, so
+    // every step runs inline on one thread. Both must produce the same bits.
     use aiacc::simnet::par;
     par::set_jobs(4);
     let run = |compress: Scheme| {
@@ -345,7 +345,7 @@ fn trainer_output_does_not_depend_on_the_pool() {
     for scheme in [Scheme::None, Scheme::Int8, Scheme::TopK { ratio: 8 }] {
         let direct = run(scheme);
         for nested in par::map_indexed(2, 2, |_| run(scheme)) {
-            assert_eq!(nested, direct, "{scheme}: output depends on the pool");
+            assert_eq!(nested, direct, "{scheme}: output depends on the fan-out");
         }
     }
 }
