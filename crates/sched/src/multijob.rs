@@ -11,7 +11,8 @@
 //! fabric, so concurrent jobs' flows contend inside one max-min allocation.
 //! With a single job the event sequence degenerates to exactly the
 //! single-job path, which is what makes the N=1 bit-identity guarantee hold.
-//! Batch and streaming scenarios share one event loop; streaming adds
+//! Batch and streaming scenarios share one event loop and one backlog walk
+//! ([`MultiJobSim`]'s `dispatch_queue`); streaming adds
 //! arrival staging, slot recycling and snapshots (see [`crate::stream`]).
 //!
 //! # Failure model
@@ -49,10 +50,11 @@ use aiacc_dnn::{zoo, DType, ModelProfile};
 use aiacc_simnet::trace::track;
 use aiacc_simnet::{
     Event, FaultPhase, FaultPlan, FaultRecord, FaultTarget, FlowId, SimDuration, SimTime,
-    Simulator, SolveMode, SolverStats, Token,
+    Simulator, SolverStats, Token,
 };
 use aiacc_trainer::recovery::{replay_elastic_join, replay_failure_recovery, RecoveryConfig};
 use aiacc_trainer::{comm_stream_limits, schedule_worker_compute, ComputeAttempt, Framework};
+use std::collections::VecDeque;
 
 /// Unscoped timer kind announcing a job arrival (`a` = job id).
 pub(crate) const ARRIVAL_KIND: u32 = 10;
@@ -73,6 +75,13 @@ const EWMA_ALPHA: f64 = 0.5;
 /// Floor on the synthetic NIC-health capacity ratio a mitigation reports —
 /// the stream pool never collapses below a quarter of its configured size.
 const MITIGATION_FLOOR: f64 = 0.25;
+/// Framework adapter of every scheduled job's compute schedule: the
+/// `TrainingSimConfig` default, so a one-job scenario is bit-identical to
+/// `TrainingSim`.
+pub(crate) const FRAMEWORK: Framework = Framework::PyTorch;
+/// Compute jitter amplitude (fraction) of every scheduled job, likewise the
+/// `TrainingSimConfig` default.
+pub(crate) const JITTER_FRAC: f64 = 0.02;
 
 /// What to do with a job whose gang lost a node to a crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,10 +131,6 @@ pub struct MultiJobCfg {
     pub policy: PlacePolicy,
     /// The jobs to run.
     pub workload: Workload,
-    /// Framework adapter applied to every job.
-    pub framework: Framework,
-    /// Compute jitter amplitude (fraction).
-    pub jitter_frac: f64,
     /// Fault plan on the *physical* cluster: node-targeted link faults
     /// resolve to that node's NIC, straggler windows slow the node's
     /// compute, and crashes take the node (and every gang on it) down until
@@ -141,26 +146,21 @@ pub struct MultiJobCfg {
     pub straggler_threshold: Option<f64>,
     /// Records a structured trace (one lane per job).
     pub trace: bool,
-    /// How the fluid solver re-solves a dirty network. Both modes produce
-    /// bit-identical output; [`SolveMode::Full`] is the flat oracle.
-    pub solve_mode: SolveMode,
 }
 
 impl MultiJobCfg {
-    /// A scenario with TrainingSim-matching defaults (PyTorch, 2 % jitter,
-    /// no faults, restart recovery, no straggler mitigation, no trace).
+    /// A scenario with no faults, restart recovery, no straggler mitigation
+    /// and no trace. Every job computes under PyTorch with 2 % jitter, the
+    /// `TrainingSim` defaults.
     pub fn new(cluster: ClusterSpec, policy: PlacePolicy, workload: Workload) -> Self {
         MultiJobCfg {
             cluster,
             policy,
             workload,
-            framework: Framework::PyTorch,
-            jitter_frac: 0.02,
             faults: FaultPlan::new(),
             recovery: RecoveryPolicy::Restart,
             straggler_threshold: None,
             trace: false,
-            solve_mode: SolveMode::Partitioned,
         }
     }
 
@@ -191,12 +191,6 @@ impl MultiJobCfg {
     /// Enables structured tracing.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Selects the fluid solver's [`SolveMode`].
-    pub fn with_solve_mode(mut self, mode: SolveMode) -> Self {
-        self.solve_mode = mode;
         self
     }
 }
@@ -439,6 +433,24 @@ impl JobRun {
     }
 }
 
+/// FIFO backlog entry: a job (a slot, in streaming mode) waiting to be
+/// placed, or — streaming only — an arrived spec not yet admitted to a slot.
+#[derive(Debug)]
+pub(crate) enum QueueEntry {
+    Slot(usize),
+    Spec(JobSpec),
+}
+
+impl QueueEntry {
+    /// The entry's gang size.
+    fn gpus(&self, jobs: &[JobRun]) -> usize {
+        match self {
+            QueueEntry::Slot(id) => jobs[*id].spec.gpus,
+            QueueEntry::Spec(spec) => spec.gpus,
+        }
+    }
+}
+
 /// The multi-job scheduler/simulator.
 pub struct MultiJobSim {
     pub(crate) cfg: MultiJobCfg,
@@ -447,9 +459,16 @@ pub struct MultiJobSim {
     pub(crate) free: GpuFreeList,
     pub(crate) faults: FaultPlan,
     pub(crate) jobs: Vec<JobRun>,
-    /// FIFO queue of arrived-but-unplaced job ids (batch mode; streaming
-    /// keeps its own queue of slots and not-yet-admitted specs).
-    pub(crate) queue: Vec<usize>,
+    /// FIFO backlog of arrived-but-unplaced jobs, in arrival order.
+    pub(crate) queue: VecDeque<QueueEntry>,
+    /// Conservative lower bound on the smallest gang size in `queue` (only
+    /// lowered on push, reset when the queue empties): the backfill walk
+    /// stops once fewer GPUs than this are free.
+    pub(crate) min_queued_gpus: usize,
+    /// Conservative upper bound on the largest gang size in `queue` (only
+    /// raised on push, reset when the queue empties): rules out hopeless
+    /// entries without a walk.
+    pub(crate) max_queued_gpus: usize,
     /// Repair events still scheduled to fire; while any remain, an
     /// unplaceable job keeps waiting instead of being declared impossible.
     pub(crate) pending_repairs: usize,
@@ -494,7 +513,6 @@ impl MultiJobSim {
         if cfg.trace {
             sim.enable_tracing();
         }
-        sim.net_mut().set_solve_mode(cfg.solve_mode);
         let physical = ClusterNet::build(&cfg.cluster, sim.net_mut());
         let free = GpuFreeList::new(&cfg.cluster);
         let faults = cfg.faults.resolve_links(|n| {
@@ -525,7 +543,9 @@ impl MultiJobSim {
             free,
             faults,
             jobs,
-            queue: Vec::new(),
+            queue: VecDeque::new(),
+            min_queued_gpus: usize::MAX,
+            max_queued_gpus: 0,
             pending_repairs,
             stream: None,
         })
@@ -675,8 +695,8 @@ impl MultiJobSim {
         let attempt = ComputeAttempt {
             world: r.placement.spec.world_size(),
             seed,
-            jitter_frac: self.cfg.jitter_frac,
-            framework: self.cfg.framework,
+            jitter_frac: JITTER_FRAC,
+            framework: FRAMEWORK,
             timing: &r.timing,
             iter: r.iter,
         };
@@ -805,26 +825,96 @@ impl MultiJobSim {
         }
     }
 
-    /// FIFO dispatch with backfill: jobs are tried in arrival order, and a
-    /// blocked head does not starve smaller jobs behind it. A queued job
-    /// that can never fit again — its gang exceeds the up-node capacity and
-    /// no repairs are pending — is failed deterministically instead of
-    /// stalling the scenario forever.
+    /// FIFO dispatch with backfill: entries are tried in arrival order, and
+    /// a blocked head does not starve smaller jobs behind it. An entry that
+    /// can never fit again — its gang exceeds the up-node capacity and no
+    /// repairs are pending — is failed deterministically instead of stalling
+    /// the scenario forever.
+    ///
+    /// The walk's shortcuts only skip placement attempts that must fail:
+    /// placement is a pure function of (policy, gang size, free list), and a
+    /// failed attempt has no side effects. So it starts and fails exactly
+    /// the entries an attempt-every-entry walk would, in the same order.
     fn dispatch_queue(&mut self) {
-        if self.stream.is_some() {
-            return crate::stream::dispatch(self);
-        }
+        // Refreshed after every successful start (nothing else in the walk
+        // changes it). Placement cannot succeed for a gang larger than the
+        // free-GPU total, and a spec cannot be admitted with no vacant slot,
+        // so such entries are skipped with an integer compare — this keeps
+        // the walk cheap when a deep backlog queues behind a saturated
+        // cluster.
+        let mut free_gpus = self.free.total_free();
+        // Nothing can be hopeless when every queued gang fits the up capacity
+        // (or repairs are pending), and nothing can start once fewer GPUs than
+        // the smallest queued gang are free — together these end the walk
+        // early instead of touching every backlogged entry.
+        let no_hopeless = self.pending_repairs > 0 || self.max_queued_gpus <= self.up_capacity();
+        // Once a gang size has failed to place, every later entry of the same
+        // size must fail too until something starts. Caching those sizes
+        // turns the fragmented regime (a few GPUs free that no queued shape
+        // fits) from one attempt per entry into one per distinct gang size.
+        let mut failed_sizes: Vec<usize> = Vec::new();
         let mut i = 0;
-        while i < self.queue.len() {
-            let id = self.queue[i];
-            if self.try_start(id) {
-                self.queue.remove(i);
-            } else if self.pending_repairs == 0 && self.jobs[id].spec.gpus > self.up_capacity() {
-                self.queue.remove(i);
-                self.fail_unplaced(id);
+        while i < self.queue.len() && !(no_hopeless && self.min_queued_gpus > free_gpus) {
+            let gpus = self.queue[i].gpus(&self.jobs);
+            let needs_slot = matches!(self.queue[i], QueueEntry::Spec(_));
+            if gpus > free_gpus || needs_slot && !crate::stream::slot_vacant(self) {
+                if self.pending_repairs == 0 && gpus > self.up_capacity() {
+                    let entry = self.queue.remove(i).expect("index checked");
+                    self.fail_entry(entry);
+                } else {
+                    i += 1;
+                }
+                continue;
+            }
+            if failed_sizes.contains(&gpus) {
+                i += 1;
+                continue;
+            }
+            // The gang fits the free total, which never exceeds the up
+            // capacity, so a failed attempt leaves a waiting entry, never a
+            // hopeless one.
+            let entry = self.queue.remove(i).expect("index checked");
+            if self.try_start_entry(&entry) {
+                free_gpus = self.free.total_free();
+                failed_sizes.clear();
             } else {
+                failed_sizes.push(gpus);
+                self.queue.insert(i, entry);
                 i += 1;
             }
+        }
+        if self.queue.is_empty() {
+            self.min_queued_gpus = usize::MAX;
+            self.max_queued_gpus = 0;
+        }
+    }
+
+    /// Appends `entry` to the backlog, then walks it.
+    fn enqueue(&mut self, entry: QueueEntry) {
+        let gpus = entry.gpus(&self.jobs);
+        self.min_queued_gpus = self.min_queued_gpus.min(gpus);
+        self.max_queued_gpus = self.max_queued_gpus.max(gpus);
+        self.queue.push_back(entry);
+        if self.stream.is_some() {
+            crate::stream::note_backlog(self);
+        }
+        self.dispatch_queue();
+    }
+
+    /// Tries to start a backlog entry: place a job, or admit a spec to a
+    /// vacant slot and place it.
+    fn try_start_entry(&mut self, entry: &QueueEntry) -> bool {
+        match entry {
+            QueueEntry::Slot(id) => self.try_start(*id),
+            QueueEntry::Spec(spec) => crate::stream::try_admit(self, spec),
+        }
+    }
+
+    /// Fails a backlog entry that can never be placed.
+    fn fail_entry(&mut self, entry: QueueEntry) {
+        match entry {
+            QueueEntry::Slot(id) => self.fail_unplaced(id),
+            QueueEntry::Spec(spec) => crate::stream::fail_spec(self, &spec),
         }
     }
 
@@ -1211,12 +1301,15 @@ impl MultiJobSim {
             };
             match ev {
                 Event::Timer(tok) if tok.scope() == 0 => match tok.kind {
-                    ARRIVAL_KIND if self.stream.is_some() => crate::stream::on_arrival(self)?,
                     ARRIVAL_KIND => {
-                        let id = tok.a as usize;
-                        if !self.try_start(id) {
-                            self.queue.push(id);
-                            self.dispatch_queue();
+                        // An arriving job tries to start before the walk,
+                        // which would otherwise give the backlog first pick.
+                        let entry = match self.stream {
+                            Some(_) => QueueEntry::Spec(crate::stream::on_arrival(self)?),
+                            None => QueueEntry::Slot(tok.a as usize),
+                        };
+                        if !self.try_start_entry(&entry) {
+                            self.enqueue(entry);
                         }
                     }
                     CRASH_KIND => self.on_crash(tok.a as usize, t),
@@ -1226,13 +1319,7 @@ impl MultiJobSim {
                         if tok.b == self.requeue_gen(id)
                             && matches!(self.jobs[id].state, JobState::Suspended(_))
                         {
-                            match self.stream {
-                                Some(_) => crate::stream::requeue(self, id),
-                                None => {
-                                    self.queue.push(id);
-                                    self.dispatch_queue();
-                                }
-                            }
+                            self.enqueue(QueueEntry::Slot(id));
                         }
                     }
                     _ => {}

@@ -41,7 +41,7 @@
 //! rather than re-added, so float non-associativity cannot split the runs.)
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 
@@ -53,7 +53,8 @@ use aiacc_trainer::{EngineKind, QuantileSketch};
 use crate::error::SchedError;
 use crate::metrics::ClusterMetrics;
 use crate::multijob::{
-    JobOutcome, JobRun, JobState, MultiJobCfg, MultiJobSim, ARRIVAL_KIND, CRASH_KIND, REPAIR_KIND,
+    JobOutcome, JobRun, JobState, MultiJobCfg, MultiJobSim, ARRIVAL_KIND, CRASH_KIND, FRAMEWORK,
+    JITTER_FRAC, REPAIR_KIND,
 };
 use crate::workload::{JobMix, JobSpec, SplitMix64};
 
@@ -403,13 +404,6 @@ impl StreamCfg {
     }
 }
 
-/// FIFO backlog entry: a suspended slot awaiting re-placement, or an arrived
-/// job not yet admitted to a slot.
-enum QueueEntry {
-    Slot(usize),
-    Spec(JobSpec),
-}
-
 /// O(1)-memory accumulator over finished jobs: cumulative totals plus the
 /// currently-filling window.
 struct Acc {
@@ -541,8 +535,6 @@ pub(crate) struct StreamState {
     /// The one future arrival whose timer is in the event queue.
     staged: Option<JobSpec>,
     source_done: bool,
-    /// FIFO backlog in arrival order (mirrors the batch queue semantics).
-    queue: VecDeque<QueueEntry>,
     /// Vacant slot indices; min-heap so admission fills the lowest slot.
     free_slots: BinaryHeap<Reverse<usize>>,
     acc: Acc,
@@ -561,14 +553,6 @@ pub(crate) struct StreamState {
     snapshots_written: u32,
     /// Crash timers still in the event queue (quiescence gate).
     pub(crate) pending_crashes: usize,
-    /// Conservative lower bound on the smallest gang size in `queue`
-    /// (only lowered on push, reset when the queue empties): the backfill
-    /// walk is skipped whenever fewer GPUs than this are free.
-    min_queued_gpus: usize,
-    /// Conservative upper bound on the largest gang size in `queue` (only
-    /// raised on push, reset when the queue empties): rules out hopeless
-    /// entries without a walk.
-    max_queued_gpus: usize,
     /// FNV-1a digest of the canonical run configuration; a snapshot resumes
     /// only into the exact configuration that wrote it.
     digest: u64,
@@ -618,8 +602,7 @@ pub fn window_tsv_header() -> &'static str {
 /// Folds one outcome into the accumulator (failed jobs are excluded from
 /// JCT/delay statistics but counted everywhere else, mirroring
 /// [`crate::metrics::summarize`]).
-fn fold_outcome(st: &mut StreamState, nslots: usize, out: &JobOutcome) {
-    let backlog = st.queue.len();
+fn fold_outcome(st: &mut StreamState, nslots: usize, backlog: usize, out: &JobOutcome) {
     let active = nslots - st.free_slots.len();
     let a = &mut st.acc;
     a.completed += 1;
@@ -667,15 +650,15 @@ pub(crate) fn fold_finished(sim: &mut MultiJobSim, id: usize, out: JobOutcome) {
         job.outcome = None;
         job.scopes.clear();
     }
-    let nslots = sim.jobs.len();
+    let (nslots, backlog) = (sim.jobs.len(), sim.queue.len());
     let st = sim.stream.as_mut().expect("fold_finished outside streaming mode");
     st.free_slots.push(Reverse(id));
-    fold_outcome(st, nslots, &out);
+    fold_outcome(st, nslots, backlog, &out);
 }
 
 /// Pops the lowest vacant slot, installs the spec and tries to place it.
 /// Restores the slot on placement failure.
-fn try_admit(sim: &mut MultiJobSim, spec: &JobSpec) -> bool {
+pub(crate) fn try_admit(sim: &mut MultiJobSim, spec: &JobSpec) -> bool {
     let slot = {
         let st = sim.stream.as_mut().expect("stream mode");
         match st.free_slots.pop() {
@@ -699,7 +682,7 @@ fn try_admit(sim: &mut MultiJobSim, spec: &JobSpec) -> bool {
 
 /// Fails an arrived-but-never-admitted spec (permanent capacity loss), the
 /// slotless analogue of `fail_unplaced` on a `Pending` job.
-fn fail_spec(sim: &mut MultiJobSim, spec: &JobSpec) {
+pub(crate) fn fail_spec(sim: &mut MultiJobSim, spec: &JobSpec) {
     let t = sim.sim.now().as_secs_f64();
     let out = JobOutcome {
         id: spec.id,
@@ -720,125 +703,21 @@ fn fail_spec(sim: &mut MultiJobSim, spec: &JobSpec) {
         mitigations: 0,
         failed: true,
     };
-    let nslots = sim.jobs.len();
+    let (nslots, backlog) = (sim.jobs.len(), sim.queue.len());
     let st = sim.stream.as_mut().expect("stream mode");
-    fold_outcome(st, nslots, &out);
+    fold_outcome(st, nslots, backlog, &out);
 }
 
-/// Streaming FIFO dispatch with backfill, mirroring the batch
-/// `dispatch_queue`: suspended slots are re-placed, waiting specs are
-/// admitted, and entries that can never fit again fail deterministically.
-pub(crate) fn dispatch(sim: &mut MultiJobSim) {
-    let mut i = 0;
-    // Refreshed after every successful start; placement cannot succeed for a
-    // gang larger than the free-GPU total, and a spec cannot be admitted
-    // with no vacant slot, so such entries are skipped with an integer
-    // compare instead of a placement attempt — this keeps the backfill walk
-    // cheap when a deep backlog queues behind a saturated cluster.
-    let mut free_gpus = sim.free.total_free();
-    // Nothing can be hopeless when every queued gang fits the up capacity
-    // (or repairs are pending), and nothing can start once fewer GPUs than
-    // the smallest queued gang are free — together these end the walk early
-    // instead of touching every backlogged entry. The bounds are
-    // conservative, so cutting the walk short is always sound.
-    let no_hopeless = {
-        let st = sim.stream.as_ref().expect("stream mode");
-        sim.pending_repairs > 0 || st.max_queued_gpus <= sim.up_capacity()
-    };
-    // Placement is a pure function of (policy, gang size, free list), and the
-    // free list only changes on a successful start — so once a gang size has
-    // failed to place, every later entry of the same size must fail too until
-    // something starts. Caching those sizes turns the pathological fragmented
-    // regime (a few GPUs free that no queued shape fits) from one placement
-    // attempt per backlogged entry into one per distinct gang size.
-    let mut failed_sizes: Vec<usize> = Vec::new();
-    loop {
-        {
-            let st = sim.stream.as_ref().expect("stream mode");
-            if no_hopeless && st.min_queued_gpus > free_gpus {
-                break;
-            }
-        }
-        let (slot, gpus) = {
-            let st = sim.stream.as_mut().expect("stream mode");
-            if i >= st.queue.len() {
-                if st.queue.is_empty() {
-                    st.min_queued_gpus = usize::MAX;
-                    st.max_queued_gpus = 0;
-                }
-                break;
-            }
-            match &st.queue[i] {
-                QueueEntry::Slot(s) => (Some(*s), sim.jobs[*s].spec.gpus),
-                QueueEntry::Spec(spec) => (None, spec.gpus),
-            }
-        };
-        let slots_free =
-            slot.is_some() || !sim.stream.as_ref().expect("stream mode").free_slots.is_empty();
-        if gpus > free_gpus || !slots_free {
-            // Cannot start right now; still fail deterministically the
-            // entries that can never fit again (as the batch walk does).
-            if sim.pending_repairs == 0 && gpus > sim.up_capacity() {
-                let entry = sim
-                    .stream
-                    .as_mut()
-                    .expect("stream mode")
-                    .queue
-                    .remove(i)
-                    .expect("index checked");
-                match entry {
-                    QueueEntry::Slot(s) => sim.fail_unplaced(s),
-                    QueueEntry::Spec(spec) => fail_spec(sim, &spec),
-                }
-            } else {
-                i += 1;
-            }
-            continue;
-        }
-        // A cached size cannot be hopeless (its gpus fit the free total,
-        // which never exceeds the up capacity), so skipping is exactly the
-        // attempt-and-requeue path minus the provably-futile attempt.
-        if failed_sizes.contains(&gpus) {
-            i += 1;
-            continue;
-        }
-        match slot {
-            Some(slot) => {
-                if sim.try_start(slot) {
-                    sim.stream.as_mut().expect("stream mode").queue.remove(i);
-                    free_gpus = sim.free.total_free();
-                    failed_sizes.clear();
-                } else if sim.pending_repairs == 0 && sim.jobs[slot].spec.gpus > sim.up_capacity() {
-                    sim.stream.as_mut().expect("stream mode").queue.remove(i);
-                    sim.fail_unplaced(slot);
-                } else {
-                    failed_sizes.push(gpus);
-                    i += 1;
-                }
-            }
-            None => {
-                let entry = sim
-                    .stream
-                    .as_mut()
-                    .expect("stream mode")
-                    .queue
-                    .remove(i)
-                    .expect("index checked");
-                let QueueEntry::Spec(spec) = entry else { unreachable!("kind checked") };
-                if try_admit(sim, &spec) {
-                    free_gpus = sim.free.total_free();
-                    failed_sizes.clear();
-                } else if sim.pending_repairs == 0 && spec.gpus > sim.up_capacity() {
-                    fail_spec(sim, &spec);
-                } else {
-                    failed_sizes.push(gpus);
-                    let st = sim.stream.as_mut().expect("stream mode");
-                    st.queue.insert(i, QueueEntry::Spec(spec));
-                    i += 1;
-                }
-            }
-        }
-    }
+/// Whether a vacant slot can admit a waiting spec.
+pub(crate) fn slot_vacant(sim: &MultiJobSim) -> bool {
+    !sim.stream.as_ref().expect("stream mode").free_slots.is_empty()
+}
+
+/// Records the backlog length after a push (the `peak_backlog` statistic).
+pub(crate) fn note_backlog(sim: &mut MultiJobSim) {
+    let backlog = sim.queue.len();
+    let st = sim.stream.as_mut().expect("stream mode");
+    st.acc.peak_backlog = st.acc.peak_backlog.max(backlog);
 }
 
 /// Checks a spec against the cluster the way batch `try_new` validates a
@@ -859,8 +738,9 @@ fn validate_spec(spec: &JobSpec, capacity: usize) -> Result<(), SchedError> {
 /// Handles a streamed ARRIVAL event: stage and schedule the *successor*
 /// first (so its timer's sequence number precedes everything the current
 /// admission schedules, matching the batch driver which schedules every
-/// arrival up front), then admit or enqueue the current spec.
-pub(crate) fn on_arrival(sim: &mut MultiJobSim) -> Result<(), SchedError> {
+/// arrival up front), then return the arrived spec for the driver to admit
+/// or enqueue.
+pub(crate) fn on_arrival(sim: &mut MultiJobSim) -> Result<JobSpec, SchedError> {
     let spec = sim
         .stream
         .as_mut()
@@ -894,16 +774,7 @@ pub(crate) fn on_arrival(sim: &mut MultiJobSim) -> Result<(), SchedError> {
         None => sim.stream.as_mut().expect("stream mode").source_done = true,
     }
     sim.stream.as_mut().expect("stream mode").acc.emitted += 1;
-    if !try_admit(sim, &spec) {
-        let st = sim.stream.as_mut().expect("stream mode");
-        st.min_queued_gpus = st.min_queued_gpus.min(spec.gpus);
-        st.max_queued_gpus = st.max_queued_gpus.max(spec.gpus);
-        st.queue.push_back(QueueEntry::Spec(spec));
-        let backlog = st.queue.len();
-        st.acc.peak_backlog = st.acc.peak_backlog.max(backlog);
-        dispatch(sim);
-    }
-    Ok(())
+    Ok(spec)
 }
 
 /// The run is over: stopped at a snapshot, or source dry, nothing staged,
@@ -913,7 +784,7 @@ pub(crate) fn finished(sim: &MultiJobSim) -> bool {
     st.stop_requested
         || st.source_done
             && st.staged.is_none()
-            && st.queue.is_empty()
+            && sim.queue.is_empty()
             && st.free_slots.len() == sim.jobs.len()
 }
 
@@ -923,7 +794,7 @@ pub(crate) fn finished(sim: &MultiJobSim) -> bool {
 fn quiescent(sim: &MultiJobSim) -> bool {
     let st = sim.stream.as_ref().expect("stream mode");
     st.staged.is_some()
-        && st.queue.is_empty()
+        && sim.queue.is_empty()
         && st.free_slots.len() == sim.jobs.len()
         && st.pending_crashes == 0
         && sim.pending_repairs == 0
@@ -1083,22 +954,9 @@ pub(crate) fn drained(sim: &MultiJobSim) -> SchedError {
     serr(format!(
         "event queue drained with work left (staged={}, backlog={}, active={})",
         st.staged.is_some(),
-        st.queue.len(),
+        sim.queue.len(),
         sim.jobs.len() - st.free_slots.len(),
     ))
-}
-
-/// Queues a suspended slot for re-placement once its checkpoint restore
-/// completes.
-pub(crate) fn requeue(sim: &mut MultiJobSim, slot: usize) {
-    let gpus = sim.jobs[slot].spec.gpus;
-    let st = sim.stream.as_mut().expect("stream mode");
-    st.min_queued_gpus = st.min_queued_gpus.min(gpus);
-    st.max_queued_gpus = st.max_queued_gpus.max(gpus);
-    st.queue.push_back(QueueEntry::Slot(slot));
-    let backlog = st.queue.len();
-    st.acc.peak_backlog = st.acc.peak_backlog.max(backlog);
-    dispatch(sim);
 }
 
 /// End-of-run cluster summary from the O(1) accumulator (percentiles come
@@ -1156,8 +1014,8 @@ fn config_digest(cfg: &StreamCfg, nslots: usize) -> u64 {
         "{:?}|{}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{}|{}|{:?}|{}",
         b.cluster,
         b.policy.name(),
-        b.framework,
-        b.jitter_frac,
+        FRAMEWORK,
+        JITTER_FRAC,
         b.faults,
         b.recovery,
         b.straggler_threshold,
@@ -1268,7 +1126,6 @@ impl StreamSim {
 
         let mut source = ArrivalSource::new(cfg.arrivals.clone())?;
         let mut sim = Simulator::new();
-        sim.net_mut().set_solve_mode(base.solve_mode);
         let physical = ClusterNet::build(&base.cluster, sim.net_mut());
         let mut free = GpuFreeList::new(&base.cluster);
         let faults = base.faults.resolve_links(|n| {
@@ -1367,7 +1224,6 @@ impl StreamSim {
             source,
             staged,
             source_done: false,
-            queue: VecDeque::new(),
             free_slots: (0..nslots).map(Reverse).collect(),
             acc,
             lines: Vec::new(),
@@ -1381,8 +1237,6 @@ impl StreamSim {
             stop_requested: false,
             snapshots_written,
             pending_crashes,
-            min_queued_gpus: usize::MAX,
-            max_queued_gpus: 0,
             digest,
         };
         Ok(StreamSim {
@@ -1393,7 +1247,9 @@ impl StreamSim {
                 free,
                 faults,
                 jobs,
-                queue: Vec::new(),
+                queue: Default::default(),
+                min_queued_gpus: usize::MAX,
+                max_queued_gpus: 0,
                 pending_repairs,
                 stream: Some(Box::new(st)),
             },

@@ -13,7 +13,8 @@
 //! component whenever anything changed. Because each component solve is a
 //! pure function of that component's flows and capacities, the two modes
 //! produce bit-identical rates, byte counters and event orderings — `Full`
-//! exists as the oracle the scale CI job diffs against.
+//! exists only as that oracle, set through [`FlowNet::set_solve_mode`] by
+//! tests and by `repro fig_scale`'s equivalence and sync cells.
 //!
 //! # Event index
 //!
@@ -546,11 +547,6 @@ impl FlowNet {
                 self.mark_comp_dirty(g);
             }
         }
-    }
-
-    /// The solve mode in effect.
-    pub fn solve_mode(&self) -> SolveMode {
-        self.mode
     }
 
     /// Cumulative solver work counters.

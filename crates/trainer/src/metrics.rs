@@ -368,14 +368,16 @@ impl QuantileSketch {
         let max: f64 = get("max")?.parse().map_err(|e| format!("bad sketch max: {e}"))?;
         let nlevels: usize =
             get("levels")?.parse().map_err(|e| format!("bad sketch levels: {e}"))?;
-        let mut levels = Vec::with_capacity(nlevels.max(1));
-        for part in parts {
-            let mut buf = Vec::new();
-            for tok in part.split_whitespace() {
-                buf.push(tok.parse::<f64>().map_err(|e| format!("bad sketch item {tok:?}: {e}"))?);
-            }
-            levels.push(buf);
-        }
+        // The header is untrusted: size nothing from it, only compare.
+        let mut levels = parts
+            .map(|part| {
+                part.split_whitespace()
+                    .map(|tok| {
+                        tok.parse::<f64>().map_err(|e| format!("bad sketch item {tok:?}: {e}"))
+                    })
+                    .collect::<Result<Vec<f64>, String>>()
+            })
+            .collect::<Result<Vec<Vec<f64>>, String>>()?;
         if levels.len() != nlevels {
             return Err(format!("sketch has {} level(s), header says {nlevels}", levels.len()));
         }
@@ -649,6 +651,14 @@ mod tests {
         assert!(QuantileSketch::from_text("").is_err());
         assert!(QuantileSketch::from_text("nope k=16").is_err());
         assert!(QuantileSketch::from_text("qsketch k=16 count=x").is_err());
+        // A level count far beyond the record must be rejected, not
+        // allocated (or overflow the allocation size).
+        for levels in ["100000000000000", "18446744073709551615"] {
+            let text =
+                format!("qsketch k=16 count=1 err=0 compactions=0 min=1 max=1 levels={levels} | 1");
+            let err = QuantileSketch::from_text(&text).expect_err(levels);
+            assert!(err.contains("header says"), "{levels}: {err}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use aiacc_core::ddl::{DdlEngine, DdlRouter, BWD_KIND, GRAD_KIND};
 use aiacc_dnn::{DType, ModelProfile};
 use aiacc_simnet::trace::track;
 use aiacc_simnet::{
-    Event, FaultPlan, RunOffsets, SimDuration, SimTime, Simulator, SolveMode, Token, TraceSink,
+    Event, FaultPlan, RunOffsets, SimDuration, SimTime, Simulator, Token, TraceSink,
 };
 
 /// Timer kind for a scheduled node crash from the fault plan.
@@ -120,9 +120,6 @@ pub struct TrainingSimConfig {
     /// default: with tracing disabled no event is ever allocated and the
     /// simulation is bit-identical to a build without the trace layer.
     pub trace: bool,
-    /// How the fluid solver re-solves a dirty network. Both modes produce
-    /// bit-identical output; [`SolveMode::Full`] is the flat oracle.
-    pub solve_mode: SolveMode,
 }
 
 impl TrainingSimConfig {
@@ -142,7 +139,6 @@ impl TrainingSimConfig {
             stragglers: Vec::new(),
             faults: FaultPlan::new(),
             trace: false,
-            solve_mode: SolveMode::Partitioned,
         }
     }
 
@@ -191,12 +187,6 @@ impl TrainingSimConfig {
     /// Enables (or disables) structured tracing for the run.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Selects the fluid solver's [`SolveMode`].
-    pub fn with_solve_mode(mut self, mode: SolveMode) -> Self {
-        self.solve_mode = mode;
         self
     }
 }
@@ -273,7 +263,6 @@ impl TrainingSim {
         if cfg.trace {
             sim.enable_tracing();
         }
-        sim.net_mut().set_solve_mode(cfg.solve_mode);
         let cluster = ClusterNet::build(&cfg.cluster, sim.net_mut());
         let engine = cfg.engine.build(&cfg.model, cfg.cluster.world_size());
         let compute = ComputeModel::new(cfg.cluster.node.gpu.clone());

@@ -4,7 +4,7 @@
 //! ```text
 //! aiacc-sim [train] [--model NAME] [--gpus N] [--engine aiacc|horovod|ddp|byteps|kvstore]
 //!           [--streams N] [--granularity MIB] [--batch N] [--rdma]
-//!           [--racks NODES_PER_RACK] [--flat-solver]
+//!           [--racks NODES_PER_RACK]
 //!           [--compress none|fp16|int8|topk:K] [--tree]
 //!           [--tune BUDGET] [--iters N] [--verbose]
 //!           [--faults degrade|flap|straggler|crash] [--trace OUT.json]
@@ -23,8 +23,8 @@
 //! and prints per-job completion times plus cluster tail-JCT metrics as
 //! deterministic TSV.
 //!
-//! `--jobs N` (default: all cores) sets how many worker threads the shared
-//! persistent pool may use. It accelerates parallel sweeps — e.g. the
+//! `--jobs N` (default: all cores) sets how many scoped threads each
+//! fan-out may use. It accelerates parallel sweeps — e.g. the
 //! `--tune` batch evaluations, or `schedule --policy all`'s per-policy
 //! fan-out — and the real data-parallel step of a `train --compress` run
 //! (worker shards, codecs and the ring fold). The simulated network runs on
@@ -33,10 +33,7 @@
 //! `--racks N` packs nodes into racks of `N` behind 2:1-oversubscribed ToR
 //! uplinks and a shared spine, so cross-rack gradient traffic contends the
 //! way it does on a real datacenter fabric (the default is a flat,
-//! single-tier network). `--flat-solver` runs the job (or every scheduled
-//! job) with the flat whole-network solve instead of the partitioned
-//! rack-by-rack fluid solver — results are bit-identical either way; the
-//! flag exists for benchmarking and for the CI equivalence check.
+//! single-tier network).
 //!
 //! Count flags (`--gpus`, `--iters`, `--streams`, `--batch`, `--njobs`,
 //! `--racks`, `--tune`, `--jobs`) must be positive; a zero is a usage error
@@ -66,7 +63,7 @@
 use aiacc::collectives::Algo;
 use aiacc::prelude::*;
 use aiacc::sched::{JobMix, MultiJobSim, RecoveryPolicy};
-use aiacc::simnet::{FaultPlan, SolveMode};
+use aiacc::simnet::FaultPlan;
 use aiacc::trainer::tune::tune_aiacc;
 
 struct Args {
@@ -78,7 +75,6 @@ struct Args {
     batch: Option<usize>,
     rdma: bool,
     racks: Option<usize>,
-    solve_mode: SolveMode,
     compress: Scheme,
     tree: bool,
     tune: Option<usize>,
@@ -155,7 +151,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         batch: None,
         rdma: false,
         racks: None,
-        solve_mode: SolveMode::Partitioned,
         compress: Scheme::None,
         tree: false,
         tune: None,
@@ -182,7 +177,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--batch" => args.batch = Some(count_value(argv, &mut i, "batch size")?),
             "--rdma" => args.rdma = true,
             "--racks" => args.racks = Some(count_value(argv, &mut i, "nodes-per-rack count")?),
-            "--flat-solver" => args.solve_mode = SolveMode::Full,
             "--compress" => args.compress = flag_value(argv, &mut i)?,
             "--tree" => args.tree = true,
             "--tune" => args.tune = Some(count_value(argv, &mut i, "warm-up budget")?),
@@ -194,7 +188,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: aiacc-sim [train] [--model NAME] [--gpus N] [--engine E] \
                             [--streams N] [--granularity MIB] [--batch N] [--rdma] \
-                            [--racks NODES_PER_RACK] [--flat-solver] \
+                            [--racks NODES_PER_RACK] \
                             [--compress none|fp16|int8|topk:K] [--tree] \
                             [--tune BUDGET] [--iters N] [--verbose] \
                             [--faults degrade|flap|straggler|crash] [--trace OUT.json] \
@@ -202,9 +196,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                             (multi-job scheduler; see `aiacc-sim schedule --help`)\n\
                             --compress puts a gradient compressor on the AIACC wire \
                             (topk:K keeps 1/K coordinates, with error feedback).\n\
-                            --verbose prints solver diagnostics to stderr.\n\
-                            --flat-solver solves the whole network on every change \
-                            instead of only the dirty components (same output)."
+                            --verbose prints solver diagnostics to stderr."
                     .to_string())
             }
             other => return Err(format!("unknown flag {other} (try --help)")),
@@ -224,7 +216,6 @@ struct SchedArgs {
     iters: usize,
     rdma: bool,
     racks: Option<usize>,
-    solve_mode: SolveMode,
     compress: Scheme,
     verbose: bool,
     load: Option<String>,
@@ -259,7 +250,6 @@ fn parse_sched_args(argv: &[String]) -> Result<SchedArgs, String> {
         iters: 6,
         rdma: false,
         racks: None,
-        solve_mode: SolveMode::Partitioned,
         compress: Scheme::None,
         verbose: false,
         load: None,
@@ -294,7 +284,6 @@ fn parse_sched_args(argv: &[String]) -> Result<SchedArgs, String> {
             "--iters" => args.iters = flag_value(argv, &mut i)?,
             "--rdma" => args.rdma = true,
             "--racks" => args.racks = Some(count_value(argv, &mut i, "nodes-per-rack count")?),
-            "--flat-solver" => args.solve_mode = SolveMode::Full,
             "--compress" => args.compress = flag_value(argv, &mut i)?,
             "--verbose" => args.verbose = true,
             "--load" => args.load = Some(flag_value(argv, &mut i)?),
@@ -326,7 +315,7 @@ fn parse_sched_args(argv: &[String]) -> Result<SchedArgs, String> {
                 return Err("usage: aiacc-sim schedule [--policy packed|spread|topo|all] \
                             [--njobs N] [--seed S] [--gpus N] [--engine E] \
                             [--mix comm-heavy|mixed|tiny] [--iters N] [--rdma] \
-                            [--racks NODES_PER_RACK] [--flat-solver] \
+                            [--racks NODES_PER_RACK] \
                             [--compress none|fp16|int8|topk:K] [--verbose] \
                             [--load FILE.tsv] [--save FILE.tsv] [--trace OUT.json] [--jobs N] \
                             [--chaos] [--chaos-events N] [--chaos-horizon SECS] \
@@ -480,27 +469,9 @@ fn sched_cfg(
 ) -> MultiJobCfg {
     let mut cfg =
         MultiJobCfg::new(cluster_spec(args.gpus, args.rdma, args.racks), policy, workload)
-            .with_recovery(recovery)
-            .with_solve_mode(args.solve_mode);
+            .with_recovery(recovery);
     if let Some(plan) = chaos {
         cfg = cfg.with_faults(plan.clone()).with_straggler_mitigation(1.3);
-    }
-    cfg
-}
-
-/// The single-job run the `train` flags describe, on `cluster`.
-fn train_cfg(
-    args: &Args,
-    cluster: ClusterSpec,
-    model: ModelProfile,
-    engine: EngineKind,
-) -> TrainingSimConfig {
-    let mut cfg = TrainingSimConfig::new(cluster, model, engine)
-        .with_iterations(1, args.iters)
-        .with_trace(args.trace.is_some())
-        .with_solve_mode(args.solve_mode);
-    if let Some(b) = args.batch {
-        cfg = cfg.with_batch(b);
     }
     cfg
 }
@@ -698,7 +669,12 @@ fn main() {
         }
     };
 
-    let mut cfg = train_cfg(&args, cluster, model, engine);
+    let mut cfg = TrainingSimConfig::new(cluster, model, engine)
+        .with_iterations(1, args.iters)
+        .with_trace(args.trace.is_some());
+    if let Some(b) = args.batch {
+        cfg = cfg.with_batch(b);
+    }
     if let Some(plan) = &fault_plan {
         eprintln!(
             "[aiacc-sim] fault scenario `{}`: {} event(s)",
@@ -854,26 +830,5 @@ mod tests {
             }
         }
         std::fs::remove_file(&trace).expect("removing the trace");
-    }
-
-    #[test]
-    fn flat_solver_flag_reaches_both_configs() {
-        for (flags, mode) in
-            [(&[][..], SolveMode::Partitioned), (&["--flat-solver"], SolveMode::Full)]
-        {
-            let args = parse_args(&strings(flags)).unwrap_or_else(|e| panic!("{e}"));
-            let cfg = train_cfg(
-                &args,
-                ClusterSpec::tcp_v100(8),
-                zoo::tiny_cnn(),
-                EngineKind::aiacc_default(),
-            );
-            assert_eq!(cfg.solve_mode, mode, "train {flags:?}");
-            let args = parse_sched_args(&strings(flags)).unwrap_or_else(|e| panic!("{e}"));
-            let wl = Workload::generate(&WorkloadCfg::new(1, 1));
-            let recovery = RecoveryPolicy::Restart;
-            let cfg = sched_cfg(&args, PlacePolicy::Packed, wl, recovery, None);
-            assert_eq!(cfg.solve_mode, mode, "schedule {flags:?}");
-        }
     }
 }

@@ -111,42 +111,56 @@ fn simulator_event_order_is_stable_under_ties() {
     assert_eq!(order(), order());
 }
 
+/// `SolveMode` changes nothing but `FlowNet`'s re-solve schedule, and every
+/// engine and driver sees the network only through the flow completions it
+/// reports. So one whole-run completion sequence — concurrent ring and tree
+/// all-reduces relaunched as they finish, on a racked fabric — compared bit
+/// for bit between the modes covers every run built on top.
 #[test]
 fn solve_mode_field_selects_the_solver_without_changing_results() {
     use aiacc::cluster::RackSpec;
-    use aiacc::simnet::SolveMode;
-    use aiacc::trainer::TrainingSim;
+    use aiacc::collectives::OpId;
+    use aiacc::simnet::{SolveMode, SolverStats};
     // 8 nodes of 8 GPUs in racks of 2 behind a 2:1 ToR/spine tier.
-    let racked = || {
+    let spec = {
         let cluster = ClusterSpec::tcp_v100(64);
         let nic = cluster.node.nic;
         cluster.with_rack_layer(RackSpec::oversubscribed_2to1(2, &nic))
     };
-    let train = |mode: SolveMode| {
-        let cfg = TrainingSimConfig::new(racked(), zoo::resnet50(), EngineKind::aiacc_default())
-            .with_iterations(1, 2)
-            .with_solve_mode(mode);
-        let mut sim = TrainingSim::new(cfg);
-        let bits: Vec<u64> = sim.run().iter_secs.iter().map(|s| s.to_bits()).collect();
-        (bits, sim.solver_stats())
+    let ops = [
+        CollectiveSpec::allreduce(1e8),
+        CollectiveSpec::allreduce(6e7).with_algo(Algo::Tree),
+        CollectiveSpec::allreduce(2e7),
+        CollectiveSpec::allreduce(3e8).with_algo(Algo::Tree),
+    ];
+    let run = |mode: SolveMode| -> (Vec<(u64, OpId)>, SolverStats) {
+        let mut sim = Simulator::new();
+        sim.net_mut().set_solve_mode(mode);
+        let cluster = ClusterNet::build(&spec, sim.net_mut());
+        let mut eng = CollectiveEngine::new();
+        for op in ops {
+            eng.launch(&mut sim, &cluster, op);
+        }
+        let mut relaunches = 8;
+        let mut done = Vec::new();
+        while let Some((t, ev)) = sim.next_event() {
+            let Event::FlowCompleted(f) = ev else { continue };
+            if let Some(op) = eng.on_flow_completed(&mut sim, f) {
+                done.push((t.as_secs_f64().to_bits(), op));
+                if relaunches > 0 {
+                    relaunches -= 1;
+                    eng.launch(&mut sim, &cluster, ops[relaunches % ops.len()]);
+                }
+            }
+        }
+        (done, sim.net().solver_stats())
     };
-    let schedule = |mode: SolveMode| {
-        let wl = Workload::generate(&WorkloadCfg::new(4, 3).with_mix(aiacc::sched::JobMix::Tiny));
-        let report =
-            run_multijob(MultiJobCfg::new(racked(), PlacePolicy::Packed, wl).with_solve_mode(mode));
-        let rows: Vec<String> = report.jobs.iter().map(|j| j.tsv_row()).collect();
-        (rows, report.solver)
-    };
-    let ((train_part, tp), (train_full, tf)) =
-        (train(SolveMode::Partitioned), train(SolveMode::Full));
-    let ((jct_part, sp), (jct_full, sf)) =
-        (schedule(SolveMode::Partitioned), schedule(SolveMode::Full));
-    assert_eq!(train_part, train_full, "iteration times differ between solve modes");
-    assert_eq!(jct_part, jct_full, "JCT rows differ between solve modes");
-    // The field reached the network: the flat solver re-solves every
+    let (part, part_stats) = run(SolveMode::Partitioned);
+    let (full, full_stats) = run(SolveMode::Full);
+    assert_eq!(part.len(), ops.len() + 8, "every operation completes");
+    assert_eq!(part, full, "completion sequences differ between solve modes");
+    // The mode reached the network: the flat solver re-solves every
     // component, the partitioned one skips clean ones.
-    for (part, full) in [(tp, tf), (sp, sf)] {
-        assert_eq!(full.comps_solved, full.comps_existing);
-        assert!(part.comps_solved < full.comps_solved, "{part:?} vs {full:?}");
-    }
+    assert_eq!(full_stats.comps_solved, full_stats.comps_existing);
+    assert!(part_stats.comps_solved < full_stats.comps_solved, "{part_stats:?} vs {full_stats:?}");
 }

@@ -189,6 +189,33 @@ fn snapshot_rejects_mismatched_config() {
     assert!(err.to_string().contains("digest"), "got: {err}");
 }
 
+/// A snapshot whose sketch header claims an absurd level count is an
+/// error, not an allocation abort or a capacity-overflow panic.
+#[test]
+fn snapshot_rejects_corrupted_sketch() {
+    let snap = tmp_path("sketch.snap");
+    let cfg = || poisson_cfg(200, Some((80, snap.clone())));
+    StreamSim::try_new(cfg().with_stop_after_snapshot(true)).unwrap().run().unwrap();
+    let text = std::fs::read_to_string(&snap).unwrap();
+    std::fs::remove_file(&snap).ok();
+    for levels in ["100000000000000", "18446744073709551615"] {
+        let corrupt: String = text
+            .lines()
+            .map(|l| match l.strip_prefix("sketch\t") {
+                Some(rec) => {
+                    let (head, rest) = rec.split_once(" levels=").expect("sketch has levels");
+                    let tail = rest.split_once(' ').map_or("", |(_, t)| t);
+                    format!("sketch\t{head} levels={levels} {tail}\n")
+                }
+                None => format!("{l}\n"),
+            })
+            .collect();
+        assert_ne!(corrupt, text, "the sketch line was edited");
+        let err = StreamSim::try_resume(cfg(), &corrupt).err().expect("must reject");
+        assert!(err.to_string().contains("sketch:"), "levels={levels}: {err}");
+    }
+}
+
 /// The same configuration always produces the same output (run-to-run
 /// determinism of the full streaming pipeline, chaos included).
 #[test]
