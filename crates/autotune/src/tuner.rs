@@ -257,11 +257,10 @@ impl Tuner {
             proposals.truncate(remaining);
 
             // Deduplicate identical configs: evaluate once, share the value.
-            let key = |c: &TuningConfig| (c.streams, c.granularity.to_bits(), c.algo);
             let mut unique: Vec<TuningConfig> = Vec::with_capacity(proposals.len());
             let mut slot: Vec<usize> = Vec::with_capacity(proposals.len());
             for (_, cfg) in &proposals {
-                match unique.iter().position(|u| key(u) == key(cfg)) {
+                match unique.iter().position(|u| u == cfg) {
                     Some(i) => slot.push(i),
                     None => {
                         slot.push(unique.len());
@@ -436,6 +435,36 @@ mod tests {
         for round in report.evaluations.chunks(2) {
             assert_eq!(round[0].config, round[1].config);
             assert_eq!(round[0].value, round[1].value, "duplicates must share the measurement");
+        }
+    }
+
+    #[test]
+    fn batched_dedup_keeps_configs_that_differ_only_in_scheme() {
+        use aiacc_compress::Scheme;
+
+        /// Proposes one fixed configuration forever.
+        struct Fixed(TuningConfig);
+        impl Searcher for Fixed {
+            fn name(&self) -> &str {
+                "fixed"
+            }
+            fn propose(&mut self) -> TuningConfig {
+                self.0
+            }
+            fn observe(&mut self, _: &TuningConfig, _: f64) {}
+        }
+        let space = TuningSpace::default().with_compression();
+        let base = space.index(0);
+        let searchers: Vec<Box<dyn Searcher>> = vec![
+            Box::new(Fixed(TuningConfig { compress: Scheme::None, ..base })),
+            Box::new(Fixed(TuningConfig { compress: Scheme::Fp16, ..base })),
+        ];
+        let mut by_scheme =
+            |cfg: &TuningConfig| surface(cfg) + cfg.compress.wire_bytes_for_f32_payload(4096.0);
+        let mut tuner = Tuner::with_searchers(space, searchers);
+        let report = tuner.run_batched(&mut by_scheme, 6, None);
+        for e in &report.evaluations {
+            assert_eq!(e.value, by_scheme(&e.config), "{} got another scheme's value", e.config);
         }
     }
 }

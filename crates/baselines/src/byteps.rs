@@ -21,21 +21,16 @@ use aiacc_dnn::{DType, GradId, ModelProfile};
 use aiacc_simnet::{FlowSpec, ResourceId};
 use std::collections::{HashMap, VecDeque};
 
+/// Partition/packing granularity (BytePS default 4 MB).
+const PARTITION_BYTES: f64 = 4.0 * 1024.0 * 1024.0;
+
 /// BytePS tunables.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BytePsConfig {
-    /// Partition/packing granularity (BytePS default 4 MB).
-    pub partition_bytes: f64,
     /// Additional dedicated CPU server nodes (each with its own NIC). The
     /// paper notes improved BytePS performance "will incur an extra
     /// financial cost for CPU machine subscription".
     pub extra_cpu_server_nodes: usize,
-}
-
-impl Default for BytePsConfig {
-    fn default() -> Self {
-        BytePsConfig { partition_bytes: 4.0 * 1024.0 * 1024.0, extra_cpu_server_nodes: 0 }
-    }
 }
 
 /// The BytePS baseline engine.
@@ -94,12 +89,12 @@ impl BytePsEngine {
         if self.pending.is_empty() {
             return;
         }
-        if !flush && self.pending_bytes < self.cfg.partition_bytes {
+        if !flush && self.pending_bytes < PARTITION_BYTES {
             return;
         }
         let ids = std::mem::take(&mut self.pending);
         self.pending_bytes = 0.0;
-        let (full, partial) = pack_units(&self.registry, ids, self.cfg.partition_bytes);
+        let (full, partial) = pack_units(&self.registry, ids, PARTITION_BYTES);
         for unit in full.into_iter().chain(partial) {
             let phases = self.push_pull_phases(cx, unit.bytes);
             let op = cx.coll.launch_custom(cx.sim, phases);

@@ -14,19 +14,15 @@ use aiacc_core::packing::{AllReduceUnit, ReduceTracker, Segment};
 use aiacc_core::GradientRegistry;
 use aiacc_dnn::{DType, GradId, ModelProfile};
 
-/// DDP tunables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DdpConfig {
-    /// Bucket capacity (`bucket_cap_mb`, default 25 MB). Tensors larger than
-    /// the cap get their own bucket — DDP never splits a tensor.
-    pub bucket_bytes: f64,
-}
+/// Bucket capacity (`bucket_cap_mb`, default 25 MB). Tensors larger than
+/// the cap get their own bucket — DDP never splits a tensor.
+const BUCKET_BYTES: f64 = 25.0 * 1024.0 * 1024.0;
 
-impl Default for DdpConfig {
-    fn default() -> Self {
-        DdpConfig { bucket_bytes: 25.0 * 1024.0 * 1024.0 }
-    }
-}
+/// DDP tunables: none. The bucket capacity is fixed at PyTorch's default,
+/// so the config exists only to keep [`crate::DdpEngine::new`] shaped like
+/// the other engines'.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DdpConfig;
 
 #[derive(Debug, Clone)]
 struct Bucket {
@@ -39,7 +35,6 @@ struct Bucket {
 /// The PyTorch-DDP baseline engine.
 #[derive(Debug)]
 pub struct DdpEngine {
-    cfg: DdpConfig,
     registry: GradientRegistry,
     world: usize,
     buckets: Vec<Bucket>,
@@ -55,13 +50,12 @@ impl DdpEngine {
     ///
     /// # Panics
     /// Panics if `world` is zero.
-    pub fn new(model: &ModelProfile, world: usize, cfg: DdpConfig) -> Self {
+    pub fn new(model: &ModelProfile, world: usize, _cfg: DdpConfig) -> Self {
         assert!(world > 0, "world must be positive");
         let registry = GradientRegistry::from_profile(model, DType::F32);
-        let (buckets, grad_bucket) = build_buckets(&registry, world, cfg.bucket_bytes);
+        let (buckets, grad_bucket) = build_buckets(&registry, world, BUCKET_BYTES);
         let tracker = ReduceTracker::new(&registry);
         DdpEngine {
-            cfg,
             registry,
             world,
             buckets,
@@ -70,11 +64,6 @@ impl DdpEngine {
             next_to_launch: 0,
             inflight: None,
         }
-    }
-
-    /// Number of buckets DDP built for this model.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
     }
 
     fn dispatch(&mut self, cx: &mut DdlCtx<'_>) {
@@ -141,8 +130,7 @@ impl DdlEngine for DdpEngine {
     }
 
     fn begin_iteration(&mut self, _cx: &mut DdlCtx<'_>, _iter: u64) {
-        let (buckets, grad_bucket) =
-            build_buckets(&self.registry, self.world, self.cfg.bucket_bytes);
+        let (buckets, grad_bucket) = build_buckets(&self.registry, self.world, BUCKET_BYTES);
         self.buckets = buckets;
         self.grad_bucket = grad_bucket;
         self.tracker = ReduceTracker::new(&self.registry);
@@ -185,7 +173,7 @@ mod tests {
     #[test]
     fn buckets_are_reverse_order_and_capped() {
         let reg = GradientRegistry::from_profile(&zoo::resnet50(), DType::F32);
-        let (buckets, map) = build_buckets(&reg, 4, 25.0 * 1024.0 * 1024.0);
+        let (buckets, map) = build_buckets(&reg, 4, BUCKET_BYTES);
         assert!(buckets.len() > 1);
         // First bucket starts from the LAST registered gradient.
         let last_id = GradId((reg.len() - 1) as u32);
@@ -196,7 +184,7 @@ mod tests {
         // No bucket with more than one tensor exceeds the cap.
         for b in &buckets {
             if b.grads.len() > 1 {
-                assert!(b.unit.bytes <= 25.0 * 1024.0 * 1024.0 + 1.0);
+                assert!(b.unit.bytes <= BUCKET_BYTES + 1.0);
             }
         }
     }
@@ -204,9 +192,17 @@ mod tests {
     #[test]
     fn oversized_tensor_gets_own_bucket() {
         let reg = GradientRegistry::from_profile(&zoo::vgg16(), DType::F32);
-        let (buckets, _) = build_buckets(&reg, 2, 25.0 * 1024.0 * 1024.0);
+        let (buckets, _) = build_buckets(&reg, 2, BUCKET_BYTES);
         // fc6 weight is ~411 MB: it must sit alone in a bucket.
         let big = buckets.iter().find(|b| b.unit.bytes > 100e6).expect("fc6 bucket");
         assert_eq!(big.grads.len(), 1);
+    }
+
+    #[test]
+    fn bucket_count_follows_cap() {
+        let reg = GradientRegistry::from_profile(&zoo::resnet50(), DType::F32);
+        let count = |cap| build_buckets(&reg, 4, cap).0.len();
+        assert!(count(5e6) > count(BUCKET_BYTES));
+        assert!(count(BUCKET_BYTES) > count(100e6));
     }
 }

@@ -22,35 +22,25 @@ use std::collections::VecDeque;
 const TIMER_CYCLE: u32 = 0;
 const TIMER_NEGOTIATED: u32 = 1;
 
-/// Horovod tunables (defaults match v0.23's shipping configuration).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HorovodConfig {
-    /// Coordinator cycle period (`HOROVOD_CYCLE_TIME`, default 5 ms... the
-    /// shipped default is 1 ms with adaptive backoff; 2.5 ms models the
-    /// steady-state observed cycle).
-    pub cycle_time: SimDuration,
-    /// Fusion buffer size (`HOROVOD_FUSION_THRESHOLD`, 64 MB).
-    pub fusion_buffer: f64,
-    /// Serial master cost per worker report / response message.
-    pub per_message_cost: SimDuration,
-}
+/// Coordinator cycle period (`HOROVOD_CYCLE_TIME`). Horovod v0.23 ships
+/// 1 ms with adaptive backoff; 2.5 ms models the steady-state cycle it
+/// settles into.
+const CYCLE_TIME: SimDuration = SimDuration::from_micros(2_500);
+/// Fusion buffer size (`HOROVOD_FUSION_THRESHOLD`, 64 MB).
+const FUSION_BUFFER_BYTES: f64 = 64.0 * 1024.0 * 1024.0;
+/// Serial master cost per worker report / response message: MPI receive,
+/// coordinator bookkeeping and response construction, all on rank 0.
+const PER_MESSAGE_COST: SimDuration = SimDuration::from_nanos(2_000);
 
-impl Default for HorovodConfig {
-    fn default() -> Self {
-        HorovodConfig {
-            cycle_time: SimDuration::from_micros(2_500),
-            fusion_buffer: 64.0 * 1024.0 * 1024.0,
-            // MPI receive + coordinator bookkeeping + response construction
-            // per tensor report, all serial on rank 0.
-            per_message_cost: SimDuration::from_nanos(2_000),
-        }
-    }
-}
+/// Horovod tunables: none. The cycle time, fusion buffer and per-message
+/// cost are fixed at v0.23's behaviour, so the config exists only to keep
+/// [`crate::HorovodEngine::new`] shaped like the other engines'.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HorovodConfig;
 
 /// The Horovod baseline engine.
 #[derive(Debug)]
 pub struct HorovodEngine {
-    cfg: HorovodConfig,
     registry: GradientRegistry,
     world: usize,
     iter: u64,
@@ -72,13 +62,12 @@ impl HorovodEngine {
     ///
     /// # Panics
     /// Panics if `world` is zero.
-    pub fn new(model: &ModelProfile, world: usize, cfg: HorovodConfig) -> Self {
+    pub fn new(model: &ModelProfile, world: usize, _cfg: HorovodConfig) -> Self {
         assert!(world > 0, "world must be positive");
         let registry = GradientRegistry::from_profile(model, DType::F32);
         let n = registry.len();
         let tracker = ReduceTracker::new(&registry);
         HorovodEngine {
-            cfg,
             registry,
             world,
             iter: 0,
@@ -121,8 +110,7 @@ impl HorovodEngine {
         // Master cost: every worker reported each newly seen tensor, and the
         // master answers every worker — all serially on rank 0.
         let msgs = (self.world * new_ids.len() + self.world) as u64;
-        let overhead =
-            SimDuration::from_nanos(self.cfg.per_message_cost.as_nanos().saturating_mul(msgs));
+        let overhead = SimDuration::from_nanos(PER_MESSAGE_COST.as_nanos().saturating_mul(msgs));
         self.master_time += overhead;
         for &id in &new_ids {
             self.negotiated.set(id);
@@ -131,16 +119,13 @@ impl HorovodEngine {
             // Nothing to fuse; just schedule the next cycle.
             self.negotiation_busy = false;
             if !self.negotiated.all_ready() {
-                cx.sim.schedule(
-                    self.cfg.cycle_time,
-                    Token::new(ENGINE_TIMER_KIND, TIMER_CYCLE, self.iter),
-                );
+                cx.sim.schedule(CYCLE_TIME, Token::new(ENGINE_TIMER_KIND, TIMER_CYCLE, self.iter));
             }
             return;
         }
         // Decisions reach workers after the serial processing delay.
         // Stash the ids in the packing queue once negotiated.
-        let (full, partial) = pack_units(&self.registry, new_ids, self.cfg.fusion_buffer);
+        let (full, partial) = pack_units(&self.registry, new_ids, FUSION_BUFFER_BYTES);
         let mut staged: VecDeque<AllReduceUnit> = full.into();
         staged.extend(partial);
         // Record staging via timer payload: we keep them in a side queue that
@@ -167,7 +152,7 @@ impl DdlEngine for HorovodEngine {
         self.inflight = None;
         self.negotiation_busy = false;
         self.master_time = SimDuration::ZERO;
-        cx.sim.schedule(self.cfg.cycle_time, Token::new(ENGINE_TIMER_KIND, TIMER_CYCLE, iter));
+        cx.sim.schedule(CYCLE_TIME, Token::new(ENGINE_TIMER_KIND, TIMER_CYCLE, iter));
     }
 
     fn on_grad_ready(&mut self, _cx: &mut DdlCtx<'_>, worker: usize, grad: GradId) {
@@ -198,10 +183,8 @@ impl DdlEngine for HorovodEngine {
                 self.queue.append(&mut self.staged);
                 self.dispatch(cx);
                 if !self.negotiated.all_ready() {
-                    cx.sim.schedule(
-                        self.cfg.cycle_time,
-                        Token::new(ENGINE_TIMER_KIND, TIMER_CYCLE, self.iter),
-                    );
+                    let next = Token::new(ENGINE_TIMER_KIND, TIMER_CYCLE, self.iter);
+                    cx.sim.schedule(CYCLE_TIME, next);
                 }
             }
             _ => {}

@@ -44,7 +44,7 @@ fn drive(engine: &mut dyn DdlEngine, model: &ModelProfile, gpus: usize) -> f64 {
 #[test]
 fn horovod_completes_and_reports_master_time() {
     let model = zoo::resnet50();
-    let mut eng = HorovodEngine::new(&model, 16, HorovodConfig::default());
+    let mut eng = HorovodEngine::new(&model, 16, HorovodConfig);
     let t = drive(&mut eng, &model, 16);
     assert!(t > 0.0);
     assert!(eng.master_time().as_secs_f64() > 0.0, "no coordinator cost recorded");
@@ -53,8 +53,8 @@ fn horovod_completes_and_reports_master_time() {
 #[test]
 fn horovod_master_cost_scales_with_workers() {
     let model = zoo::ctr_production();
-    let mut small = HorovodEngine::new(&model, 8, HorovodConfig::default());
-    let mut large = HorovodEngine::new(&model, 32, HorovodConfig::default());
+    let mut small = HorovodEngine::new(&model, 8, HorovodConfig);
+    let mut large = HorovodEngine::new(&model, 32, HorovodConfig);
     drive(&mut small, &model, 8);
     drive(&mut large, &model, 32);
     let ratio = large.master_time().as_secs_f64() / small.master_time().as_secs_f64();
@@ -65,28 +65,9 @@ fn horovod_master_cost_scales_with_workers() {
 }
 
 #[test]
-fn horovod_bigger_fusion_buffer_means_fewer_larger_allreduces() {
-    // Indirect but observable: with a tiny fusion buffer the single stream
-    // pays per-unit latency many more times, so the iteration is slower.
-    let model = zoo::vgg16();
-    let mut tiny = HorovodEngine::new(
-        &model,
-        16,
-        HorovodConfig { fusion_buffer: 1024.0 * 1024.0, ..HorovodConfig::default() },
-    );
-    let mut normal = HorovodEngine::new(&model, 16, HorovodConfig::default());
-    let t_tiny = drive(&mut tiny, &model, 16);
-    let t_normal = drive(&mut normal, &model, 16);
-    assert!(t_tiny > t_normal, "tiny fusion {t_tiny} <= normal {t_normal}");
-}
-
-#[test]
-fn ddp_bucket_count_follows_cap() {
+fn ddp_completes_on_multi_node() {
     let model = zoo::resnet50();
-    let fine = DdpEngine::new(&model, 4, DdpConfig { bucket_bytes: 5e6 });
-    let coarse = DdpEngine::new(&model, 4, DdpConfig { bucket_bytes: 100e6 });
-    assert!(fine.bucket_count() > coarse.bucket_count());
-    let mut eng = DdpEngine::new(&model, 16, DdpConfig::default());
+    let mut eng = DdpEngine::new(&model, 16, DdpConfig);
     let t = drive(&mut eng, &model, 16);
     assert!(t > 0.0);
 }
@@ -103,11 +84,7 @@ fn byteps_bottleneck_is_worker_nic_volume() {
     // all-reduce (Fig. 9).
     let model = zoo::vgg16();
     let mut colocated = BytePsEngine::new(&model, 32, BytePsConfig::default());
-    let mut rented = BytePsEngine::new(
-        &model,
-        32,
-        BytePsConfig { extra_cpu_server_nodes: 8, ..BytePsConfig::default() },
-    );
+    let mut rented = BytePsEngine::new(&model, 32, BytePsConfig { extra_cpu_server_nodes: 8 });
     let t_co = drive(&mut colocated, &model, 32);
     let t_extra = drive(&mut rented, &model, 32);
     let ratio = t_extra / t_co;
@@ -117,7 +94,7 @@ fn byteps_bottleneck_is_worker_nic_volume() {
     );
     // And BytePS remains several times slower than an 8-stream ring setup
     // would need for the same bytes: per-NIC volume ratio ≈ 4×.
-    let mut horovod = HorovodEngine::new(&model, 32, HorovodConfig::default());
+    let mut horovod = HorovodEngine::new(&model, 32, HorovodConfig);
     let t_ring = drive(&mut horovod, &model, 32);
     assert!(t_co > t_ring, "byteps {t_co} should trail even single-stream ring {t_ring}");
 }
@@ -134,8 +111,8 @@ fn kvstore_completes_on_multi_node() {
 fn all_baselines_handle_single_gpu() {
     let model = zoo::tiny_cnn();
     let engines: Vec<Box<dyn DdlEngine>> = vec![
-        Box::new(HorovodEngine::new(&model, 1, HorovodConfig::default())),
-        Box::new(DdpEngine::new(&model, 1, DdpConfig::default())),
+        Box::new(HorovodEngine::new(&model, 1, HorovodConfig)),
+        Box::new(DdpEngine::new(&model, 1, DdpConfig)),
         Box::new(BytePsEngine::new(&model, 1, BytePsConfig::default())),
         Box::new(KvStoreEngine::new(&model, 1, KvStoreConfig)),
     ];
@@ -148,7 +125,7 @@ fn all_baselines_handle_single_gpu() {
 #[test]
 fn engines_are_reusable_across_iterations() {
     let model = zoo::tiny_cnn();
-    let mut eng = HorovodEngine::new(&model, 8, HorovodConfig::default());
+    let mut eng = HorovodEngine::new(&model, 8, HorovodConfig);
     let t1 = drive(&mut eng, &model, 8);
     let t2 = drive(&mut eng, &model, 8);
     // Fresh simulator each call: identical iteration profile ⇒ identical time.

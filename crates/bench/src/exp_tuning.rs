@@ -184,9 +184,11 @@ pub fn ablation_byteps_servers() -> Table {
     const EXTRAS: [usize; 4] = [0, 4, 8, 16];
     // Slot 0 is the AIACC reference; the rest are the BytePS server sweep.
     let engines: Vec<EngineKind> = std::iter::once(EngineKind::aiacc_default())
-        .chain(EXTRAS.iter().map(|&extra| {
-            EngineKind::BytePs(BytePsConfig { extra_cpu_server_nodes: extra, ..Default::default() })
-        }))
+        .chain(
+            EXTRAS
+                .iter()
+                .map(|&extra| EngineKind::BytePs(BytePsConfig { extra_cpu_server_nodes: extra })),
+        )
         .collect();
     let results = par::map(&engines, |&engine| {
         run_training_sim(
@@ -216,7 +218,7 @@ pub fn ablation_meta_solver(budget: usize) -> Table {
     // MAB's sequential credit assignment itself.
     let strategies = ["ensemble (MAB)", "grid only"];
     let results = par::map(&strategies, |&name| {
-        let mut obj = SimObjective::new(cluster.clone(), model.clone(), None);
+        let mut obj = SimObjective::new(cluster.clone(), model.clone());
         let mut tuner = if name == "grid only" {
             // Grid alone (representative single technique; others are
             // stochastic variants of the same interface).

@@ -2,15 +2,16 @@
 //!
 //! Two complementary planes:
 //!
-//! * [`dataplane`] — the ring and hierarchical (tree) all-reduce algorithms
-//!   executed **exactly** on real `f32` buffers (Fig. 1 of the paper), each
-//!   element folded in the ring's own order. This is what the correctness
-//!   tests and the real data-parallel MLP trainer use: the sums are
-//!   bit-identical across workers.
-//! * [`timing`] — the same algorithms as flow schedules on the fluid network
-//!   simulator, carrying the exact byte counts (`2(W−1)/W · B` per link for a
-//!   ring) so throughput experiments see realistic contention, including the
-//!   per-flow cap that motivates multi-streamed communication (§III, §V-B).
+//! * [`dataplane`] — the ring all-reduce (Fig. 1 of the paper) executed
+//!   **exactly** on real `f32` buffers, each element folded in the ring's
+//!   own order. This is what the correctness tests and the real
+//!   data-parallel MLP trainer use: the sums are bit-identical across
+//!   workers.
+//! * [`timing`] — the ring and hierarchical (tree) all-reduce as flow
+//!   schedules on the fluid network simulator, carrying the exact byte
+//!   counts (`2(W−1)/W · B` per link for a ring) so throughput experiments
+//!   see realistic contention, including the per-flow cap that motivates
+//!   multi-streamed communication (§III, §V-B).
 //!
 //! # Example
 //!

@@ -29,7 +29,7 @@
 
 use crate::packing::pack_units;
 use crate::registry::GradientRegistry;
-use aiacc_collectives::dataplane::{ring_fold, ReduceOp};
+use aiacc_collectives::dataplane::ring_fold;
 use aiacc_compress::{Compressor, ErrorFeedback, Scheme};
 use aiacc_dnn::DType;
 use aiacc_simnet::par;
@@ -242,7 +242,7 @@ impl Perseus {
         let scale = Some(1.0 / w as f32);
         for u in units {
             let slices: Vec<&[f32]> = grads.iter().map(|g| &g[u.clone()]).collect();
-            ring_fold(&slices, ReduceOp::Sum, scale, &mut out[u.clone()]);
+            ring_fold(&slices, scale, &mut out[u.clone()]);
         }
         self.last_wire_bytes.set(units.iter().map(|u| scheme.wire_bytes(u.len())).sum());
     }

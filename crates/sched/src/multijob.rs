@@ -52,7 +52,7 @@ use aiacc_simnet::{
     Event, FaultPhase, FaultPlan, FaultRecord, FaultTarget, FlowId, SimDuration, SimTime,
     Simulator, SolverStats, Token,
 };
-use aiacc_trainer::recovery::{replay_elastic_join, replay_failure_recovery, RecoveryConfig};
+use aiacc_trainer::recovery::{replay_elastic_join, replay_failure_recovery};
 use aiacc_trainer::{comm_stream_limits, schedule_worker_compute, ComputeAttempt, Framework};
 use std::collections::VecDeque;
 
@@ -1006,12 +1006,7 @@ impl MultiJobSim {
     /// single-job `TrainingSim`.
     fn restart_job(&mut self, id: usize, mut r: Box<RunningJob>, t: SimTime) {
         r.placement.release(&mut self.free);
-        let pause = replay_failure_recovery(
-            &r.placement.spec,
-            &self.jobs[id].model,
-            RecoveryConfig::default(),
-        )
-        .total_secs;
+        let pause = replay_failure_recovery(&r.placement.spec, &self.jobs[id].model).total_secs;
         self.jobs[id].recovery_secs += pause;
         self.jobs[id].restarts += 1;
         self.jobs[id].epoch += 1;
@@ -1064,9 +1059,7 @@ impl MultiJobSim {
             ClusterSpec::with_tail(counts.len(), nodecfg, if tail == c { 0 } else { tail })
         };
         debug_assert_eq!(survivor_spec.world_size(), alive.len());
-        let pause =
-            replay_elastic_join(&survivor_spec, &self.jobs[id].model, 1, RecoveryConfig::default())
-                .total_secs;
+        let pause = replay_elastic_join(&survivor_spec, &self.jobs[id].model, 1).total_secs;
         self.jobs[id].recovery_secs += pause;
         self.jobs[id].shrinks += 1;
         self.jobs[id].epoch += 1;

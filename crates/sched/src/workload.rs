@@ -200,7 +200,7 @@ impl Workload {
                     if id % 2 == 0 {
                         EngineKind::aiacc_default()
                     } else {
-                        EngineKind::Horovod(HorovodConfig::default())
+                        EngineKind::Horovod(HorovodConfig)
                     }
                 });
                 JobSpec {

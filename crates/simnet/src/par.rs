@@ -216,9 +216,19 @@ fn fan_out(workers: usize, f: &(dyn Fn(usize) + Sync)) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::MutexGuard;
+
+    /// Serializes the tests that fan out. The [`BUSY`] lease is process
+    /// global, so a fan-out in one test would otherwise change whether a
+    /// concurrent test's map takes the lease or runs inline.
+    fn lease_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn results_arrive_in_submission_order() {
+        let _lease = lease_lock();
         // Make early jobs the slowest so workers finish out of order.
         let out = map_indexed(16, 4, |i| {
             std::thread::sleep(std::time::Duration::from_micros((16 - i as u64) * 50));
@@ -229,6 +239,7 @@ mod tests {
 
     #[test]
     fn output_is_identical_across_worker_counts() {
+        let _lease = lease_lock();
         let f = |i: usize| (i as f64).sqrt() * 3.0 + i as f64;
         let serial = map_indexed(33, 1, f);
         for jobs in [2, 3, 8, 64] {
@@ -238,6 +249,7 @@ mod tests {
 
     #[test]
     fn every_job_runs_exactly_once() {
+        let _lease = lease_lock();
         let count = AtomicU32::new(0);
         let out = map_indexed(100, 8, |i| {
             count.fetch_add(1, Ordering::Relaxed);
@@ -255,6 +267,7 @@ mod tests {
 
     #[test]
     fn map_borrows_items() {
+        let _lease = lease_lock();
         let items = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
         let lens = map(&items, |s| s.len());
         assert_eq!(lens, vec![1, 2, 3]);
@@ -271,6 +284,7 @@ mod tests {
 
     #[test]
     fn map_mut_visits_each_item_once_in_place() {
+        let _lease = lease_lock();
         for jobs in [1, 2, 4, 16] {
             let mut items: Vec<u64> = (0..11).collect();
             let out = map_mut(&mut items, jobs, |i, v| {
@@ -285,6 +299,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        let _lease = lease_lock();
         // Every other index still runs before the panic reaches the caller,
         // on the threads of a fan-out and inline inside another fan-out.
         let survivors = |inline: bool| {
@@ -322,6 +337,7 @@ mod tests {
 
     #[test]
     fn nested_fanout_runs_inline() {
+        let _lease = lease_lock();
         // The outer fan-out holds the lease, so each inner map runs inline
         // on the thread that runs its outer item: no deadlock, no extra
         // threads, same call count. The sleep gives spawned threads time to

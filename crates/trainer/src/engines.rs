@@ -58,8 +58,8 @@ impl EngineKind {
     pub fn by_label(label: &str) -> Option<EngineKind> {
         match label {
             "aiacc" => Some(EngineKind::aiacc_default()),
-            "horovod" => Some(EngineKind::Horovod(HorovodConfig::default())),
-            "pytorch-ddp" | "ddp" => Some(EngineKind::PyTorchDdp(DdpConfig::default())),
+            "horovod" => Some(EngineKind::Horovod(HorovodConfig)),
+            "pytorch-ddp" | "ddp" => Some(EngineKind::PyTorchDdp(DdpConfig)),
             "byteps" => Some(EngineKind::BytePs(BytePsConfig::default())),
             "mxnet-kvstore" | "kvstore" => Some(EngineKind::MxnetKvStore(KvStoreConfig)),
             _ => None,
@@ -110,8 +110,8 @@ impl Framework {
     /// Figs. 11/12).
     pub fn native_engine(self) -> EngineKind {
         match self {
-            Framework::PyTorch => EngineKind::PyTorchDdp(DdpConfig::default()),
-            Framework::TensorFlow => EngineKind::Horovod(HorovodConfig::default()),
+            Framework::PyTorch => EngineKind::PyTorchDdp(DdpConfig),
+            Framework::TensorFlow => EngineKind::Horovod(HorovodConfig),
             Framework::Mxnet => EngineKind::MxnetKvStore(KvStoreConfig),
         }
     }
@@ -142,8 +142,8 @@ mod tests {
         let model = zoo::tiny_cnn();
         for kind in [
             EngineKind::aiacc_default(),
-            EngineKind::Horovod(HorovodConfig::default()),
-            EngineKind::PyTorchDdp(DdpConfig::default()),
+            EngineKind::Horovod(HorovodConfig),
+            EngineKind::PyTorchDdp(DdpConfig),
             EngineKind::BytePs(BytePsConfig::default()),
             EngineKind::MxnetKvStore(KvStoreConfig),
         ] {

@@ -14,26 +14,13 @@ use aiacc_simnet::{Event, FlowSpec, SimDuration, Simulator, Token};
 /// Timer kind used by the replayed recovery timelines.
 const RESTART_DONE_KIND: u32 = 7001;
 
-/// Infrastructure constants for recovery timing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryConfig {
-    /// Per-node read bandwidth from the checkpoint store (object storage /
-    /// NAS), bytes/second.
-    pub store_bytes_per_sec: f64,
-    /// Fixed process/runtime restart overhead per node (scheduler, container
-    /// start, framework import, communicator rebuild).
-    pub restart_overhead: SimDuration,
-}
+/// Per-node read bandwidth from the checkpoint store (object storage /
+/// NAS), bytes/second.
+const STORE_BYTES_PER_SEC: f64 = 1e9;
 
-impl Default for RecoveryConfig {
-    /// 1 GB/s per node from the store, 20 s restart overhead.
-    fn default() -> Self {
-        RecoveryConfig {
-            store_bytes_per_sec: 1e9,
-            restart_overhead: SimDuration::from_secs_f64(20.0),
-        }
-    }
-}
+/// Fixed process/runtime restart overhead per node (scheduler, container
+/// start, framework import, communicator rebuild).
+const RESTART_OVERHEAD: SimDuration = SimDuration::from_millis(20_000);
 
 /// The cost breakdown of a recovery or join operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,20 +41,16 @@ pub struct RecoveryReport {
 /// each through its own NIC and rate-limited by the store's per-client
 /// bandwidth. The report's phases are measured off the event clock; this is
 /// what the trainer and the scheduler charge for a mid-run crash.
-pub fn replay_failure_recovery(
-    cluster: &ClusterSpec,
-    model: &ModelProfile,
-    cfg: RecoveryConfig,
-) -> RecoveryReport {
+pub fn replay_failure_recovery(cluster: &ClusterSpec, model: &ModelProfile) -> RecoveryReport {
     let bytes = model.grad_bytes(DType::F32); // parameters ≈ gradient volume
     let mut sim = Simulator::new();
     let net_cluster = ClusterNet::build(cluster, sim.net_mut());
-    sim.schedule(cfg.restart_overhead, Token::new(RESTART_DONE_KIND, 0, 0));
+    sim.schedule(RESTART_OVERHEAD, Token::new(RESTART_DONE_KIND, 0, 0));
     replay(&mut sim, |sim| {
         for n in 0..cluster.nodes {
             sim.start_flow(
                 FlowSpec::new(vec![net_cluster.node_rx_resource(n)], bytes)
-                    .with_rate_cap(cfg.store_bytes_per_sec)
+                    .with_rate_cap(STORE_BYTES_PER_SEC)
                     .with_latency(cluster.node.nic.latency),
             );
         }
@@ -88,7 +71,6 @@ pub fn replay_elastic_join(
     cluster: &ClusterSpec,
     model: &ModelProfile,
     new_nodes: usize,
-    cfg: RecoveryConfig,
 ) -> RecoveryReport {
     assert!(new_nodes > 0, "no nodes to add");
     let bytes = model.grad_bytes(DType::F32);
@@ -96,7 +78,7 @@ pub fn replay_elastic_join(
     let grown = ClusterSpec::new(cluster.nodes + new_nodes, cluster.node.clone());
     let mut sim = Simulator::new();
     let net_cluster = ClusterNet::build(&grown, sim.net_mut());
-    let overhead = SimDuration::from_nanos(cfg.restart_overhead.as_nanos() / 4);
+    let overhead = SimDuration::from_nanos(RESTART_OVERHEAD.as_nanos() / 4);
     sim.schedule(overhead, Token::new(RESTART_DONE_KIND, 0, 0));
     replay(&mut sim, |sim| {
         for (i, dst) in (cluster.nodes..grown.nodes).enumerate() {
@@ -136,11 +118,11 @@ mod tests {
     use aiacc_dnn::zoo;
 
     fn restart(cluster: &ClusterSpec, model: &ModelProfile) -> RecoveryReport {
-        replay_failure_recovery(cluster, model, RecoveryConfig::default())
+        replay_failure_recovery(cluster, model)
     }
 
     fn join(cluster: &ClusterSpec, model: &ModelProfile, new_nodes: usize) -> RecoveryReport {
-        replay_elastic_join(cluster, model, new_nodes, RecoveryConfig::default())
+        replay_elastic_join(cluster, model, new_nodes)
     }
 
     fn rel_err(got: f64, want: f64) -> f64 {
@@ -199,13 +181,12 @@ mod tests {
         // §IV timing is serial: restart overhead, then every node reads the
         // checkpoint through its own NIC at the slower of the store and the
         // NIC, after one NIC latency. The closed form is computed from the
-        // config and the specs alone, sharing no simulator code.
-        let cfg = RecoveryConfig::default();
+        // constants and the specs alone, sharing no simulator code.
         for model in [zoo::resnet50(), zoo::bert_large()] {
             let cluster = ClusterSpec::tcp_v100(32);
             let nic = &cluster.node.nic;
-            let rate = cfg.store_bytes_per_sec.min(nic.bytes_per_sec());
-            let closed = cfg.restart_overhead.as_secs_f64()
+            let rate = STORE_BYTES_PER_SEC.min(nic.bytes_per_sec());
+            let closed = RESTART_OVERHEAD.as_secs_f64()
                 + nic.latency.as_secs_f64()
                 + model.grad_bytes(DType::F32) / rate;
             let replayed = restart(&cluster, &model);
@@ -232,12 +213,11 @@ mod tests {
         // receiver NIC, so 1 and 4 joiners share the same closed form. The
         // replay differs only by the nanosecond clock's rounding (about
         // 1e-10 relative), well inside the 1e-6 bound.
-        let cfg = RecoveryConfig::default();
         let cluster = ClusterSpec::tcp_v100(64); // 8 nodes
         let nic = &cluster.node.nic;
         let model = zoo::bert_large();
         let rate = nic.flow_cap_bytes_per_sec().min(nic.bytes_per_sec());
-        let closed = cfg.restart_overhead.as_secs_f64() / 4.0
+        let closed = RESTART_OVERHEAD.as_secs_f64() / 4.0
             + nic.latency.as_secs_f64()
             + model.grad_bytes(DType::F32) / rate;
         for joiners in [1, 4] {

@@ -2,7 +2,7 @@
 
 use crate::engines::{EngineKind, Framework};
 use crate::metrics::ThroughputReport;
-use crate::recovery::{replay_failure_recovery, RecoveryConfig};
+use crate::recovery::replay_failure_recovery;
 use aiacc_cluster::{jitter_factor, ClusterNet, ClusterSpec, ComputeModel, IterationTiming};
 use aiacc_core::ddl::{DdlEngine, DdlRouter, BWD_KIND, GRAD_KIND};
 use aiacc_dnn::{DType, ModelProfile};
@@ -294,14 +294,8 @@ impl TrainingSim {
     /// replay is deterministic, every crash costs the same.
     fn recovery_pause_secs(&mut self) -> f64 {
         if self.recovery_cost.is_none() {
-            self.recovery_cost = Some(
-                replay_failure_recovery(
-                    &self.cfg.cluster,
-                    &self.cfg.model,
-                    RecoveryConfig::default(),
-                )
-                .total_secs,
-            );
+            self.recovery_cost =
+                Some(replay_failure_recovery(&self.cfg.cluster, &self.cfg.model).total_secs);
         }
         self.recovery_cost.expect("just set")
     }
@@ -545,8 +539,8 @@ mod tests {
     fn every_engine_completes_resnet50_on_two_nodes() {
         for engine in [
             EngineKind::aiacc_default(),
-            EngineKind::Horovod(HorovodConfig::default()),
-            EngineKind::PyTorchDdp(DdpConfig::default()),
+            EngineKind::Horovod(HorovodConfig),
+            EngineKind::PyTorchDdp(DdpConfig),
             EngineKind::BytePs(BytePsConfig::default()),
             EngineKind::MxnetKvStore(KvStoreConfig),
         ] {
@@ -559,7 +553,7 @@ mod tests {
     fn aiacc_beats_horovod_on_vgg16_multinode() {
         // The headline claim at small scale (§III): 1.8× on VGG-16 @ 32 GPUs.
         let a = quick(zoo::vgg16(), 32, EngineKind::aiacc_default());
-        let h = quick(zoo::vgg16(), 32, EngineKind::Horovod(HorovodConfig::default()));
+        let h = quick(zoo::vgg16(), 32, EngineKind::Horovod(HorovodConfig));
         let speedup = a.samples_per_sec / h.samples_per_sec;
         assert!(
             speedup > 1.3,
@@ -580,8 +574,8 @@ mod tests {
     #[test]
     fn horovod_efficiency_matches_fig2_band() {
         // Fig. 2: Horovod at 32 GPUs on ResNet-50 reaches ~75 % efficiency.
-        let single = quick(zoo::resnet50(), 1, EngineKind::Horovod(HorovodConfig::default()));
-        let multi = quick(zoo::resnet50(), 32, EngineKind::Horovod(HorovodConfig::default()));
+        let single = quick(zoo::resnet50(), 1, EngineKind::Horovod(HorovodConfig));
+        let multi = quick(zoo::resnet50(), 32, EngineKind::Horovod(HorovodConfig));
         let eff = crate::scaling_efficiency(&single, &multi);
         assert!((0.55..0.9).contains(&eff), "Horovod efficiency {eff:.3}");
     }
@@ -590,7 +584,7 @@ mod tests {
     fn single_gpu_all_engines_equal_compute_bound() {
         // With one GPU there is no communication: engines must agree.
         let a = quick(zoo::resnet50(), 1, EngineKind::aiacc_default());
-        let h = quick(zoo::resnet50(), 1, EngineKind::Horovod(HorovodConfig::default()));
+        let h = quick(zoo::resnet50(), 1, EngineKind::Horovod(HorovodConfig));
         let ratio = a.samples_per_sec / h.samples_per_sec;
         assert!((ratio - 1.0).abs() < 0.05, "single-GPU ratio {ratio}");
     }
@@ -645,7 +639,7 @@ mod tests {
             sim.run_iteration_detailed()
         };
         let a = mk(EngineKind::aiacc_default());
-        let h = mk(EngineKind::Horovod(HorovodConfig::default()));
+        let h = mk(EngineKind::Horovod(HorovodConfig));
         assert!(
             a.comm_tail_secs() < h.comm_tail_secs() * 0.4,
             "aiacc tail {:.3}s vs horovod tail {:.3}s",
@@ -723,8 +717,7 @@ mod tests {
         let faults = FaultPlan::new().crash_node(1, t_crash);
         let mut crashed = TrainingSim::new(cfg.clone().with_faults(faults));
         let b0 = crashed.run_iteration_detailed();
-        let pause =
-            replay_failure_recovery(&cfg.cluster, &cfg.model, RecoveryConfig::default()).total_secs;
+        let pause = replay_failure_recovery(&cfg.cluster, &cfg.model).total_secs;
         let expected = (t_crash + SimDuration::from_secs_f64(pause) - t0).as_secs_f64();
         assert_eq!(b0.iter_secs, expected);
         assert_eq!(b0.crashes, 1);

@@ -52,15 +52,15 @@ pub fn topo_signature(cluster: &ClusterSpec) -> TopoSig {
 pub struct SimObjective {
     cluster: ClusterSpec,
     model: ModelProfile,
-    batch_per_gpu: Option<usize>,
     seed: u64,
     evals: u64,
 }
 
 impl SimObjective {
-    /// Creates the objective.
-    pub fn new(cluster: ClusterSpec, model: ModelProfile, batch_per_gpu: Option<usize>) -> Self {
-        SimObjective { cluster, model, batch_per_gpu, seed: 1, evals: 0 }
+    /// Creates the objective; every trial runs at the model's default batch
+    /// size per GPU.
+    pub fn new(cluster: ClusterSpec, model: ModelProfile) -> Self {
+        SimObjective { cluster, model, seed: 1, evals: 0 }
     }
 }
 
@@ -71,13 +71,12 @@ impl SimObjective {
     /// compute-jitter luck), which is also what makes concurrent batch
     /// evaluation safe: workers share nothing and order cannot matter.
     fn score(&self, cfg: &TuningConfig) -> f64 {
-        let mut sim_cfg = TrainingSimConfig::new(
+        let sim_cfg = TrainingSimConfig::new(
             self.cluster.clone(),
             self.model.clone(),
             EngineKind::Aiacc(aiacc_config_from(cfg)),
         )
         .with_seed(self.seed);
-        sim_cfg.batch_per_gpu = self.batch_per_gpu;
         let mut sim = TrainingSim::new(sim_cfg);
         sim.run_iteration().as_secs_f64()
     }
@@ -131,7 +130,7 @@ pub fn tune_aiacc_in(
     let topo = topo_signature(cluster);
     let prior = cache.and_then(|c| c.lookup(&graph, &topo));
 
-    let mut objective = SimObjective::new(cluster.clone(), model.clone(), None);
+    let mut objective = SimObjective::new(cluster.clone(), model.clone());
     let mut tuner = Tuner::new(space, seed);
     // Batched: each bandit round's proposals are simulated concurrently
     // (see `aiacc_simnet::par`); observation order stays deterministic.
@@ -158,7 +157,7 @@ mod tests {
         // win, and the tuner should find that.
         assert!(cfg.streams > 1, "tuner picked {} streams", cfg.streams);
         // The tuned value must beat the single-stream corner.
-        let mut obj = SimObjective::new(cluster, model, None);
+        let mut obj = SimObjective::new(cluster, model);
         let single = obj.evaluate(&TuningConfig {
             streams: 1,
             granularity: 32.0 * 1024.0 * 1024.0,

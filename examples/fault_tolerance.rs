@@ -11,7 +11,7 @@
 use aiacc::optim::debug::find_non_finite;
 use aiacc::prelude::*;
 use aiacc::simnet::FaultPlan;
-use aiacc::trainer::recovery::{replay_failure_recovery, RecoveryConfig};
+use aiacc::trainer::recovery::replay_failure_recovery;
 
 fn main() {
     // --- Checkpoint / restart -------------------------------------------
@@ -70,11 +70,7 @@ fn main() {
         println!();
     }
     // The crash's pause is the replayed checkpoint restart.
-    let replay = replay_failure_recovery(
-        &ClusterSpec::tcp_v100(16),
-        &zoo::resnet50(),
-        RecoveryConfig::default(),
-    );
+    let replay = replay_failure_recovery(&ClusterSpec::tcp_v100(16), &zoo::resnet50());
     println!(
         "crash pause = replayed restart: {:.2} s ({:.0} s overhead + {:.2} s re-reading checkpoints)\n",
         replay.total_secs, replay.overhead_secs, replay.transfer_secs

@@ -65,7 +65,7 @@ pub use aiacc_trainer as trainer;
 pub mod prelude {
     pub use aiacc_autotune::{Tuner, TuningConfig, TuningSpace};
     pub use aiacc_cluster::{ClusterNet, ClusterSpec, ComputeModel};
-    pub use aiacc_collectives::dataplane::{ring_allreduce, tree_allreduce, ReduceOp};
+    pub use aiacc_collectives::dataplane::{ring_allreduce, ReduceOp};
     pub use aiacc_collectives::{Algo, CollectiveEngine, CollectiveSpec};
     pub use aiacc_compress::{Compressor, ErrorFeedback, Scheme};
     pub use aiacc_core::{

@@ -8,7 +8,7 @@
 
 use aiacc::prelude::*;
 use aiacc::sched::{JobSpec, MultiJobSim, RecoveryPolicy, SchedError};
-use aiacc::trainer::recovery::{replay_elastic_join, replay_failure_recovery, RecoveryConfig};
+use aiacc::trainer::recovery::{replay_elastic_join, replay_failure_recovery};
 use aiacc::trainer::TrainingSim;
 
 fn one_job(model: &str, gpus: usize, engine: EngineKind, iterations: usize, seed: u64) -> Workload {
@@ -87,8 +87,7 @@ fn restart_recovery_reconciles_with_replay_closed_form() {
     );
     let job = &report.jobs[0];
     assert_eq!(job.restarts, 1);
-    let closed =
-        replay_failure_recovery(&cluster, &zoo::vgg16(), RecoveryConfig::default()).total_secs;
+    let closed = replay_failure_recovery(&cluster, &zoo::vgg16()).total_secs;
     let ratio = job.recovery_secs / (f64::from(job.restarts) * closed);
     assert!(
         (ratio - 1.0).abs() < 0.10,
@@ -123,8 +122,7 @@ fn shrink_recovery_reconciles_with_elastic_join_closed_form() {
     assert!(!job.failed);
     assert_eq!(job.iter_secs.len(), 4, "elastic continue must still finish every iteration");
     let survivors = ClusterSpec::tcp_v100(8);
-    let closed =
-        replay_elastic_join(&survivors, &zoo::vgg16(), 1, RecoveryConfig::default()).total_secs;
+    let closed = replay_elastic_join(&survivors, &zoo::vgg16(), 1).total_secs;
     let ratio = job.recovery_secs / closed;
     assert!(
         (ratio - 1.0).abs() < 0.10,
@@ -134,12 +132,7 @@ fn shrink_recovery_reconciles_with_elastic_join_closed_form() {
     );
     // Shrinking is much cheaper than a full checkpoint restart — that is
     // the point of the elastic path.
-    let restart = replay_failure_recovery(
-        &ClusterSpec::tcp_v100(16),
-        &zoo::vgg16(),
-        RecoveryConfig::default(),
-    )
-    .total_secs;
+    let restart = replay_failure_recovery(&ClusterSpec::tcp_v100(16), &zoo::vgg16()).total_secs;
     assert!(job.recovery_secs < restart / 2.0);
 }
 

@@ -11,7 +11,7 @@ fn tuner_beats_the_worst_corner_comfortably() {
     let model = zoo::vgg16();
     let cluster = ClusterSpec::tcp_v100(16);
     let (_, report) = tune_aiacc(&model, &cluster, 20, 21, None);
-    let mut obj = SimObjective::new(cluster, model, None);
+    let mut obj = SimObjective::new(cluster, model);
     let worst = obj.evaluate(&TuningConfig {
         streams: 1,
         granularity: 256.0 * 1024.0 * 1024.0,
