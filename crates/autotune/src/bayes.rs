@@ -4,14 +4,13 @@
 
 use crate::space::{TuningConfig, TuningSpace};
 use crate::tuner::Searcher;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use aiacc_simnet::rng::SplitMix64;
 
 /// The Bayesian-optimization searcher.
 #[derive(Debug)]
 pub struct BayesOpt {
     space: TuningSpace,
-    rng: StdRng,
+    rng: SplitMix64,
     xs: Vec<[f64; 4]>,
     ys: Vec<f64>,
     lengthscale: f64,
@@ -27,7 +26,7 @@ impl BayesOpt {
         assert!(!space.is_empty(), "empty tuning space");
         BayesOpt {
             space,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::seeded(seed),
             xs: Vec::new(),
             ys: Vec::new(),
             lengthscale: 0.3,
@@ -143,7 +142,7 @@ impl Searcher for BayesOpt {
         let n = self.xs.len();
         if n < 4 {
             // Bootstrap with random samples.
-            return self.space.index(self.rng.random_range(0..self.space.len()));
+            return self.space.index(self.rng.below(self.space.len()));
         }
         // Standardize targets.
         let mean = self.ys.iter().sum::<f64>() / n as f64;

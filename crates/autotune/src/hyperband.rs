@@ -4,8 +4,7 @@
 
 use crate::space::{TuningConfig, TuningSpace};
 use crate::tuner::Searcher;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use aiacc_simnet::rng::SplitMix64;
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
@@ -30,7 +29,7 @@ impl Candidate {
 #[derive(Debug)]
 pub struct Hyperband {
     space: TuningSpace,
-    rng: StdRng,
+    rng: SplitMix64,
     candidates: Vec<Candidate>,
     /// Planned evaluations for the current rung: indices into `candidates`.
     plan: VecDeque<usize>,
@@ -50,7 +49,7 @@ impl Hyperband {
         assert!(!space.is_empty(), "empty tuning space");
         let mut hb = Hyperband {
             space,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::seeded(seed),
             candidates: Vec::new(),
             plan: VecDeque::new(),
             rung_budget: 1,
@@ -62,7 +61,7 @@ impl Hyperband {
     fn new_bracket(&mut self) {
         self.candidates = (0..BRACKET)
             .map(|_| Candidate {
-                cfg: self.space.index(self.rng.random_range(0..self.space.len())),
+                cfg: self.space.index(self.rng.below(self.space.len())),
                 total: 0.0,
                 evals: 0,
             })

@@ -5,14 +5,13 @@
 
 use crate::space::{TuningConfig, TuningSpace};
 use crate::tuner::Searcher;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use aiacc_simnet::rng::SplitMix64;
 
 /// The PBT searcher.
 #[derive(Debug)]
 pub struct PopulationTraining {
     space: TuningSpace,
-    rng: StdRng,
+    rng: SplitMix64,
     population: Vec<TuningConfig>,
     scores: Vec<Option<f64>>,
     cursor: usize,
@@ -26,8 +25,8 @@ impl PopulationTraining {
     pub fn new(space: TuningSpace, size: usize, seed: u64) -> Self {
         assert!(size > 0, "population must be non-empty");
         assert!(!space.is_empty(), "empty tuning space");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let population = (0..size).map(|_| space.index(rng.random_range(0..space.len()))).collect();
+        let mut rng = SplitMix64::seeded(seed);
+        let population = (0..size).map(|_| space.index(rng.below(space.len()))).collect();
         PopulationTraining { space, rng, population, scores: vec![None; size], cursor: 0 }
     }
 
@@ -51,11 +50,8 @@ impl PopulationTraining {
             let loser = idx[n - 1 - k];
             // Exploit: copy the winner; explore: perturb one lattice step.
             let neigh = self.space.neighbours(&winner);
-            let replacement = if neigh.is_empty() {
-                winner
-            } else {
-                neigh[self.rng.random_range(0..neigh.len())]
-            };
+            let replacement =
+                if neigh.is_empty() { winner } else { neigh[self.rng.below(neigh.len())] };
             self.population[loser] = replacement;
             self.scores[loser] = None;
         }

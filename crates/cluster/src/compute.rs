@@ -3,6 +3,7 @@
 
 use crate::spec::GpuSpec;
 use aiacc_dnn::{DType, GradId, ModelProfile};
+use aiacc_simnet::rng::mix64;
 use aiacc_simnet::SimDuration;
 
 /// Durations of one training iteration's compute phases on a single GPU,
@@ -121,7 +122,8 @@ impl ComputeModel {
 ///
 /// Real clusters never run in lockstep; a little skew is what makes gradient
 /// *synchronization* (agreeing on which gradients are ready everywhere,
-/// §V-A) a non-trivial protocol. SplitMix64 keeps it reproducible.
+/// §V-A) a non-trivial protocol. The SplitMix64 finalizer
+/// ([`aiacc_simnet::rng::mix64`]) keeps it reproducible.
 ///
 /// # Panics
 /// Panics if `frac` is not in `[0, 1)`.
@@ -134,16 +136,11 @@ impl ComputeModel {
 /// ```
 pub fn jitter_factor(seed: u64, worker: usize, iteration: u64, frac: f64) -> f64 {
     assert!((0.0..1.0).contains(&frac), "jitter fraction out of range");
-    let mut x = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((worker as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(iteration.wrapping_mul(0x94D0_49BB_1331_11EB));
-    // SplitMix64 finalizer.
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
+    let x = mix64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((worker as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .wrapping_add(iteration.wrapping_mul(0x94D0_49BB_1331_11EB)),
+    );
     let unit = (x >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
     1.0 + frac * (2.0 * unit - 1.0)
 }

@@ -199,9 +199,8 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aiacc_simnet::rng::SplitMix64;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
 
     fn make_bufs(w: usize, len: usize) -> Vec<Vec<f32>> {
         (0..w).map(|i| (0..len).map(|j| (i * len + j) as f32 * 0.5 + 1.0).collect()).collect()
@@ -270,13 +269,13 @@ mod tests {
     ];
 
     /// `len` values, uniform or (one in four) an IEEE edge case.
-    fn values(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    fn values(rng: &mut SplitMix64, len: usize) -> Vec<f32> {
         (0..len)
             .map(|_| {
-                if rng.random_range(0u32..4) == 0 {
-                    SPECIAL[rng.random_range(0..SPECIAL.len())]
+                if rng.below(4) == 0 {
+                    SPECIAL[rng.below(SPECIAL.len())]
                 } else {
-                    rng.random_range(-100.0f32..100.0)
+                    rng.range_f32(-100.0, 100.0)
                 }
             })
             .collect()
@@ -319,7 +318,7 @@ mod tests {
             len in 0usize..=64,
             seed in any::<u64>(),
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seeded(seed);
             let bufs: Vec<Vec<f32>> = (0..w).map(|_| values(&mut rng, len)).collect();
             assert_matches_reference(&bufs);
         }
@@ -345,7 +344,7 @@ mod tests {
     fn ring_fold_matches_step_by_step_ring_at_benchmark_size() {
         const PARAMS: usize = 1_329_168;
         const UNIT: usize = 1 << 20;
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seeded(1);
         let full: Vec<Vec<f32>> = (0..8).map(|_| values(&mut rng, PARAMS)).collect();
         for lo in (0..PARAMS).step_by(UNIT) {
             let hi = (lo + UNIT).min(PARAMS);

@@ -362,11 +362,7 @@ fn ring_coarse(cluster: &ClusterNet, bytes: f64) -> VecDeque<Vec<FlowSpec>> {
         let latency = SimDuration::from_nanos(nic_lat.as_nanos() * steps);
         for n in 0..cspec.nodes {
             let p = cluster.node_path(n, (n + 1) % cspec.nodes);
-            let mut f = FlowSpec::new(p.resources, per_link).with_latency(latency);
-            if let Some(cap) = p.rate_cap {
-                f = f.with_rate_cap(cap);
-            }
-            flows.push(f);
+            flows.push(p.flow(per_link).with_latency(latency));
         }
     }
     VecDeque::from(vec![flows])
@@ -413,11 +409,7 @@ fn tree_phases(cluster: &ClusterNet, bytes: f64) -> VecDeque<Vec<FlowSpec>> {
         let mut flows = Vec::new();
         for n in 0..nodes {
             let p = cluster.node_path(n, (n + 1) % nodes);
-            let mut f = FlowSpec::new(p.resources, per_link).with_latency(latency);
-            if let Some(cap) = p.rate_cap {
-                f = f.with_rate_cap(cap);
-            }
-            flows.push(f);
+            flows.push(p.flow(per_link).with_latency(latency));
         }
         phases.push_back(flows);
     }

@@ -4,8 +4,7 @@
 //! module provides the deterministic synthetic classification data used by
 //! the real-MLP tests and examples.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use aiacc_simnet::rng::SplitMix64;
 
 /// An in-memory labelled dataset (row-major features).
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +29,7 @@ impl Dataset {
     /// Panics if any argument is zero.
     pub fn gaussian_blobs(n_samples: usize, dim: usize, n_classes: usize, seed: u64) -> Self {
         assert!(n_samples > 0 && dim > 0 && n_classes > 0, "empty dataset requested");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seeded(seed);
         let mut features = Vec::with_capacity(n_samples * dim);
         let mut labels = Vec::with_capacity(n_samples);
         for i in 0..n_samples {
@@ -98,9 +97,9 @@ impl<'a> Iterator for Batches<'a> {
 }
 
 /// One standard-normal sample via Box–Muller.
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.random();
+fn gaussian(rng: &mut SplitMix64) -> f64 {
+    let u1 = rng.range_f64(f64::MIN_POSITIVE, 1.0);
+    let u2 = rng.next_f64();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 

@@ -7,8 +7,7 @@
 
 use crate::layer::{LayerKind, LayerSpec, ParamSpec};
 use crate::profile::{ModelProfile, SampleUnit};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use aiacc_simnet::rng::SplitMix64;
 
 /// Configuration of an [`Mlp`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,14 +59,14 @@ pub struct Mlp {
 impl Mlp {
     /// Builds a network with Xavier-uniform initial weights.
     pub fn new(config: &MlpConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = SplitMix64::seeded(config.seed);
         let mut params = Vec::new();
         let mut offsets = Vec::new();
         for w in config.layer_sizes.windows(2) {
             let (fan_in, fan_out) = (w[0], w[1]);
             let bound = (6.0 / (fan_in + fan_out) as f64).sqrt() as f32;
             offsets.push(params.len());
-            params.extend((0..fan_in * fan_out).map(|_| rng.random_range(-bound..bound)));
+            params.extend((0..fan_in * fan_out).map(|_| rng.range_f32(-bound, bound)));
             params.resize(params.len() + fan_out, 0.0);
         }
         Mlp { sizes: config.layer_sizes.clone(), params, offsets }
@@ -606,12 +605,12 @@ mod tests {
     /// A value drawn for `mode`: 0 uniform, 1 small multiples of 1/4 (sums
     /// cancel exactly, so pre-activations hit 0.0), 2 uniform with IEEE
     /// edge cases mixed in.
-    fn value(rng: &mut StdRng, mode: u32) -> f32 {
+    fn value(rng: &mut SplitMix64, mode: u32) -> f32 {
         match mode {
-            0 => rng.random_range(-1.0f32..1.0),
-            1 => rng.random_range(-4i32..=4) as f32 * 0.25,
-            _ if rng.random_range(0u32..8) == 0 => SPECIAL[rng.random_range(0..SPECIAL.len())],
-            _ => rng.random_range(-1.0f32..1.0),
+            0 => rng.range_f32(-1.0, 1.0),
+            1 => (rng.below(9) as i32 - 4) as f32 * 0.25,
+            _ if rng.below(8) == 0 => SPECIAL[rng.below(SPECIAL.len())],
+            _ => rng.range_f32(-1.0, 1.0),
         }
     }
 
@@ -629,13 +628,13 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let mut m = Mlp::new(&MlpConfig::new(sizes, seed));
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seeded(seed);
             for p in m.params_mut() {
                 *p = value(&mut rng, mode);
             }
             let x: Vec<f32> = (0..batch * m.input_dim()).map(|_| value(&mut rng, mode)).collect();
             let labels: Vec<usize> =
-                (0..batch).map(|_| rng.random_range(0..m.num_classes())).collect();
+                (0..batch).map(|_| rng.below(m.num_classes())).collect();
             assert_matches_reference(&m, &x, &labels);
         }
     }
@@ -670,11 +669,10 @@ mod tests {
     fn kernels_match_reference_at_benchmark_size() {
         for seed in 1..=3 {
             let m = Mlp::new(&MlpConfig::new(vec![256, 1024, 1024, 16], seed));
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seeded(seed);
             for batch in [4, 32] {
-                let x: Vec<f32> =
-                    (0..batch * 256).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-                let labels: Vec<usize> = (0..batch).map(|_| rng.random_range(0..16)).collect();
+                let x: Vec<f32> = (0..batch * 256).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+                let labels: Vec<usize> = (0..batch).map(|_| rng.below(16)).collect();
                 assert_matches_reference(&m, &x, &labels);
             }
         }

@@ -433,6 +433,21 @@ impl JobRun {
     }
 }
 
+/// Checks one job against a cluster of `capacity` GPUs: a gang size in
+/// `1..=capacity`, at least one iteration and a model the zoo knows.
+pub(crate) fn validate_spec(spec: &JobSpec, capacity: usize) -> Result<(), SchedError> {
+    if spec.gpus == 0 || spec.gpus > capacity {
+        return Err(SchedError::BadGangSize { job: spec.id, gpus: spec.gpus, capacity });
+    }
+    if spec.iterations == 0 {
+        return Err(SchedError::ZeroIterations { job: spec.id });
+    }
+    if zoo::by_name(&spec.model).is_none() {
+        return Err(SchedError::UnknownModel { job: spec.id, model: spec.model.clone() });
+    }
+    Ok(())
+}
+
 /// FIFO backlog entry: a job (a slot, in streaming mode) waiting to be
 /// placed, or — streaming only — an arrived spec not yet admitted to a slot.
 #[derive(Debug)]
@@ -469,6 +484,9 @@ pub struct MultiJobSim {
     /// raised on push, reset when the queue empties): rules out hopeless
     /// entries without a walk.
     pub(crate) max_queued_gpus: usize,
+    /// Crash events still scheduled to fire (a streaming snapshot waits for
+    /// none to remain).
+    pub(crate) pending_crashes: usize,
     /// Repair events still scheduled to fire; while any remain, an
     /// unplaceable job keeps waiting instead of being declared impossible.
     pub(crate) pending_repairs: usize,
@@ -486,21 +504,31 @@ impl MultiJobSim {
             return Err(SchedError::EmptyWorkload);
         }
         let total = cfg.cluster.world_size();
-        let nodes = cfg.cluster.nodes;
         for (i, j) in cfg.workload.jobs.iter().enumerate() {
             if j.id != i {
                 return Err(SchedError::NonDenseJobIds { index: i, id: j.id });
             }
-            if j.gpus == 0 || j.gpus > total {
-                return Err(SchedError::BadGangSize { job: i, gpus: j.gpus, capacity: total });
-            }
-            if j.iterations == 0 {
-                return Err(SchedError::ZeroIterations { job: i });
-            }
-            if zoo::by_name(&j.model).is_none() {
-                return Err(SchedError::UnknownModel { job: i, model: j.model.clone() });
-            }
+            validate_spec(j, total)?;
         }
+        let trace = cfg.trace;
+        let mut ms = MultiJobSim::shell(cfg, trace)?;
+        for j in &ms.cfg.workload.jobs {
+            let at = SimTime::from_secs_f64(j.arrival_secs);
+            ms.sim.schedule_at(at, Token::new(ARRIVAL_KIND, j.id as u32, 0));
+            ms.jobs.push(JobRun::new(zoo::by_name(&j.model).expect("validated above"), j.clone()));
+        }
+        ms.arm_faults();
+        Ok(ms)
+    }
+
+    /// A scenario with no jobs and nothing scheduled: the simulator (traced
+    /// when `trace`), the physical cluster, its free-GPU list and the fault
+    /// plan with node link faults resolved to NICs, after checking that
+    /// every node the plan targets exists. The caller schedules its
+    /// arrivals and then calls [`MultiJobSim::arm_faults`], so every fault
+    /// timer's stamp follows the arrivals'.
+    pub(crate) fn shell(cfg: MultiJobCfg, trace: bool) -> Result<Self, SchedError> {
+        let nodes = cfg.cluster.nodes;
         for ev in cfg.faults.events() {
             if let FaultTarget::Node(n) = ev.target {
                 if n as usize >= nodes {
@@ -508,9 +536,8 @@ impl MultiJobSim {
                 }
             }
         }
-
         let mut sim = Simulator::new();
-        if cfg.trace {
+        if trace {
             sim.enable_tracing();
         }
         let physical = ClusterNet::build(&cfg.cluster, sim.net_mut());
@@ -518,37 +545,33 @@ impl MultiJobSim {
         let faults = cfg.faults.resolve_links(|n| {
             vec![physical.node_tx_resource(n as usize), physical.node_rx_resource(n as usize)]
         });
-        sim.install_faults(&faults);
-        let mut jobs = Vec::with_capacity(cfg.workload.jobs.len());
-        for (i, j) in cfg.workload.jobs.iter().enumerate() {
-            let model = zoo::by_name(&j.model).expect("validated above");
-            sim.schedule_at(
-                SimTime::from_secs_f64(j.arrival_secs),
-                Token::new(ARRIVAL_KIND, i as u32, 0),
-            );
-            jobs.push(JobRun::new(model, j.clone()));
-        }
-        let mut pending_repairs = 0;
-        for (node, at, repair) in faults.crash_spans() {
-            sim.schedule_at(at, Token::new(CRASH_KIND, node, 0));
-            if let Some(up_at) = repair {
-                sim.schedule_at(up_at, Token::new(REPAIR_KIND, node, 0));
-                pending_repairs += 1;
-            }
-        }
         Ok(MultiJobSim {
             cfg,
             sim,
             physical,
             free,
             faults,
-            jobs,
+            jobs: Vec::new(),
             queue: VecDeque::new(),
             min_queued_gpus: usize::MAX,
             max_queued_gpus: 0,
-            pending_repairs,
+            pending_crashes: 0,
+            pending_repairs: 0,
             stream: None,
         })
+    }
+
+    /// Installs the link faults and schedules every crash and repair timer.
+    pub(crate) fn arm_faults(&mut self) {
+        self.sim.install_faults(&self.faults);
+        for (node, at, repair) in self.faults.crash_spans() {
+            self.sim.schedule_at(at, Token::new(CRASH_KIND, node, 0));
+            self.pending_crashes += 1;
+            if let Some(up_at) = repair {
+                self.sim.schedule_at(up_at, Token::new(REPAIR_KIND, node, 0));
+                self.pending_repairs += 1;
+            }
+        }
     }
 
     /// Builds the scenario, panicking on an invalid config (the fallible
@@ -939,9 +962,7 @@ impl MultiJobSim {
     /// Handles a node crash: quarantine the node's GPUs, then tear down and
     /// recover (or fail) every gang with a member on it, in job-id order.
     fn on_crash(&mut self, node: usize, t: SimTime) {
-        if let Some(st) = self.stream.as_mut() {
-            st.pending_crashes = st.pending_crashes.saturating_sub(1);
-        }
+        self.pending_crashes -= 1;
         self.free.set_node_down(node);
         if self.sim.tracing_enabled() {
             let name = format!("crash n{node}");

@@ -45,18 +45,18 @@ use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 
-use aiacc_cluster::{ClusterNet, GpuFreeList};
 use aiacc_dnn::zoo;
-use aiacc_simnet::{FaultTarget, SimTime, Simulator, Token};
+use aiacc_simnet::rng::SplitMix64;
+use aiacc_simnet::{SimTime, Token};
 use aiacc_trainer::{EngineKind, QuantileSketch};
 
 use crate::error::SchedError;
 use crate::metrics::ClusterMetrics;
 use crate::multijob::{
-    JobOutcome, JobRun, JobState, MultiJobCfg, MultiJobSim, ARRIVAL_KIND, CRASH_KIND, FRAMEWORK,
-    JITTER_FRAC, REPAIR_KIND,
+    validate_spec, JobOutcome, JobRun, JobState, MultiJobCfg, MultiJobSim, ARRIVAL_KIND, FRAMEWORK,
+    JITTER_FRAC,
 };
-use crate::workload::{JobMix, JobSpec, SplitMix64};
+use crate::workload::{draw_job, JobMix, JobSpec};
 
 /// First line of every snapshot file; bumped on incompatible format changes.
 const SNAPSHOT_MAGIC: &str = "aiacc-stream-snapshot v1";
@@ -241,7 +241,7 @@ impl ArrivalSource {
             ArrivalProcess::Bursty => {
                 if self.burst_left == 0 {
                     self.burst = !self.burst;
-                    self.burst_left = 1 + (self.rng.next_u64() % 32) as u32;
+                    self.burst_left = 1 + self.rng.below(32) as u32;
                 }
                 self.burst_left -= 1;
                 if self.burst {
@@ -277,22 +277,15 @@ impl ArrivalSource {
             self.clock += self.rng.next_exp(self.cfg.mean_interarrival_secs * mult);
         }
         self.emitted += 1;
-        let choices = self.cfg.mix.choices();
-        let (model, gpus) = choices[(self.rng.next_u64() % choices.len() as u64) as usize];
-        let engine = match &self.cfg.engine {
-            Some(e) => *e,
-            None if id.is_multiple_of(2) => EngineKind::aiacc_default(),
-            None => EngineKind::by_label("horovod").expect("horovod engine registered"),
-        };
-        Ok(Some(JobSpec {
-            id: id as usize,
-            arrival_secs: self.clock,
-            model: model.to_string(),
-            gpus,
-            engine,
-            iterations: self.cfg.iterations,
-            seed: self.cfg.seed.wrapping_add(1 + id),
-        }))
+        Ok(Some(draw_job(
+            &mut self.rng,
+            self.cfg.mix,
+            self.cfg.engine,
+            self.cfg.seed,
+            id as usize,
+            self.clock,
+            self.cfg.iterations,
+        )))
     }
 
     /// One snapshot line capturing the full cursor (floats print with
@@ -551,8 +544,6 @@ pub(crate) struct StreamState {
     snapshot_due: bool,
     stop_requested: bool,
     snapshots_written: u32,
-    /// Crash timers still in the event queue (quiescence gate).
-    pub(crate) pending_crashes: usize,
     /// FNV-1a digest of the canonical run configuration; a snapshot resumes
     /// only into the exact configuration that wrote it.
     digest: u64,
@@ -720,21 +711,6 @@ pub(crate) fn note_backlog(sim: &mut MultiJobSim) {
     st.acc.peak_backlog = st.acc.peak_backlog.max(backlog);
 }
 
-/// Checks a spec against the cluster the way batch `try_new` validates a
-/// workload.
-fn validate_spec(spec: &JobSpec, capacity: usize) -> Result<(), SchedError> {
-    if spec.gpus == 0 || spec.gpus > capacity {
-        return Err(SchedError::BadGangSize { job: spec.id, gpus: spec.gpus, capacity });
-    }
-    if spec.iterations == 0 {
-        return Err(SchedError::ZeroIterations { job: spec.id });
-    }
-    if zoo::by_name(&spec.model).is_none() {
-        return Err(SchedError::UnknownModel { job: spec.id, model: spec.model.clone() });
-    }
-    Ok(())
-}
-
 /// Handles a streamed ARRIVAL event: stage and schedule the *successor*
 /// first (so its timer's sequence number precedes everything the current
 /// admission schedules, matching the batch driver which schedules every
@@ -796,7 +772,7 @@ fn quiescent(sim: &MultiJobSim) -> bool {
     st.staged.is_some()
         && sim.queue.is_empty()
         && st.free_slots.len() == sim.jobs.len()
-        && st.pending_crashes == 0
+        && sim.pending_crashes == 0
         && sim.pending_repairs == 0
         && sim.sim.net().flow_count() == 0
         && !sim.sim.faults_pending()
@@ -1094,16 +1070,9 @@ impl StreamSim {
     }
 
     fn build(cfg: StreamCfg, snap: Option<&str>) -> Result<StreamSim, SchedError> {
-        let base = cfg.base.clone();
-        let nodes = base.cluster.nodes;
-        let world = base.cluster.world_size();
-        for ev in base.faults.events() {
-            if let FaultTarget::Node(n) = ev.target {
-                if n as usize >= nodes {
-                    return Err(SchedError::FaultNodeOutOfRange { node: n, nodes });
-                }
-            }
-        }
+        let nodes = cfg.base.cluster.nodes;
+        let world = cfg.base.cluster.world_size();
+        let mut ms = MultiJobSim::shell(cfg.base.clone(), false)?;
         if cfg.window == 0 {
             return Err(serr("window must be positive"));
         }
@@ -1125,16 +1094,7 @@ impl StreamSim {
         let digest = config_digest(&cfg, nslots);
 
         let mut source = ArrivalSource::new(cfg.arrivals.clone())?;
-        let mut sim = Simulator::new();
-        let physical = ClusterNet::build(&base.cluster, sim.net_mut());
-        let mut free = GpuFreeList::new(&base.cluster);
-        let faults = base.faults.resolve_links(|n| {
-            vec![physical.node_tx_resource(n as usize), physical.node_rx_resource(n as usize)]
-        });
-
-        let mut jobs: Vec<JobRun> = (0..nslots).map(|_| JobRun::vacant()).collect();
-        let mut pending_repairs = 0usize;
-        let mut pending_crashes = 0usize;
+        ms.jobs = (0..nslots).map(|_| JobRun::vacant()).collect();
         let mut acc = Acc::new();
         let mut next_snapshot_at = cfg.snapshot_every.unwrap_or(0);
         let mut snapshots_written = 0u32;
@@ -1142,23 +1102,15 @@ impl StreamSim {
 
         match snap {
             None => {
-                sim.install_faults(&faults);
                 let first =
                     source.next()?.ok_or_else(|| serr("arrival source produced no jobs"))?;
                 validate_spec(&first, world)?;
-                sim.schedule_at(
+                ms.sim.schedule_at(
                     SimTime::from_secs_f64(first.arrival_secs),
                     Token::new(ARRIVAL_KIND, first.id as u32, 0),
                 );
                 staged = Some(first);
-                for (node, at, repair) in faults.crash_spans() {
-                    sim.schedule_at(at, Token::new(CRASH_KIND, node, 0));
-                    pending_crashes += 1;
-                    if let Some(up_at) = repair {
-                        sim.schedule_at(up_at, Token::new(REPAIR_KIND, node, 0));
-                        pending_repairs += 1;
-                    }
-                }
+                ms.arm_faults();
             }
             Some(text) => {
                 let s = parse_snapshot(text)?;
@@ -1185,7 +1137,7 @@ impl StreamSim {
                         s.carried.len()
                     )));
                 }
-                for (j, g) in jobs.iter_mut().zip(&s.gens) {
+                for (j, g) in ms.jobs.iter_mut().zip(&s.gens) {
                     j.epoch = *g;
                 }
                 for &n in &s.down {
@@ -1194,17 +1146,17 @@ impl StreamSim {
                             "snapshot marks node {n} down, cluster has {nodes} nodes"
                         )));
                     }
-                    free.set_node_down(n);
+                    ms.free.set_node_down(n);
                 }
                 // Seed (not add) the saved accumulators: float addition is
                 // not associative, so only exact seeding keeps every later
                 // partial sum bitwise identical to the uninterrupted run.
                 for (n, &bytes) in s.carried.iter().enumerate() {
-                    sim.net_mut().seed_carried_bytes(physical.node_tx_resource(n), bytes);
+                    ms.sim.net_mut().seed_carried_bytes(ms.physical.node_tx_resource(n), bytes);
                 }
                 source.restore(&s.source)?;
                 validate_spec(&s.staged, world)?;
-                sim.schedule_at(
+                ms.sim.schedule_at(
                     SimTime::from_secs_f64(s.staged.arrival_secs),
                     Token::new(ARRIVAL_KIND, s.staged.id as u32, 0),
                 );
@@ -1236,24 +1188,10 @@ impl StreamSim {
             snapshot_due: false,
             stop_requested: false,
             snapshots_written,
-            pending_crashes,
             digest,
         };
-        Ok(StreamSim {
-            sim: MultiJobSim {
-                cfg: base,
-                sim,
-                physical,
-                free,
-                faults,
-                jobs,
-                queue: Default::default(),
-                min_queued_gpus: usize::MAX,
-                max_queued_gpus: 0,
-                pending_repairs,
-                stream: Some(Box::new(st)),
-            },
-        })
+        ms.stream = Some(Box::new(st));
+        Ok(StreamSim { sim: ms })
     }
 
     /// Runs until the source drains (or the first snapshot, with

@@ -2,13 +2,14 @@
 //!
 //! A workload is a list of DDL jobs with Poisson-style arrivals, each
 //! naming a model from [`aiacc_dnn::zoo`], a GPU count, an engine, and an
-//! iteration budget. Generation is a pure function of the seed (the same
-//! SplitMix64 scheme as [`aiacc_cluster::jitter_factor`]), so a workload can
-//! be regenerated anywhere — or frozen to a TSV trace and reloaded
-//! byte-for-byte.
+//! iteration budget. Generation is a pure function of the seed (a salted
+//! [`SplitMix64`] stream), so a workload can be regenerated anywhere — or
+//! frozen to a TSV trace and reloaded byte-for-byte. `draw_job` is the
+//! one recipe for a generated job; the streaming arrival source uses it too.
 
 use aiacc_baselines::HorovodConfig;
 use aiacc_dnn::zoo;
+use aiacc_simnet::rng::SplitMix64;
 use aiacc_simnet::SimTime;
 use aiacc_trainer::EngineKind;
 
@@ -145,32 +146,35 @@ pub struct Workload {
     pub jobs: Vec<JobSpec>,
 }
 
-/// Minimal deterministic RNG (SplitMix64 — the same finalizer the compute
-/// jitter uses, so no external `rand` machinery is needed). The full `u64`
-/// state is exposed crate-internally so the streaming arrival source can
-/// freeze and restore it across snapshots.
-pub(crate) struct SplitMix64(pub(crate) u64);
-
-impl SplitMix64 {
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.0;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        x
-    }
-
-    /// Uniform in `[0, 1)` with 53-bit resolution.
-    pub(crate) fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Exponential with the given mean (inverse-CDF).
-    pub(crate) fn next_exp(&mut self, mean: f64) -> f64 {
-        -mean * (1.0 - self.next_f64()).ln()
+/// Draws job `id` of a generated stream. One `next_u64` picks `(model,
+/// gpus)` from `mix`; the engine is `engine` when pinned, else AIACC for
+/// even ids and Horovod for odd ones; the job's jitter seed is
+/// `seed + 1 + id`. The batch generator and the streaming arrival source
+/// both call this, each with its own salted stream, so one rule makes
+/// every generated job.
+pub(crate) fn draw_job(
+    rng: &mut SplitMix64,
+    mix: JobMix,
+    engine: Option<EngineKind>,
+    seed: u64,
+    id: usize,
+    arrival_secs: f64,
+    iterations: usize,
+) -> JobSpec {
+    let (model, gpus) = mix.choices()[rng.below(mix.choices().len())];
+    let engine = engine.unwrap_or(if id.is_multiple_of(2) {
+        EngineKind::aiacc_default()
+    } else {
+        EngineKind::Horovod(HorovodConfig)
+    });
+    JobSpec {
+        id,
+        arrival_secs,
+        model: model.to_string(),
+        gpus,
+        engine,
+        iterations,
+        seed: seed.wrapping_add(1 + id as u64),
     }
 }
 
@@ -188,30 +192,13 @@ impl Workload {
             "invalid mean inter-arrival"
         );
         let mut rng = SplitMix64(cfg.seed ^ 0xA1AC_C5C4_ED00_0001);
-        let choices = cfg.mix.choices();
         let mut at = 0.0f64;
         let jobs = (0..cfg.njobs)
             .map(|id| {
                 if id > 0 {
                     at += rng.next_exp(cfg.mean_interarrival_secs);
                 }
-                let (model, gpus) = choices[(rng.next_u64() % choices.len() as u64) as usize];
-                let engine = cfg.engine.unwrap_or_else(|| {
-                    if id % 2 == 0 {
-                        EngineKind::aiacc_default()
-                    } else {
-                        EngineKind::Horovod(HorovodConfig)
-                    }
-                });
-                JobSpec {
-                    id,
-                    arrival_secs: at,
-                    model: model.to_string(),
-                    gpus,
-                    engine,
-                    iterations: cfg.iterations,
-                    seed: cfg.seed.wrapping_add(1 + id as u64),
-                }
+                draw_job(&mut rng, cfg.mix, cfg.engine, cfg.seed, id, at, cfg.iterations)
             })
             .collect();
         Workload { jobs }

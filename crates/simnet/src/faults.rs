@@ -19,7 +19,7 @@
 //!
 //! Compute-level faults (straggler multipliers, node crashes) cannot be
 //! interpreted by the network layer; higher layers query them through
-//! [`FaultPlan::compute_factor`] and [`FaultPlan::crash_times`], and map
+//! [`FaultPlan::compute_factor`] and [`FaultPlan::crash_spans`], and map
 //! node-targeted link faults onto concrete NIC resources with
 //! [`FaultPlan::resolve_links`].
 //!
@@ -53,6 +53,7 @@
 //! ```
 
 use crate::flownet::{FlowNet, ResourceId};
+use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -264,34 +265,33 @@ impl FaultPlan {
     /// Panics if `nodes` is zero.
     pub fn chaos(seed: u64, nodes: usize, horizon: SimDuration, count: usize) -> Self {
         assert!(nodes > 0, "chaos plan needs at least one node");
-        let mut state = seed ^ 0xA1AC_C0DE_C4A0_5001;
+        let mut rng = SplitMix64(seed ^ 0xA1AC_C0DE_C4A0_5001);
         let horizon_ns = horizon.as_nanos() as f64;
-        let pick = |state: &mut u64| (splitmix64(state) % nodes as u64) as u32;
+        let pick = |rng: &mut SplitMix64| rng.below(nodes) as u32;
         // Guaranteed straggler window in the first half of the horizon.
-        let s_node = pick(&mut state);
-        let s_factor = 1.5 + 1.5 * unit_f64(&mut state);
-        let s_at = SimTime::from_nanos(((0.1 + 0.2 * unit_f64(&mut state)) * horizon_ns) as u64);
+        let s_node = pick(&mut rng);
+        let s_factor = 1.5 + 1.5 * rng.next_f64();
+        let s_at = SimTime::from_nanos(((0.1 + 0.2 * rng.next_f64()) * horizon_ns) as u64);
         let s_dur = SimDuration::from_nanos((0.25 * horizon_ns) as u64);
         // Guaranteed crash, repaired after a fifth of the horizon.
-        let c_node = pick(&mut state);
-        let c_at = SimTime::from_nanos(((0.3 + 0.2 * unit_f64(&mut state)) * horizon_ns) as u64);
+        let c_node = pick(&mut rng);
+        let c_at = SimTime::from_nanos(((0.3 + 0.2 * rng.next_f64()) * horizon_ns) as u64);
         let c_repair = SimDuration::from_nanos((0.2 * horizon_ns) as u64);
         let mut plan = FaultPlan::new()
             .straggle_node(s_node, s_factor, s_at, Some(s_dur))
             .crash_node_for(c_node, c_at, c_repair);
         for _ in 0..count {
-            let node = pick(&mut state);
-            let at = SimTime::from_nanos((unit_f64(&mut state) * 0.8 * horizon_ns) as u64);
-            let dur =
-                SimDuration::from_nanos(((0.05 + 0.15 * unit_f64(&mut state)) * horizon_ns) as u64);
-            let draw = unit_f64(&mut state);
+            let node = pick(&mut rng);
+            let at = SimTime::from_nanos((rng.next_f64() * 0.8 * horizon_ns) as u64);
+            let dur = SimDuration::from_nanos(((0.05 + 0.15 * rng.next_f64()) * horizon_ns) as u64);
+            let draw = rng.next_f64();
             plan = if draw < 0.18 {
-                let factor = 1.5 + 1.5 * unit_f64(&mut state);
+                let factor = 1.5 + 1.5 * rng.next_f64();
                 plan.straggle_node(node, factor, at, Some(dur))
             } else if draw < 0.30 {
                 plan.crash_node_for(node, at, dur + dur)
             } else if draw < 0.79 {
-                let factor = 0.2 + 0.7 * unit_f64(&mut state);
+                let factor = 0.2 + 0.7 * rng.next_f64();
                 plan.degrade_node(node, factor, at, Some(dur))
             } else {
                 plan.with_event(FaultEvent {
@@ -337,20 +337,6 @@ impl FaultPlan {
                 _ => None,
             })
             .product()
-    }
-
-    /// Every scheduled crash as `(node, time)`, sorted by time.
-    pub fn crash_times(&self) -> Vec<(u32, SimTime)> {
-        let mut out: Vec<(u32, SimTime)> = self
-            .events
-            .iter()
-            .filter_map(|ev| match (ev.target, ev.kind) {
-                (FaultTarget::Node(n), FaultKind::Crash) => Some((n, ev.at)),
-                _ => None,
-            })
-            .collect();
-        out.sort_by_key(|&(n, t)| (t, n));
-        out
     }
 
     /// Every scheduled crash as `(node, crash time, repair time)`, sorted by
@@ -507,19 +493,6 @@ impl FaultInjector {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform in [0, 1).
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,11 +510,6 @@ mod tests {
                 (1, SimTime::from_nanos(10), Some(SimTime::from_nanos(40))),
                 (2, SimTime::from_nanos(50), None),
             ]
-        );
-        // crash_times stays repair-agnostic.
-        assert_eq!(
-            plan.crash_times(),
-            vec![(1, SimTime::from_nanos(10)), (2, SimTime::from_nanos(50))]
         );
     }
 
@@ -589,7 +557,7 @@ mod tests {
             plan.resolve_links(|_| vec![ResourceId::from_index(3), ResourceId::from_index(4)]);
         assert_eq!(resolved.events().len(), 4);
         assert_eq!(resolved.resolved_link_faults().len(), 2);
-        assert_eq!(resolved.crash_times(), vec![(1, SimTime::from_nanos(20))]);
+        assert_eq!(resolved.crash_spans(), vec![(1, SimTime::from_nanos(20), None)]);
         assert_eq!(resolved.compute_factor(0, SimTime::from_nanos(10)), 2.0);
     }
 

@@ -23,6 +23,8 @@
 //!   simulations execute on N worker threads with results collected in
 //!   submission order, so parallel sweeps are bit-identical to serial runs
 //!   (`--jobs N`).
+//! * [`rng`] — the workspace's one seeded generator, SplitMix64, behind
+//!   every seeded draw from tuner searches to chaos fault plans.
 //!
 //! # Example
 //!
@@ -55,6 +57,7 @@ mod faults;
 mod flow;
 mod flownet;
 pub mod par;
+pub mod rng;
 mod sim;
 mod time;
 pub mod trace;

@@ -105,11 +105,7 @@ pub fn run_hybrid_sim(
                 let mut flows = Vec::new();
                 for n in 0..replicas {
                     let p = cluster.node_path(n, (n + 1) % replicas);
-                    let mut f = FlowSpec::new(p.resources, per_link).with_latency(lat);
-                    if let Some(cap) = p.rate_cap {
-                        f = f.with_rate_cap(cap);
-                    }
-                    flows.push(f);
+                    flows.push(p.flow(per_link).with_latency(lat));
                 }
                 coll.launch_custom(&mut sim, VecDeque::from(vec![flows]));
                 expected += 1;
@@ -128,17 +124,9 @@ pub fn run_hybrid_sim(
                         continue;
                     }
                     let p = cluster.node_path(n, server);
-                    let mut f = FlowSpec::new(p.resources, stage_bytes).with_latency(lat);
-                    if let Some(cap) = p.rate_cap {
-                        f = f.with_rate_cap(cap);
-                    }
-                    push.push(f);
+                    push.push(p.flow(stage_bytes).with_latency(lat));
                     let q = cluster.node_path(server, n);
-                    let mut f = FlowSpec::new(q.resources, stage_bytes).with_latency(lat);
-                    if let Some(cap) = q.rate_cap {
-                        f = f.with_rate_cap(cap);
-                    }
-                    pull.push(f);
+                    pull.push(q.flow(stage_bytes).with_latency(lat));
                 }
                 // Server-side aggregation: (replicas − 1) incoming copies
                 // summed on one core, modelled as a latency-only phase.

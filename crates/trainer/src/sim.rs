@@ -272,7 +272,7 @@ impl TrainingSim {
             vec![cluster.node_tx_resource(n as usize), cluster.node_rx_resource(n as usize)]
         });
         sim.install_faults(&faults);
-        for (node, at) in faults.crash_times() {
+        for (node, at, _) in faults.crash_spans() {
             assert!((node as usize) < nodes, "crash targets node {node}, cluster has {nodes}");
             sim.schedule_at(at, Token::new(FAULT_CRASH_KIND, node, 0));
         }

@@ -85,6 +85,34 @@ struct Args {
     jobs: Option<usize>,
 }
 
+/// The AIACC configuration a `train` run uses: the tuned one when `--tune`
+/// ran, else the defaults with `--streams`, `--granularity` and `--tree`
+/// applied. `--compress` applies to both. Under injected faults the stall
+/// watchdog is armed last, so hung streams are resubmitted instead of
+/// wedging the iteration whatever configuration the tuner returned.
+fn train_aiacc_config(args: &Args, tuned: Option<AiaccConfig>, faults: bool) -> AiaccConfig {
+    let mut cfg = tuned.unwrap_or_else(|| {
+        let mut cfg = AiaccConfig::default();
+        if let Some(s) = args.streams {
+            cfg = cfg.with_streams(s);
+        }
+        if let Some(g) = args.granularity_bytes {
+            cfg = cfg.with_granularity(g);
+        }
+        if args.tree {
+            cfg = cfg.with_algo(Algo::Tree);
+        }
+        cfg
+    });
+    if args.compress != Scheme::None {
+        cfg = cfg.with_compress(args.compress);
+    }
+    if faults {
+        cfg = cfg.with_stall_timeout(SimDuration::from_secs_f64(0.5));
+    }
+    cfg
+}
+
 /// Builds the canned fault scenario selected by `--faults`.
 ///
 /// Each scenario targets logical nodes, so it adapts to any cluster size;
@@ -626,25 +654,7 @@ fn main() {
         None => None,
     };
 
-    let mut aiacc_cfg = AiaccConfig::default();
-    if fault_plan.is_some() {
-        // Under injected faults, arm the stall watchdog so hung streams are
-        // resubmitted instead of wedging the iteration.
-        aiacc_cfg = aiacc_cfg.with_stall_timeout(SimDuration::from_secs_f64(0.5));
-    }
-    if let Some(s) = args.streams {
-        aiacc_cfg = aiacc_cfg.with_streams(s);
-    }
-    if let Some(g) = args.granularity_bytes {
-        aiacc_cfg = aiacc_cfg.with_granularity(g);
-    }
-    if args.compress != Scheme::None {
-        aiacc_cfg = aiacc_cfg.with_compress(args.compress);
-    }
-    if args.tree {
-        aiacc_cfg = aiacc_cfg.with_algo(Algo::Tree);
-    }
-    if let Some(budget) = args.tune {
+    let tuned = args.tune.map(|budget| {
         eprintln!("[aiacc-sim] auto-tuning ({budget} warm-up iterations)...");
         let (tuned, report) = tune_aiacc(&model, &cluster, budget, 7, None);
         eprintln!(
@@ -654,11 +664,9 @@ fn main() {
             tuned.algo,
             report.best_value
         );
-        aiacc_cfg = tuned;
-        if args.compress != Scheme::None {
-            aiacc_cfg = aiacc_cfg.with_compress(args.compress);
-        }
-    }
+        tuned
+    });
+    let aiacc_cfg = train_aiacc_config(&args, tuned, fault_plan.is_some());
 
     let engine = match EngineKind::by_label(&args.engine) {
         Some(EngineKind::Aiacc(_)) => EngineKind::Aiacc(aiacc_cfg),
@@ -796,6 +804,17 @@ mod tests {
         }
         // The streaming replay validates its own arrival count.
         assert!(parse_sched_args(&strings(&["--stream", "--njobs", "0"])).is_ok());
+    }
+
+    #[test]
+    fn fault_watchdog_survives_a_tuned_config() {
+        let args = parse_args(&strings(&["--faults", "flap", "--tune", "4", "--compress", "fp16"]))
+            .expect("valid flags");
+        let tuned = AiaccConfig::default().with_streams(3);
+        let cfg = train_aiacc_config(&args, Some(tuned), true);
+        assert_eq!(cfg.stall_timeout, Some(SimDuration::from_secs_f64(0.5)));
+        assert_eq!((cfg.streams, cfg.compress), (3, args.compress));
+        assert_eq!(train_aiacc_config(&args, Some(tuned), false).stall_timeout, None);
     }
 
     #[test]
